@@ -3,12 +3,12 @@ adaptive macro step control, plus the quarter-car benchmark harness."""
 
 from .control import (
     ConstantStep,
-    EccoConfig,
-    EccoController,
     InsufficientHistory,
     NonFiniteIndicator,
-    PredictorCorrectorConfig,
-    PredictorCorrectorController,
+    OutputExtrapolationIndicator,
+    PIConfig,
+    PIController,
+    ResidualEnergyIndicator,
     StepPolicy,
     ecco_indicator,
     pc_indicator,

@@ -13,14 +13,15 @@ bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from math import isfinite
 from typing import IO, Mapping
 
 from .control import (
     ConstantStep,
-    EccoConfig,
-    EccoController,
-    PredictorCorrectorConfig,
-    PredictorCorrectorController,
+    OutputExtrapolationIndicator,
+    PIConfig,
+    PIController,
+    ResidualEnergyIndicator,
     StepPolicy,
 )
 from .master import RunRecord, run_cosimulation
@@ -79,6 +80,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown controller {self.controller!r}")
         if self.micro_ratio_s1 < 1 or self.micro_ratio_s2 < 1:
             raise ConfigError("micro step ratios must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
 
     @property
     def resolved_t_end(self) -> float:
@@ -178,31 +183,22 @@ def build_policy(cfg: ExperimentConfig) -> StepPolicy:
     if cfg.controller == "constant":
         return ConstantStep(cfg.resolved_dt0)
     if cfg.controller == "ecco":
-        return EccoController(
-            EccoConfig(
-                rel_tol=cfg.r,
-                energy_scale=cfg.e0,
-                alpha_s=cfg.alpha_s,
-                dt_min=cfg.dt_min,
-                dt_max=cfg.dt_max,
-                theta_min=cfg.theta_min,
-                theta_max=cfg.theta_max,
-            )
-        )
-    return PredictorCorrectorController(
-        PredictorCorrectorConfig(
-            tol=cfg.tol,
-            rho=cfg.rho,
+        indicator = ResidualEnergyIndicator(rel_tol=cfg.r, energy_scale=cfg.e0)
+    else:
+        indicator = OutputExtrapolationIndicator(tol=cfg.tol, rho=cfg.rho)
+    return PIController(
+        indicator,
+        PIConfig(
             alpha_s=cfg.alpha_s,
             dt_min=cfg.dt_min,
             dt_max=cfg.dt_max,
             theta_min=cfg.theta_min,
             theta_max=cfg.theta_max,
-        )
+        ),
     )
 
 
-def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunRecord:
+def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     """Build the configured model and controller and run the master loop."""
     slots, graph = build_reticulation(
         cfg.reticulation,
@@ -211,9 +207,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunRecord:
         micro_s2=cfg.micro_ratio_s2,
     )
     policy = build_policy(cfg)
-    return run_cosimulation(
-        slots, graph, policy, cfg.resolved_t_end, dt0=cfg.resolved_dt0, parallel=parallel
-    )
+    return run_cosimulation(slots, graph, policy, cfg.resolved_t_end, dt0=cfg.resolved_dt0)
 
 
 def experiment_reference(cfg: ExperimentConfig, h_ref: float = DEFAULT_H_REF) -> ReferenceTrajectory:

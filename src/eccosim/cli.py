@@ -26,7 +26,7 @@ from .bench import (
 )
 from .master import SimulatorFailure
 from .quartercar import preset_params
-from .reference import NoOnsetInRange, stability_scan, step_size_sweep
+from .reference import stability_scan, step_size_sweep
 
 
 @dataclass(frozen=True)
@@ -402,7 +402,7 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        record = run_experiment(cfg, parallel=args.parallel)
+        record = run_experiment(cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -501,6 +501,9 @@ def cmd_sweep(args) -> int:
     dts = [float(x) for x in np.geomspace(lo, hi, args.points)]
     try:
         points = step_size_sweep(dts, params, args.reticulation, t_end=t_end)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except SimulatorFailure as exc:
         print(f"simulation failure during sweep: {exc}", file=sys.stderr)
         return 2
@@ -538,7 +541,7 @@ def cmd_scan(args) -> int:
             threshold=args.threshold,
             resolution=args.resolution,
         )
-    except NoOnsetInRange as exc:
+    except ValueError as exc:  # includes NoOnsetInRange
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"reticulation {args.reticulation}: instability onset at dt = {onset * 1e3:.2f} ms")
@@ -566,9 +569,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--summary-out", dest="summary_out", help="summary CSV path")
     p_run.add_argument(
         "--check", metavar="TABLE:ROW", help="compare against an expected row, e.g. T3:constant"
-    )
-    p_run.add_argument(
-        "--parallel", action="store_true", help="step simulators in worker threads"
     )
     p_run.set_defaults(func=cmd_run)
 

@@ -1,10 +1,10 @@
 """Macro step size policies.
 
-Three interchangeable controllers drive the master loop: a constant step, a
-residual-energy PI controller (scale-invariant, exact local power error), and
-a predictor/corrector PI controller that extrapolates simulator outputs and
-measures the prediction miss.  Both adaptive policies share the same PI update
-and the same rate/absolute step clamps.
+Two policies drive the master loop: a constant step, and one PI controller
+fed by an error indicator.  The residual-energy indicator (scale-invariant,
+exact local power error) gives the paper's controller; the output-extrapolation
+indicator measures the prediction miss of a predictor/corrector baseline.  Both
+share the same PI update and the same rate/absolute step clamps.
 """
 
 from __future__ import annotations
@@ -40,50 +40,9 @@ def _broadcast(value, n: int, name: str) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class EccoConfig:
-    """Residual-energy controller parameters.
+class PIConfig:
+    """Safety factor and step clamps of the PI step update, shared by every indicator."""
 
-    ``rel_tol`` and ``energy_scale`` may be scalars or one value per bond; they
-    set each bond's energy resolution.  The PI gains are derived from the input
-    extrapolation order ``m`` and are not stored.
-    """
-
-    rel_tol: float | Sequence[float] = 1e-5
-    energy_scale: float | Sequence[float] = 750.0
-    alpha_s: float = 0.8
-    dt_min: float = 1e-4
-    dt_max: float = 1e-2
-    theta_min: float = 0.2
-    theta_max: float = 1.5
-    m: int = 0  # input extrapolation order; constant extrapolation only
-
-    def __post_init__(self):
-        _validate_bounds(self)
-        _validate_positive(self.rel_tol, "rel_tol")
-        _validate_positive(self.energy_scale, "energy_scale")
-        if self.m != 0:
-            raise ValueError("only constant input extrapolation (m = 0) is supported")
-
-    @property
-    def k_i(self) -> float:
-        return 0.3 / (self.m + 2)
-
-    @property
-    def k_p(self) -> float:
-        return 0.4 / (self.m + 2)
-
-
-@dataclass(frozen=True)
-class PredictorCorrectorConfig:
-    """Predictor/corrector controller parameters.
-
-    ``tol`` and ``rho`` may be scalars or one value per coupling output.  The
-    extrapolation order is fixed at r = m + 1 = 1; gains derive from m = 0.
-    """
-
-    tol: float | Sequence[float] = 1.0
-    rho: float | Sequence[float] = 1e-4
-    order: int = 1
     alpha_s: float = 0.8
     dt_min: float = 1e-4
     dt_max: float = 1e-2
@@ -91,28 +50,12 @@ class PredictorCorrectorConfig:
     theta_max: float = 1.5
 
     def __post_init__(self):
-        _validate_bounds(self)
-        _validate_positive(self.tol, "tol")
-        _validate_nonnegative(self.rho, "rho")
-        if self.order != 1:
-            raise ValueError("only extrapolation order r = 1 is supported")
-
-    @property
-    def k_i(self) -> float:
-        return 0.3 / self.order
-
-    @property
-    def k_p(self) -> float:
-        return 0.4 / self.order
-
-
-def _validate_bounds(cfg) -> None:
-    if not 0.0 < cfg.dt_min <= cfg.dt_max:
-        raise ValueError("require 0 < dt_min <= dt_max")
-    if not 0.0 < cfg.theta_min < 1.0 < cfg.theta_max:
-        raise ValueError("require 0 < theta_min < 1 < theta_max")
-    if not 0.0 < cfg.alpha_s <= 1.0:
-        raise ValueError("require 0 < alpha_s <= 1")
+        if not 0.0 < self.dt_min <= self.dt_max:
+            raise ValueError("require 0 < dt_min <= dt_max")
+        if not 0.0 < self.theta_min < 1.0 < self.theta_max:
+            raise ValueError("require 0 < theta_min < 1 < theta_max")
+        if not 0.0 < self.alpha_s <= 1.0:
+            raise ValueError("require 0 < alpha_s <= 1")
 
 
 def _validate_positive(value, name: str) -> None:
@@ -222,27 +165,17 @@ def pc_indicator(
     return worst
 
 
-@dataclass
-class ControllerState:
-    """Mutable per-run controller memory (previous indicator, output history)."""
-
-    eps_prev: float = 1.0
-    dt_current: float = 0.0
-    history: deque = None  # (time, output tuple) ring buffer, capacity order+1
-
-    def __post_init__(self):
-        if self.history is None:
-            self.history = deque(maxlen=2)
-
-
 class StepPolicy(ABC):
     """Interface the master loop drives once per accepted macro step."""
 
     name: str = "policy"
 
+    @abstractmethod
     def start(self, dt0: float | None, t0: float, outputs: Sequence[float]) -> float:
-        """Reset per-run state and return the first macro step size."""
-        raise NotImplementedError
+        """Reset per-run state and return the first macro step size.
+
+        ``outputs`` are the initial coupling outputs stacked two per bond.
+        """
 
     @abstractmethod
     def next_step(
@@ -276,97 +209,118 @@ class ConstantStep(StepPolicy):
         return self.dt, 0.0
 
 
-class EccoController(StepPolicy):
-    """Residual-energy PI step controller (never re-steps, coupling data only)."""
+class ResidualEnergyIndicator:
+    """Residual energy per step against each bond's energy resolution.
+
+    ``rel_tol`` and ``energy_scale`` may be scalars or one value per bond; the
+    bond count is taken from the stacked outputs at :meth:`start`.  Inputs are
+    extrapolated as constants (m = 0), so the gains are 0.3/(m+2) and 0.4/(m+2).
+    """
 
     name = "ecco"
+    k_i = 0.15
+    k_p = 0.2
 
-    def __init__(self, config: EccoConfig, n_bonds: int = 1):
+    def __init__(
+        self,
+        rel_tol: float | Sequence[float] = 1e-5,
+        energy_scale: float | Sequence[float] = 750.0,
+    ):
+        _validate_positive(rel_tol, "rel_tol")
+        _validate_positive(energy_scale, "energy_scale")
+        self.rel_tol = rel_tol
+        self.energy_scale = energy_scale
+
+    def start(self, t0: float, outputs: Sequence[float]) -> None:
+        n_bonds = len(outputs) // 2
         if n_bonds < 1:
             raise ValueError("residual-energy control needs at least one bond")
-        self.config = config
-        self.rel_tol = _broadcast(config.rel_tol, n_bonds, "rel_tol")
-        self.energy_scale = _broadcast(config.energy_scale, n_bonds, "energy_scale")
-        self.n_bonds = n_bonds
-        self.state = ControllerState()
+        self.bond_rel_tol = _broadcast(self.rel_tol, n_bonds, "rel_tol")
+        self.bond_energy_scale = _broadcast(self.energy_scale, n_bonds, "energy_scale")
 
-    def start(self, dt0, t0, outputs):
-        cfg = self.config
-        dt0 = cfg.dt_min if dt0 is None else dt0
-        if not cfg.dt_min <= dt0 <= cfg.dt_max:
-            raise ValueError(f"dt0={dt0} outside [{cfg.dt_min}, {cfg.dt_max}]")
-        self.state = ControllerState(eps_prev=1.0, dt_current=dt0)
-        return dt0
-
-    def next_step(self, t_next, dt_used, bond_steps, outputs):
-        eps = ecco_indicator(
+    def __call__(self, t_next, bond_steps, outputs) -> float:
+        return ecco_indicator(
             [b.dE_res for b in bond_steps],
             [b.E_step for b in bond_steps],
-            self.rel_tol,
-            self.energy_scale,
+            self.bond_rel_tol,
+            self.bond_energy_scale,
         )
-        if not isfinite(eps):
-            raise NonFiniteIndicator(f"residual-energy indicator is {eps} at t={t_next}")
-        cfg = self.config
-        dt_next = pi_step_size(
-            eps, self.state.eps_prev, dt_used,
-            cfg.k_i, cfg.k_p, cfg.alpha_s,
-            cfg.dt_min, cfg.dt_max, cfg.theta_min, cfg.theta_max,
-        )
-        self.state.eps_prev = max(eps, EPS_FLOOR)
-        self.state.dt_current = dt_next
-        return dt_next, eps
 
 
-class PredictorCorrectorController(StepPolicy):
-    """Output-extrapolation PI step controller.
+class OutputExtrapolationIndicator:
+    """Miss of a degree-1 Lagrange extrapolation of the coupling outputs.
 
-    Predicts the coupling outputs with a degree-1 Lagrange extrapolation over
-    the stored history and feeds the prediction miss into the same PI update.
-    Until enough history exists the step size is left unchanged and the
-    indicator is skipped.
+    ``tol`` and ``rho`` may be scalars or one value per coupling output; the
+    output count is taken from the outputs at :meth:`start`.  The
+    extrapolation order is r = m + 1 = 1, so the gains are 0.3/r and 0.4/r.
+    Until two samples are stored the indicator is ``None``.
     """
 
     name = "predictor_corrector"
+    k_i = 0.3
+    k_p = 0.4
 
-    def __init__(self, config: PredictorCorrectorConfig, n_outputs: int = 2):
-        if n_outputs < 1:
+    def __init__(
+        self,
+        tol: float | Sequence[float] = 1.0,
+        rho: float | Sequence[float] = 1e-4,
+    ):
+        _validate_positive(tol, "tol")
+        _validate_nonnegative(rho, "rho")
+        self.tol = tol
+        self.rho = rho
+
+    def start(self, t0: float, outputs: Sequence[float]) -> None:
+        if not outputs:
             raise ValueError("predictor/corrector control needs coupling outputs")
+        self.output_tol = _broadcast(self.tol, len(outputs), "tol")
+        self.output_rho = _broadcast(self.rho, len(outputs), "rho")
+        self.history = deque([(t0, tuple(outputs))], maxlen=2)
+
+    def __call__(self, t_next, bond_steps, outputs) -> float | None:
+        eps = None
+        if len(self.history) == 2:
+            y_pred = predict_outputs(self.history, t_next, 1)
+            eps = pc_indicator(outputs, y_pred, self.output_tol, self.output_rho)
+        self.history.append((t_next, tuple(outputs)))
+        return eps
+
+
+class PIController(StepPolicy):
+    """PI step controller driven by an error indicator; never re-steps.
+
+    The indicator supplies ``name``, the gains ``k_i``/``k_p``, ``start(t0,
+    outputs)`` and a call ``(t_next, bond_steps, outputs)`` returning the
+    step's error, or ``None`` while it cannot judge yet; the step size is
+    then kept and 0 is logged.
+    """
+
+    def __init__(self, indicator, config: PIConfig = PIConfig()):
+        self.indicator = indicator
         self.config = config
-        self.tol = _broadcast(config.tol, n_outputs, "tol")
-        self.rho = _broadcast(config.rho, n_outputs, "rho")
-        self.n_outputs = n_outputs
-        self.state = ControllerState()
+        self.name = indicator.name
+        self.eps_prev = 1.0
 
     def start(self, dt0, t0, outputs):
         cfg = self.config
         dt0 = cfg.dt_min if dt0 is None else dt0
         if not cfg.dt_min <= dt0 <= cfg.dt_max:
             raise ValueError(f"dt0={dt0} outside [{cfg.dt_min}, {cfg.dt_max}]")
-        self.state = ControllerState(
-            eps_prev=1.0, dt_current=dt0, history=deque(maxlen=self.config.order + 1)
-        )
-        self.state.history.append((t0, tuple(outputs)))
+        self.indicator.start(t0, outputs)
+        self.eps_prev = 1.0
         return dt0
 
     def next_step(self, t_next, dt_used, bond_steps, outputs):
-        cfg = self.config
-        state = self.state
-        if len(state.history) < cfg.order + 1:
-            # Startup: no extrapolation possible yet, keep the step unchanged.
-            state.history.append((t_next, tuple(outputs)))
-            state.dt_current = dt_used
+        eps = self.indicator(t_next, bond_steps, outputs)
+        if eps is None:
             return dt_used, 0.0
-        y_pred = predict_outputs(state.history, t_next, cfg.order)
-        eps = pc_indicator(outputs, y_pred, self.tol, self.rho)
         if not isfinite(eps):
-            raise NonFiniteIndicator(f"predictor/corrector indicator is {eps} at t={t_next}")
+            raise NonFiniteIndicator(f"{self.name} indicator is {eps} at t={t_next}")
+        cfg, ind = self.config, self.indicator
         dt_next = pi_step_size(
-            eps, state.eps_prev, dt_used,
-            cfg.k_i, cfg.k_p, cfg.alpha_s,
+            eps, self.eps_prev, dt_used,
+            ind.k_i, ind.k_p, cfg.alpha_s,
             cfg.dt_min, cfg.dt_max, cfg.theta_min, cfg.theta_max,
         )
-        state.eps_prev = max(eps, EPS_FLOOR)
-        state.history.append((t_next, tuple(outputs)))
-        state.dt_current = dt_next
+        self.eps_prev = max(eps, EPS_FLOOR)
         return dt_next, eps

@@ -9,7 +9,6 @@ next macro step size.  Macro steps are never repeated.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import isfinite
 from typing import Sequence
@@ -97,18 +96,20 @@ def run_cosimulation(
     policy: StepPolicy,
     t_end: float,
     dt0: float | None = None,
-    parallel: bool = False,
 ) -> RunRecord:
     """Run the Jacobi master loop from t = 0 to ``t_end``.
 
     Per macro step: inputs are set from the last outputs, all slots step over
-    the same interval (in worker threads when ``parallel``), ledgers absorb the
-    step, and the policy proposes the next step size.  The final step is
-    truncated to land exactly on ``t_end``.  No step is ever redone.
+    the same interval, ledgers absorb the step, and the policy proposes the
+    next step size.  The final step is truncated to land exactly on ``t_end``.
+    No step is ever redone.
 
-    Raises :class:`SimulatorFailure` (with the partial record attached) when a
-    slot produces a non-finite output or probe value.
+    Raises :class:`ValueError` before any step when ``t_end`` is negative or
+    not finite, and :class:`SimulatorFailure` (with the partial record
+    attached) when a slot produces a non-finite output or probe value.
     """
+    if not (isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
     wiring = validate_graph(graph, slots)
     ledgers = [BondLedger(bond) for bond in wiring.bonds]
     record = RunRecord(t_end=t_end, policy=policy.name, bond_count=len(ledgers))
@@ -118,59 +119,48 @@ def run_cosimulation(
 
     clock = CompensatedSum()
     t_tol = 1e-12 * max(abs(t_end), 1.0)
-    executor = ThreadPoolExecutor(max_workers=len(slots)) if parallel and slots else None
-    try:
-        while True:
-            t_now = clock.value
-            remaining = t_end - t_now
-            if remaining <= t_tol:
-                break
-            # Truncate onto t_end; absorb a degenerate final sliver into this step.
-            dt = remaining if dt_next >= remaining * (1.0 - 1e-9) else dt_next
+    while True:
+        t_now = clock.value
+        remaining = t_end - t_now
+        if remaining <= t_tol:
+            break
+        # Truncate onto t_end; absorb a degenerate final sliver into this step.
+        dt = remaining if dt_next >= remaining * (1.0 - 1e-9) else dt_next
 
-            inputs = apply_connections(wiring, outputs)
-            for slot, u in zip(slots, inputs):
-                slot.set_inputs(u)
+        inputs = apply_connections(wiring, outputs)
+        for slot, u in zip(slots, inputs):
+            slot.set_inputs(u)
+        for slot in slots:
+            slot.do_step(t_now, dt)
 
-            if executor is not None:
-                list(executor.map(lambda s: s.do_step(t_now, dt), slots))
-            else:
-                for slot in slots:
-                    slot.do_step(t_now, dt)
+        clock.add(dt)
+        t_next = clock.value
+        outputs = [list(slot.get_outputs()) for slot in slots]
+        probes = probe_states(slots)
 
-            clock.add(dt)
-            t_next = clock.value
-            outputs = [list(slot.get_outputs()) for slot in slots]
-            probes = probe_states(slots)
+        bad = not all(isfinite(v) for out in outputs for v in out)
+        bad = bad or not all(isfinite(v) for v in probes.values())
+        if bad:
+            record.complete = False
+            raise SimulatorFailure(f"non-finite simulator output at t={t_next}", record)
 
-            bad = not all(isfinite(v) for out in outputs for v in out)
-            bad = bad or not all(isfinite(v) for v in probes.values())
-            if bad:
-                record.complete = False
-                raise SimulatorFailure(
-                    f"non-finite simulator output at t={t_next}", record
-                )
-
-            entries = tuple(
-                ledger.record(
-                    t_next,
-                    dt,
-                    inputs[ledger.bond.port1.owner][ledger.bond.port1.input_index],
-                    inputs[ledger.bond.port2.owner][ledger.bond.port2.input_index],
-                    outputs[ledger.bond.port1.owner][ledger.bond.port1.output_index],
-                    outputs[ledger.bond.port2.owner][ledger.bond.port2.output_index],
-                )
-                for ledger in ledgers
+        entries = tuple(
+            ledger.record(
+                t_next,
+                dt,
+                inputs[ledger.bond.port1.owner][ledger.bond.port1.input_index],
+                inputs[ledger.bond.port2.owner][ledger.bond.port2.input_index],
+                outputs[ledger.bond.port1.owner][ledger.bond.port1.output_index],
+                outputs[ledger.bond.port2.owner][ledger.bond.port2.output_index],
             )
-            if not all(isfinite(e.P_12) and isfinite(e.dP_res) for e in entries):
-                # finite signals whose products overflow: the run has blown up
-                record.complete = False
-                raise SimulatorFailure(f"non-finite bond power at t={t_next}", record)
-            dt_next, eps = policy.next_step(
-                t_next, dt, entries, _stacked_outputs(wiring.bonds, outputs)
-            )
-            record.rows.append(StepRow(t=t_next, dt=dt, eps=eps, bonds=entries, probes=probes))
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+            for ledger in ledgers
+        )
+        if not all(isfinite(e.P_12) and isfinite(e.dP_res) for e in entries):
+            # finite signals whose products overflow: the run has blown up
+            record.complete = False
+            raise SimulatorFailure(f"non-finite bond power at t={t_next}", record)
+        dt_next, eps = policy.next_step(
+            t_next, dt, entries, _stacked_outputs(wiring.bonds, outputs)
+        )
+        record.rows.append(StepRow(t=t_next, dt=dt, eps=eps, bonds=entries, probes=probes))
     return record

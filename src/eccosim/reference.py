@@ -72,14 +72,12 @@ class ReferenceTrajectory:
         return p, -p
 
 
-def _suspension_force_arrays(params, z_c, v_c, z_w, v_w):
-    dv = v_c - v_w
+def _damping_force_arrays(params, dv):
+    """Damper force d_c * sign(dv) * |dv|**exponent on relative-velocity arrays."""
     expo = params.damping_exponent
     if expo == 1.0:
-        damping = params.d_c * dv
-    else:
-        damping = params.d_c * np.sign(dv) * np.abs(dv) ** expo
-    return params.k_c * (z_c - z_w) + damping
+        return params.d_c * dv
+    return params.d_c * np.sign(dv) * np.abs(dv) ** expo
 
 
 @lru_cache(maxsize=16)
@@ -147,7 +145,7 @@ def reference_solve(
     if reticulation not in ("A", "B"):
         raise ValueError(f"unknown reticulation {reticulation!r}")
     t, z_c, v_c, z_w, v_w = _solve_states(params, t_end, h_ref)
-    f_c = _suspension_force_arrays(params, z_c, v_c, z_w, v_w)
+    f_c = params.k_c * (z_c - z_w) + _damping_force_arrays(params, v_c - v_w)
     if reticulation == "A":
         p0_12 = f_c * v_c
     else:
@@ -169,12 +167,7 @@ def reference_solve(
 def damper_dissipation(traj: ReferenceTrajectory) -> float:
     """Energy dissipated by the suspension damper over the trajectory (joules)."""
     dv = traj.v_c - traj.v_w
-    expo = traj.params.damping_exponent
-    if expo == 1.0:
-        f_damp = traj.params.d_c * dv
-    else:
-        f_damp = traj.params.d_c * np.sign(dv) * np.abs(dv) ** expo
-    return float(np.trapezoid(f_damp * dv, dx=traj.h_ref))
+    return float(np.trapezoid(_damping_force_arrays(traj.params, dv) * dv, dx=traj.h_ref))
 
 
 def linear_exact_states(params: QuarterCarParams, times: Sequence[float]) -> np.ndarray:
@@ -329,7 +322,7 @@ def stability_scan(
     """
     if not 0.0 < dt_lo < dt_hi:
         raise ValueError("require 0 < dt_lo < dt_hi")
-    if resolution <= 0.0:
+    if not resolution > 0.0:
         raise ValueError("resolution must be positive")
 
     def scan(dt):

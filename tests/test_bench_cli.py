@@ -76,6 +76,12 @@ def test_config_validation_errors():
         ExperimentConfig(micro_ratio_s1=0)
     with pytest.raises(ConfigError):
         load_config(None, {"nonexistent": 1})
+    for name in ("r", "e0", "tol", "rho", "alpha_s", "dt_min", "dt_max",
+                 "theta_min", "theta_max", "t_end", "dt0"):
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig(**{name: float("nan")})
+    with pytest.raises(ConfigError):
+        ExperimentConfig(t_end=float("-inf"))
 
 
 def test_resolved_defaults():
@@ -243,11 +249,21 @@ def test_cli_check_passing_row(tmp_path):
     assert code == 0
 
 
-def test_cli_parallel_matches_serial(tmp_path):
-    base = ["run", "--controller", "ecco", "--r", "2.8e-6", "--t-end", "0.1"]
-    assert main(base + ["--out", str(tmp_path / "ser.csv")]) == 0
-    assert main(base + ["--parallel", "--out", str(tmp_path / "par.csv")]) == 0
-    assert (tmp_path / "ser.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
+@pytest.mark.parametrize("argv", [
+    ["run", "--t-end", "nan"],
+    ["run", "--t-end", "inf"],
+    ["run", "--t-end", "-1"],
+    ["run", "--dt0", "nan"],
+    ["scan", "--reticulation", "A", "--t-scan", "nan"],
+    ["scan", "--reticulation", "A", "--resolution", "nan"],
+    ["sweep", "--t-end", "nan"],
+    ["sweep", "--t-end", "-1"],
+])
+def test_cli_bad_horizon_or_value_exits_one(argv, tmp_path, capsys):
+    # each of these once hung or exited 0 or 2; now all are config errors
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_reproduce_unknown_table_exits_one(capsys):

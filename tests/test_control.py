@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from eccosim.control import (
     EPS_FLOOR,
     ConstantStep,
-    EccoConfig,
-    EccoController,
     InsufficientHistory,
     NonFiniteIndicator,
-    PredictorCorrectorConfig,
-    PredictorCorrectorController,
+    OutputExtrapolationIndicator,
+    PIConfig,
+    PIController,
+    ResidualEnergyIndicator,
     ecco_indicator,
     pc_indicator,
     pi_step_size,
@@ -31,31 +31,30 @@ def entry(dE_res, E_step, dt=1e-3):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EccoConfig(dt_min=1e-2, dt_max=1e-3)
+        PIConfig(dt_min=1e-2, dt_max=1e-3)
     with pytest.raises(ValueError):
-        EccoConfig(theta_min=1.2)
+        PIConfig(theta_min=1.2)
     with pytest.raises(ValueError):
-        EccoConfig(alpha_s=0.0)
+        PIConfig(alpha_s=0.0)
     with pytest.raises(ValueError):
-        EccoConfig(rel_tol=0.0)
+        ResidualEnergyIndicator(rel_tol=0.0)
     with pytest.raises(ValueError):
-        EccoConfig(energy_scale=[750.0, -1.0])
+        ResidualEnergyIndicator(energy_scale=[750.0, -1.0])
     with pytest.raises(ValueError):
-        PredictorCorrectorConfig(order=2)
+        OutputExtrapolationIndicator(tol=-0.5)
     with pytest.raises(ValueError):
-        PredictorCorrectorConfig(tol=-0.5)
-    with pytest.raises(ValueError):
-        PredictorCorrectorConfig(rho=-1e-4)
-    PredictorCorrectorConfig(rho=0.0)  # pure absolute error is allowed
+        OutputExtrapolationIndicator(rho=-1e-4)
+    OutputExtrapolationIndicator(rho=0.0)  # pure absolute error is allowed
 
 
 def test_derived_gains():
-    cfg = EccoConfig()
-    assert cfg.k_i == pytest.approx(0.15)
-    assert cfg.k_p == pytest.approx(0.2)
-    pcc = PredictorCorrectorConfig()
-    assert pcc.k_i == pytest.approx(0.3)
-    assert pcc.k_p == pytest.approx(0.4)
+    # 0.3/(m+2), 0.4/(m+2) at m = 0 and 0.3/r, 0.4/r at r = 1, as the same doubles
+    assert ResidualEnergyIndicator.k_i == pytest.approx(0.15) == 0.3 / 2
+    assert ResidualEnergyIndicator.k_p == pytest.approx(0.2) == 0.4 / 2
+    assert OutputExtrapolationIndicator.k_i == pytest.approx(0.3)
+    assert OutputExtrapolationIndicator.k_p == pytest.approx(0.4)
+    assert PIController(ResidualEnergyIndicator()).name == "ecco"
+    assert PIController(OutputExtrapolationIndicator()).name == "predictor_corrector"
 
 
 def test_ecco_indicator_normalization_point():
@@ -194,15 +193,15 @@ def test_indicators_reject_mismatched_vectors():
 
 
 def test_broadcast_rejects_wrong_length():
+    # widths come from the stacked outputs at start: two per bond
     with pytest.raises(ValueError):
-        PredictorCorrectorController(PredictorCorrectorConfig(tol=[1.0, 2.0, 3.0]), n_outputs=2)
+        PIController(OutputExtrapolationIndicator(tol=[1.0, 2.0, 3.0])).start(None, 0.0, [0.0] * 2)
     with pytest.raises(ValueError):
-        EccoController(EccoConfig(rel_tol=[1e-5, 1e-6]), n_bonds=1)
-    pol = PredictorCorrectorController(
-        PredictorCorrectorConfig(tol=[0.5, 2.0], rho=1e-4), n_outputs=2
-    )
-    assert pol.tol == (0.5, 2.0)
-    assert pol.rho == (1e-4, 1e-4)
+        PIController(ResidualEnergyIndicator(rel_tol=[1e-5, 1e-6])).start(None, 0.0, [0.0] * 2)
+    pol = PIController(OutputExtrapolationIndicator(tol=[0.5, 2.0], rho=1e-4))
+    pol.start(None, 0.0, [0.0, 0.0])
+    assert pol.indicator.output_tol == (0.5, 2.0)
+    assert pol.indicator.output_rho == (1e-4, 1e-4)
 
 
 def test_constant_policy_keeps_dt():
@@ -213,35 +212,36 @@ def test_constant_policy_keeps_dt():
 
 
 def test_ecco_controller_defaults_and_floor():
-    pol = EccoController(EccoConfig(rel_tol=1e-5))
+    pol = PIController(ResidualEnergyIndicator(rel_tol=1e-5), PIConfig())
     dt0 = pol.start(None, 0.0, [0.0, 0.0])
     assert dt0 == pol.config.dt_min
-    assert pol.state.eps_prev == 1.0
+    assert pol.eps_prev == 1.0
     dt1, eps = pol.next_step(dt0, dt0, (entry(0.0, 0.0, dt=dt0),), [0.0, 0.0])
     assert eps == 0.0
-    assert pol.state.eps_prev == EPS_FLOOR  # floored, never zero
+    assert pol.eps_prev == EPS_FLOOR  # floored, never zero
     assert dt1 == pytest.approx(pol.config.theta_max * dt0, rel=1e-12)
 
 
 def test_ecco_controller_rejects_out_of_band_dt0():
-    pol = EccoController(EccoConfig())
+    pol = PIController(ResidualEnergyIndicator(), PIConfig())
     with pytest.raises(ValueError):
-        pol.start(1.0, 0.0, [])
+        pol.start(1.0, 0.0, [0.0, 0.0])
 
 
 def test_ecco_controller_nonfinite_indicator():
-    pol = EccoController(EccoConfig())
-    pol.start(None, 0.0, [])
+    pol = PIController(ResidualEnergyIndicator(), PIConfig())
+    pol.start(None, 0.0, [0.0, 0.0])
     with pytest.raises(NonFiniteIndicator):
-        pol.next_step(1e-4, 1e-4, (entry(float("nan"), 0.0),), [])
+        pol.next_step(1e-4, 1e-4, (entry(float("nan"), 0.0),), [0.0, 0.0])
 
 
 def test_predictor_corrector_startup_skips_indicator():
-    pol = PredictorCorrectorController(PredictorCorrectorConfig(tol=0.5), n_outputs=1)
+    pol = PIController(OutputExtrapolationIndicator(tol=0.5), PIConfig())
     dt0 = pol.start(None, 0.0, [0.0])
     assert dt0 == pol.config.dt_min
     dt1, eps1 = pol.next_step(dt0, dt0, (), [1.0])
     assert (dt1, eps1) == (dt0, 0.0)  # history too short: keep dt, skip indicator
+    assert pol.eps_prev == 1.0  # start-up leaves the PI memory alone
     # outputs 0, 1, 2 at equal spacing are affine: prediction is exact
     dt2, eps2 = pol.next_step(2 * dt0, dt0, (), [2.0])
     assert eps2 == 0.0
@@ -249,8 +249,8 @@ def test_predictor_corrector_startup_skips_indicator():
 
 
 def test_predictor_corrector_tracks_prediction_miss():
-    cfg = PredictorCorrectorConfig(tol=1.0, rho=0.0)
-    pol = PredictorCorrectorController(cfg, n_outputs=1)
+    cfg = PIConfig()
+    pol = PIController(OutputExtrapolationIndicator(tol=1.0, rho=0.0), cfg)
     dt0 = pol.start(1e-3, 0.0, [0.0])
     pol.next_step(1e-3, 1e-3, (), [1.0])  # startup
     # affine continuation: miss is zero, step grows by theta_max

@@ -5,7 +5,7 @@ import io
 import pytest
 
 from eccosim.bench import write_trajectory_csv
-from eccosim.control import ConstantStep, EccoConfig, EccoController
+from eccosim.control import ConstantStep, PIConfig, PIController, ResidualEnergyIndicator
 from eccosim.master import RunRecord, SimulatorFailure, probe_states, run_cosimulation
 from eccosim.model import ConnectionGraph
 from eccosim.quartercar import (
@@ -44,7 +44,7 @@ def test_initial_probes_are_zero():
 
 def test_no_rollback_every_step_executed_once():
     slots, graph = build_reticulation("A", LINEAR_PARAMS)
-    policy = EccoController(EccoConfig(rel_tol=2.8e-6))
+    policy = PIController(ResidualEnergyIndicator(rel_tol=2.8e-6))
     record = run_cosimulation(slots, graph, policy, 0.5)
     assert slots[0].step_calls == record.step_count
     assert slots[1].step_calls == record.step_count
@@ -77,7 +77,7 @@ def test_final_step_truncates_onto_horizon():
 def test_horizon_shorter_than_minimum_step_still_lands_exactly():
     # truncation overrides the controller's lower bound on the (only) step
     slots, graph = build_reticulation("A", LINEAR_PARAMS)
-    policy = EccoController(EccoConfig(rel_tol=1e-5))
+    policy = PIController(ResidualEnergyIndicator(rel_tol=1e-5))
     record = run_cosimulation(slots, graph, policy, 5e-5)
     assert record.step_count == 1
     assert record.rows[0].dt == pytest.approx(5e-5, rel=1e-12)
@@ -90,22 +90,27 @@ def _csv_bytes(record: RunRecord) -> str:
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("make_policy", [
-    lambda: ConstantStep(1e-3),
-    lambda: EccoController(EccoConfig(rel_tol=2.8e-6)),
-])
-def test_parallel_and_serial_stepping_are_identical(make_policy):
-    slots_s, graph_s = build_reticulation("A", LINEAR_PARAMS)
-    serial = run_cosimulation(slots_s, graph_s, make_policy(), 0.5, parallel=False)
-    slots_p, graph_p = build_reticulation("A", LINEAR_PARAMS)
-    parallel = run_cosimulation(slots_p, graph_p, make_policy(), 0.5, parallel=True)
-    assert _csv_bytes(serial) == _csv_bytes(parallel)
+def test_tolerance_width_checked_before_any_step():
+    # one bond: a two-value rel_tol fails at start, not after the first step
+    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    policy = PIController(ResidualEnergyIndicator(rel_tol=[1e-5, 1e-6]))
+    with pytest.raises(ValueError, match="rel_tol"):
+        run_cosimulation(slots, graph, policy, 0.5)
+    assert [slot.step_calls for slot in slots] == [0, 0]
+
+
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf"), -1.0])
+def test_bad_horizon_rejected_before_any_step(t_end):
+    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    with pytest.raises(ValueError, match="t_end"):
+        run_cosimulation(slots, graph, ConstantStep(1e-3), t_end)
+    assert [slot.step_calls for slot in slots] == [0, 0]
 
 
 def test_same_run_twice_is_byte_identical():
     def once():
         slots, graph = build_reticulation("B", LINEAR_PARAMS)
-        policy = EccoController(EccoConfig(rel_tol=9.1e-7))
+        policy = PIController(ResidualEnergyIndicator(rel_tol=9.1e-7))
         return _csv_bytes(run_cosimulation(slots, graph, policy, 0.5))
 
     assert once() == once()
@@ -124,8 +129,9 @@ def test_simulator_failure_aborts_with_partial_record():
 
 def test_adaptive_run_respects_step_bounds_and_rate_limits():
     slots, graph = build_reticulation("A", LINEAR_PARAMS)
-    cfg = EccoConfig(rel_tol=3.1e-5)
-    record = run_cosimulation(slots, graph, EccoController(cfg), 4.0)
+    cfg = PIConfig()
+    policy = PIController(ResidualEnergyIndicator(rel_tol=3.1e-5), cfg)
+    record = run_cosimulation(slots, graph, policy, 4.0)
     dts = [row.dt for row in record.rows]
     # the final step may be truncated onto t_end; all others obey the clamps
     for dt in dts[:-1]:
