@@ -12,7 +12,7 @@ bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from math import isfinite
 from typing import IO, Mapping
 
@@ -25,7 +25,7 @@ from .control import (
     StepPolicy,
 )
 from .master import RunRecord, run_cosimulation
-from .quartercar import build_reticulation, preset_params
+from .quartercar import PRESETS, RETICULATIONS, build_reticulation, preset_params
 from .reference import (
     DEFAULT_H_REF,
     ErrorSummary,
@@ -48,42 +48,71 @@ class ConfigError(ValueError):
     """A configuration file or override could not be parsed or validated."""
 
 
+def _setting(default, key: str, flag: str, parse, help: str, choices=None):
+    """A config field with its config-file key, ``run`` flag, value parser,
+    help text and, if it is an enumeration, its valid values."""
+    metadata = {"key": key, "flag": flag, "parse": parse, "help": help, "choices": choices}
+    return field(default=default, metadata=metadata)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One benchmark run: model, controller, horizon, output paths."""
+    """One benchmark run: model, controller, horizon, output paths.
 
-    preset: str = "linear"
-    reticulation: str = "A"
-    micro_ratio_s1: int = 10
-    micro_ratio_s2: int = 10
-    controller: str = "constant"
-    r: float = 1e-5  # residual-energy relative tolerance
-    e0: float = 750.0  # residual-energy scale [J]
-    tol: float = 1.0  # predictor/corrector tolerance
-    rho: float = 1e-4  # predictor/corrector relative-error weight
-    alpha_s: float = 0.8
-    dt_min: float = 1e-4
-    dt_max: float = 1e-2
-    theta_min: float = 0.2
-    theta_max: float = 1.5
-    t_end: float | None = None  # None: preset default
-    dt0: float | None = None  # None: 1 ms constant, dt_min for adaptive
-    out_path: str = "run.csv"
-    summary_path: str | None = None  # None: out_path with .summary.csv suffix
+    Each field's metadata is the one declaration of its config-file key and
+    its ``run`` flag; the file parser and the CLI are derived from it.
+    """
+
+    preset: str = _setting("linear", "model.preset", "--preset", str, "damping law", tuple(PRESETS))
+    reticulation: str = _setting(
+        "A", "model.reticulation", "--reticulation", str, "splitting", RETICULATIONS
+    )
+    micro_ratio_s1: int = _setting(
+        10, "model.micro_ratio_s1", "--micro-s1", int, "micro steps per macro step in S1"
+    )
+    micro_ratio_s2: int = _setting(
+        10, "model.micro_ratio_s2", "--micro-s2", int, "micro steps per macro step in S2"
+    )
+    controller: str = _setting(
+        "constant", "controller.type", "--controller", str, "step policy", CONTROLLERS
+    )
+    r: float = _setting(1e-5, "controller.r", "--r", float, "residual-energy relative tolerance")
+    e0: float = _setting(750.0, "controller.E0", "--e0", float, "residual-energy scale [J]")
+    tol: float = _setting(1.0, "controller.TOL", "--tol", float, "predictor/corrector tolerance")
+    rho: float = _setting(
+        1e-4, "controller.rho", "--rho", float, "predictor/corrector relative-error weight"
+    )
+    alpha_s: float = _setting(0.8, "controller.alpha_s", "--alpha-s", float, "safety factor")
+    dt_min: float = _setting(1e-4, "controller.dt_min", "--dt-min", float, "min step [s]")
+    dt_max: float = _setting(1e-2, "controller.dt_max", "--dt-max", float, "max step [s]")
+    theta_min: float = _setting(0.2, "controller.theta_min", "--theta-min", float, "min step ratio")
+    theta_max: float = _setting(1.5, "controller.theta_max", "--theta-max", float, "max step ratio")
+    t_end: float | None = _setting(
+        None, "sim.t_end", "--t-end", float, "horizon [s] (default: the preset's)"
+    )
+    dt0: float | None = _setting(
+        None, "sim.dt0", "--dt0", float, "first step [s] (default: 1 ms constant, dt_min adaptive)"
+    )
+    out_path: str = _setting(
+        "run.csv", "output.path", "--out", str, "trajectory CSV path (default run.csv)"
+    )
+    summary_path: str | None = _setting(
+        None, "output.summary_path", "--summary-out", str,
+        "summary CSV path (default: the trajectory path with .summary.csv)",
+    )
 
     def __post_init__(self):
-        if self.preset not in DEFAULT_T_END:
-            raise ConfigError(f"unknown preset {self.preset!r}")
-        if self.reticulation not in ("A", "B"):
-            raise ConfigError(f"unknown reticulation {self.reticulation!r}")
-        if self.controller not in CONTROLLERS:
-            raise ConfigError(f"unknown controller {self.controller!r}")
-        if self.micro_ratio_s1 < 1 or self.micro_ratio_s2 < 1:
-            raise ConfigError("micro step ratios must be >= 1")
         for f in fields(self):
             value = getattr(self, f.name)
+            choices = f.metadata["choices"]
+            if choices is not None and value not in choices:
+                raise ConfigError(f"unknown {f.name} {value!r}, expected one of {choices}")
             if isinstance(value, float) and not isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+            if value == "":
+                raise ConfigError(f"{f.name} must not be empty")
+        if self.micro_ratio_s1 < 1 or self.micro_ratio_s2 < 1:
+            raise ConfigError("micro step ratios must be >= 1")
 
     @property
     def resolved_t_end(self) -> float:
@@ -114,27 +143,7 @@ class ExperimentConfig:
         return base + ".summary.csv"
 
 
-# config-file key -> (attribute, parser)
-_CONFIG_KEYS = {
-    "model.preset": ("preset", str),
-    "model.reticulation": ("reticulation", str),
-    "model.micro_ratio_s1": ("micro_ratio_s1", int),
-    "model.micro_ratio_s2": ("micro_ratio_s2", int),
-    "controller.type": ("controller", str),
-    "controller.r": ("r", float),
-    "controller.E0": ("e0", float),
-    "controller.TOL": ("tol", float),
-    "controller.rho": ("rho", float),
-    "controller.alpha_s": ("alpha_s", float),
-    "controller.dt_min": ("dt_min", float),
-    "controller.dt_max": ("dt_max", float),
-    "controller.theta_min": ("theta_min", float),
-    "controller.theta_max": ("theta_max", float),
-    "sim.t_end": ("t_end", float),
-    "sim.dt0": ("dt0", float),
-    "output.path": ("out_path", str),
-    "output.summary_path": ("summary_path", str),
-}
+_FIELDS_BY_KEY = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -150,11 +159,11 @@ def parse_config_text(text: str) -> dict[str, object]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'section.key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELDS_BY_KEY:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr, parse = _CONFIG_KEYS[key]
+        f = _FIELDS_BY_KEY[key]
         try:
-            overrides[attr] = parse(value)
+            overrides[f.name] = f.metadata["parse"](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
     return overrides
@@ -166,13 +175,7 @@ def load_config(path: str, overrides: Mapping[str, object] | None = None) -> Exp
     if path:
         with open(path, encoding="utf-8") as fh:
             attrs.update(parse_config_text(fh.read()))
-    if overrides:
-        valid = {f.name for f in fields(ExperimentConfig)}
-        for key, value in overrides.items():
-            if key not in valid:
-                raise ConfigError(f"unknown config attribute {key!r}")
-            if value is not None:
-                attrs[key] = value
+    attrs.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     try:
         return ExperimentConfig(**attrs)
     except TypeError as exc:
@@ -186,16 +189,8 @@ def build_policy(cfg: ExperimentConfig) -> StepPolicy:
         indicator = ResidualEnergyIndicator(rel_tol=cfg.r, energy_scale=cfg.e0)
     else:
         indicator = OutputExtrapolationIndicator(tol=cfg.tol, rho=cfg.rho)
-    return PIController(
-        indicator,
-        PIConfig(
-            alpha_s=cfg.alpha_s,
-            dt_min=cfg.dt_min,
-            dt_max=cfg.dt_max,
-            theta_min=cfg.theta_min,
-            theta_max=cfg.theta_max,
-        ),
-    )
+    bounds = PIConfig(**{f.name: getattr(cfg, f.name) for f in fields(PIConfig)})
+    return PIController(indicator, bounds)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,8 +24,9 @@ from .bench import (
     summarize_experiment,
     write_trajectory_csv,
 )
+from .control import NonFiniteIndicator
 from .master import SimulatorFailure
-from .quartercar import preset_params
+from .quartercar import RETICULATIONS, preset_params
 from .reference import stability_scan, step_size_sweep
 
 
@@ -329,43 +330,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+
+
+def _add_field_flag(parser: argparse.ArgumentParser, name: str, **kw) -> None:
+    """Add the ``run`` flag declared by an ExperimentConfig field; ``kw`` overrides."""
+    meta = _FIELDS[name].metadata
+    options = {"type": meta["parse"], "choices": meta["choices"], "help": meta["help"]}
+    parser.add_argument(meta["flag"], dest=name, **{**options, **kw})
+
+
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key-value config file; flags win")
-    parser.add_argument("--preset", choices=("linear", "nonlinear"))
-    parser.add_argument("--reticulation", choices=("A", "B"))
-    parser.add_argument(
-        "--controller", choices=("constant", "ecco", "predictor_corrector")
-    )
-    parser.add_argument("--r", type=float, help="residual-energy relative tolerance")
-    parser.add_argument("--e0", type=float, help="residual-energy scale [J]")
-    parser.add_argument("--tol", type=float, help="predictor/corrector tolerance")
-    parser.add_argument("--rho", type=float, help="predictor/corrector error weight")
-    parser.add_argument("--alpha-s", type=float, dest="alpha_s")
-    parser.add_argument("--dt-min", type=float, dest="dt_min")
-    parser.add_argument("--dt-max", type=float, dest="dt_max")
-    parser.add_argument("--theta-min", type=float, dest="theta_min")
-    parser.add_argument("--theta-max", type=float, dest="theta_max")
-    parser.add_argument("--t-end", type=float, dest="t_end")
-    parser.add_argument("--dt0", type=float)
-    parser.add_argument("--micro-s1", type=int, dest="micro_ratio_s1")
-    parser.add_argument("--micro-s2", type=int, dest="micro_ratio_s2")
+    for name in _FIELDS:
+        _add_field_flag(parser, name)
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    overrides = {
-        name: getattr(args, name)
-        for name in (
-            "preset", "reticulation", "controller", "r", "e0", "tol", "rho",
-            "alpha_s", "dt_min", "dt_max", "theta_min", "theta_max",
-            "t_end", "dt0", "micro_ratio_s1", "micro_ratio_s2",
-        )
-        if getattr(args, name, None) is not None
-    }
-    if getattr(args, "out", None):
-        overrides["out_path"] = args.out
-    if getattr(args, "summary_out", None):
-        overrides["summary_path"] = args.summary_out
-    return load_config(getattr(args, "config", None), overrides)
+    return load_config(args.config, {name: getattr(args, name) for name in _FIELDS})
 
 
 def _print_summary(cfg: ExperimentConfig, summary) -> None:
@@ -406,15 +388,25 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except NonFiniteIndicator as exc:
+        print(f"simulation failure: {exc}", file=sys.stderr)
+        return 2
     except SimulatorFailure as exc:
         print(f"simulation failure: {exc}", file=sys.stderr)
         if exc.record is not None:
-            with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
-                write_trajectory_csv(exc.record, fh)
-            print(f"partial trajectory written to {cfg.out_path}", file=sys.stderr)
+            try:
+                with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
+                    write_trajectory_csv(exc.record, fh)
+                print(f"partial trajectory written to {cfg.out_path}", file=sys.stderr)
+            except OSError as err:
+                print(f"error: {err}", file=sys.stderr)
         return 2
     summary = summarize_experiment(cfg, record)
-    paths = save_experiment_output(cfg, record, summary)
+    try:
+        paths = save_experiment_output(cfg, record, summary)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _print_summary(cfg, summary)
     print(f"wrote {paths[0]} and {paths[1]}")
     if args.check:
@@ -450,7 +442,7 @@ def cmd_reproduce(args) -> int:
     for row in table.rows:
         try:
             record = run_experiment(row.config)
-        except SimulatorFailure as exc:
+        except (SimulatorFailure, NonFiniteIndicator) as exc:
             print(f"  {row.label}: simulation failure: {exc}", file=sys.stderr)
             return 2
         summary = summarize_experiment(row.config, record)
@@ -514,16 +506,17 @@ def cmd_sweep(args) -> int:
             f"{format_number(p.residual_estimate)}"
         )
     text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    if args.out_path:
+        with open(args.out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        print(f"wrote {args.out}")
+        print(f"wrote {args.out_path}")
     else:
         print(text, end="")
     return 0
 
 
-_SCAN_RANGES = {"A": (0.040, 0.080), "B": (0.005, 0.020)}
+#: (stable, divergent) bracket ends [s], in ``RETICULATIONS`` order
+_SCAN_RANGES = dict(zip(RETICULATIONS, ((0.040, 0.080), (0.005, 0.020))))
 
 
 def cmd_scan(args) -> int:
@@ -545,15 +538,15 @@ def cmd_scan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"reticulation {args.reticulation}: instability onset at dt = {onset * 1e3:.2f} ms")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    if args.out_path:
+        with open(args.out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write("reticulation,onset_dt\n")
             fh.write(f"{args.reticulation},{format_number(onset)}\n")
-        print(f"wrote {args.out}")
+        print(f"wrote {args.out_path}")
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="eccosim",
         description=(
@@ -565,8 +558,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="run one experiment and write CSVs")
     _add_experiment_flags(p_run)
-    p_run.add_argument("--out", help="trajectory CSV path (default run.csv)")
-    p_run.add_argument("--summary-out", dest="summary_out", help="summary CSV path")
     p_run.add_argument(
         "--check", metavar="TABLE:ROW", help="compare against an expected row, e.g. T3:constant"
     )
@@ -579,24 +570,27 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep = sub.add_parser("sweep", help="constant-step error sweep (two curves)")
     p_sweep.add_argument("--dt", default="1e-4..1e-2", help="range low..high [s]")
     p_sweep.add_argument("--points", type=int, default=9)
-    p_sweep.add_argument("--preset", choices=("linear", "nonlinear"), default="linear")
-    p_sweep.add_argument("--reticulation", choices=("A", "B"), default="A")
-    p_sweep.add_argument("--t-end", type=float, dest="t_end")
-    p_sweep.add_argument("--out", help="output CSV path (default: print)")
+    _add_field_flag(p_sweep, "preset", default="linear")
+    _add_field_flag(p_sweep, "reticulation", default="A")
+    _add_field_flag(p_sweep, "t_end")
+    _add_field_flag(p_sweep, "out_path", help="output CSV path (default: print)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_scan = sub.add_parser("scan", help="bisect the constant-step stability onset")
-    p_scan.add_argument("--reticulation", choices=("A", "B"), required=True)
-    p_scan.add_argument("--preset", choices=("linear", "nonlinear"), default="linear")
+    _add_field_flag(p_scan, "reticulation", required=True)
+    _add_field_flag(p_scan, "preset", default="linear")
     p_scan.add_argument("--lo", type=float, help="stable bracket end [s]")
     p_scan.add_argument("--hi", type=float, help="divergent bracket end [s]")
     p_scan.add_argument("--t-scan", type=float, dest="t_scan", default=100.0)
     p_scan.add_argument("--threshold", type=float, default=1e6)
     p_scan.add_argument("--resolution", type=float, default=1e-4)
-    p_scan.add_argument("--out", help="optional CSV output path")
+    _add_field_flag(p_scan, "out_path", help="optional CSV output path")
     p_scan.set_defaults(func=cmd_scan)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -237,6 +237,10 @@ class ResidualEnergyIndicator:
             raise ValueError("residual-energy control needs at least one bond")
         self.bond_rel_tol = _broadcast(self.rel_tol, n_bonds, "rel_tol")
         self.bond_energy_scale = _broadcast(self.energy_scale, n_bonds, "energy_scale")
+        # r * (E0 + |E|) >= r * E0 in float arithmetic, so a nonzero product
+        # here keeps every indicator denominator nonzero.
+        if any(r * e0 == 0.0 for r, e0 in zip(self.bond_rel_tol, self.bond_energy_scale)):
+            raise ValueError("rel_tol * energy_scale underflows to 0")
 
     def __call__(self, t_next, bond_steps, outputs) -> float:
         return ecco_indicator(

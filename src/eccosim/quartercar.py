@@ -41,6 +41,8 @@ NONLINEAR_PARAMS = QuarterCarParams(d_c=900.0, n_d=1.5)
 
 PRESETS = {"linear": LINEAR_PARAMS, "nonlinear": NONLINEAR_PARAMS}
 
+RETICULATIONS = ("A", "B")
+
 
 def preset_params(name: str) -> QuarterCarParams:
     try:
@@ -317,6 +319,8 @@ def build_reticulation(
     the effort, so the bond sign is +1 and the transmitted power is the plain
     force-times-velocity product in both reticulations.
     """
+    if kind not in RETICULATIONS:
+        raise ValueError(f"unknown reticulation {kind!r}, expected one of {RETICULATIONS}")
     if kind == "A":
         slots: list[SimulatorSlot] = [
             ChassisExact(params),
@@ -328,7 +332,7 @@ def build_reticulation(
             c1=1,
             c2=-1,
         )
-    elif kind == "B":
+    else:
         slots = [
             ChassisSpringDamper(params, micro_steps=micro_s1),
             WheelOnly(params, micro_steps=micro_s2),
@@ -339,6 +343,4 @@ def build_reticulation(
             c1=1,
             c2=-1,
         )
-    else:
-        raise ValueError(f"unknown reticulation {kind!r}, expected 'A' or 'B'")
     return slots, ConnectionGraph((bond,))

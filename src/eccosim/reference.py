@@ -19,7 +19,7 @@ import numpy as np
 
 from .control import ConstantStep
 from .master import RunRecord, SimulatorFailure, run_cosimulation
-from .quartercar import QuarterCarParams, build_reticulation
+from .quartercar import RETICULATIONS, QuarterCarParams, build_reticulation
 
 DEFAULT_H_REF = 1e-5
 
@@ -142,8 +142,8 @@ def reference_solve(
 
     Results are cached; treat the arrays as read-only.
     """
-    if reticulation not in ("A", "B"):
-        raise ValueError(f"unknown reticulation {reticulation!r}")
+    if reticulation not in RETICULATIONS:
+        raise ValueError(f"unknown reticulation {reticulation!r}, expected one of {RETICULATIONS}")
     t, z_c, v_c, z_w, v_w = _solve_states(params, t_end, h_ref)
     f_c = params.k_c * (z_c - z_w) + _damping_force_arrays(params, v_c - v_w)
     if reticulation == "A":

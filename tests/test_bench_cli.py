@@ -258,12 +258,42 @@ def test_cli_check_passing_row(tmp_path):
     ["scan", "--reticulation", "A", "--resolution", "nan"],
     ["sweep", "--t-end", "nan"],
     ["sweep", "--t-end", "-1"],
+    ["run", "--controller", "ecco", "--r", "1e-200", "--e0", "1e-200", "--t-end", "0.01"],
 ])
 def test_cli_bad_horizon_or_value_exits_one(argv, tmp_path, capsys):
     # each of these once hung or exited 0 or 2; now all are config errors
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_non_finite_indicator_exits_two(tmp_path, capsys):
+    # TOL * (1 + rho * |y|) is a subnormal, so the first judged step's indicator is inf
+    code = main([
+        "run", "--controller", "predictor_corrector", "--tol", "1e-320", "--rho", "0",
+        "--t-end", "0.01", "--out", str(tmp_path / "p.csv"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("simulation failure:")
+
+
+def test_empty_output_paths_rejected_before_any_step(tmp_path, monkeypatch, capsys):
+    for name in ("out_path", "summary_path"):
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig(**{name: ""})
+    monkeypatch.chdir(tmp_path)
+    cfg_file = tmp_path / "empty.cfg"
+    cfg_file.write_text("output.path =\nsim.t_end = 0.01\n")
+    for argv in (["--out", ""], ["--summary-out", ""], ["--config", str(cfg_file)]):
+        assert main(["run", "--t-end", "0.01", *argv]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.cfg"]
+
+
+def test_cli_unwritable_output_exits_one(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["run", "--t-end", "0.01", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_reproduce_unknown_table_exits_one(capsys):
@@ -315,14 +345,22 @@ def test_cli_scan_no_onset_exits_one():
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import eccosim
+
+    # the child imports the package under test, installed or not
+    paths = [str(Path(eccosim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     out = tmp_path / "m.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "eccosim", "run", "--t-end", "0", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert out.read_text() == TRAJECTORY_HEADER + "\n"

@@ -228,6 +228,15 @@ def test_ecco_controller_rejects_out_of_band_dt0():
         pol.start(1.0, 0.0, [0.0, 0.0])
 
 
+def test_ecco_tolerance_product_underflow_rejected_at_start():
+    # r * E0 == 0.0 would divide by zero in the first indicator evaluation
+    with pytest.raises(ValueError, match="underflows"):
+        ResidualEnergyIndicator(rel_tol=1e-200, energy_scale=1e-200).start(0.0, [0.0, 0.0])
+    tiny = ResidualEnergyIndicator(rel_tol=1e-160, energy_scale=1e-160)
+    tiny.start(0.0, [0.0, 0.0])  # subnormal but nonzero: accepted
+    assert tiny(1e-4, (entry(0.0, 0.0),), [0.0, 0.0]) == 0.0
+
+
 def test_ecco_controller_nonfinite_indicator():
     pol = PIController(ResidualEnergyIndicator(), PIConfig())
     pol.start(None, 0.0, [0.0, 0.0])
