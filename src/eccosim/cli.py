@@ -380,6 +380,7 @@ def _find_row(key: str) -> Row:
 def cmd_run(args) -> int:
     try:
         cfg = _config_from_args(args)
+        row = _find_row(args.check) if args.check else None
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -409,12 +410,7 @@ def cmd_run(args) -> int:
         return 1
     _print_summary(cfg, summary)
     print(f"wrote {paths[0]} and {paths[1]}")
-    if args.check:
-        try:
-            row = _find_row(args.check)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    if row is not None:
         metrics = measured_metrics(summary)
         failed = False
         for cell in row.cells:
@@ -479,6 +475,18 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+def _write_out(path: str, text: str) -> int:
+    """Write a command's ``--out`` file; exit code 1 when it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(f"wrote {path}")
+    return 0
+
+
 def cmd_sweep(args) -> int:
     try:
         lo_str, _, hi_str = args.dt.partition("..")
@@ -506,13 +514,10 @@ def cmd_sweep(args) -> int:
             f"{format_number(p.residual_estimate)}"
         )
     text = "\n".join(lines) + "\n"
-    if args.out_path:
-        with open(args.out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        print(f"wrote {args.out_path}")
-    else:
+    if not args.out_path:
         print(text, end="")
-    return 0
+        return 0
+    return _write_out(args.out_path, text)
 
 
 #: (stable, divergent) bracket ends [s], in ``RETICULATIONS`` order
@@ -539,10 +544,8 @@ def cmd_scan(args) -> int:
         return 1
     print(f"reticulation {args.reticulation}: instability onset at dt = {onset * 1e3:.2f} ms")
     if args.out_path:
-        with open(args.out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("reticulation,onset_dt\n")
-            fh.write(f"{args.reticulation},{format_number(onset)}\n")
-        print(f"wrote {args.out_path}")
+        text = f"reticulation,onset_dt\n{args.reticulation},{format_number(onset)}\n"
+        return _write_out(args.out_path, text)
     return 0
 
 

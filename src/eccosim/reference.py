@@ -1,12 +1,14 @@
 """Monolithic reference solver and the error metrics derived from it.
 
-The reference trajectory integrates the full 4-state quarter car with a
-classic fixed-step 4th-order Runge-Kutta method on a fine grid and exposes the
-exact-coupling bond power for either reticulation.  Error summaries compare a
-co-simulation record against it at the communication points (nearest dense
-sample).  Also here: the step-size sweep that pits the residual estimate
-against the true power error, and the bisection scan for the constant-step
-stability onset.
+The reference trajectory solves the full 4-state quarter car on a fine grid
+and exposes the exact-coupling bond power for either reticulation.  The linear
+preset takes classic 4th-order Runge-Kutta steps, evaluated all at once as
+powers of the one-step affine map; the nonlinear preset uses an adaptive
+Dormand-Prince 5(4) integrator whose dense output is sampled onto the grid.
+Error summaries compare a co-simulation record against it at the
+communication points (nearest dense sample).  Also here: the step-size sweep
+that pits the residual estimate against the true power error, and the
+bisection scan for the constant-step stability onset.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ import numpy as np
 
 from .control import ConstantStep
 from .master import RunRecord, SimulatorFailure, run_cosimulation
-from .quartercar import RETICULATIONS, QuarterCarParams, build_reticulation
+from .quartercar import (
+    RETICULATIONS,
+    QuarterCarParams,
+    build_reticulation,
+    spring_damper_force,
+    tyre_force,
+)
 
 DEFAULT_H_REF = 1e-5
 
@@ -80,55 +88,192 @@ def _damping_force_arrays(params, dv):
     return params.d_c * np.sign(dv) * np.abs(dv) ** expo
 
 
+def _linear_system(params: QuarterCarParams) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, x_rest)`` of the linear preset, ``x' = A (x - x_rest)``.
+
+    ``x = (z_c, v_c, z_w, v_w)``; at rest under the 0.1 m road step both
+    springs are relaxed, so ``x_rest = (0.1, 0, 0.1, 0)``.
+    """
+    m_c, m_w, k_c, k_w, d_c = params.m_c, params.m_w, params.k_c, params.k_w, params.d_c
+    a = np.array(
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [-k_c / m_c, -d_c / m_c, k_c / m_c, d_c / m_c],
+            [0.0, 0.0, 0.0, 1.0],
+            [k_c / m_w, d_c / m_w, -(k_c + k_w) / m_w, -d_c / m_w],
+        ]
+    )
+    return a, np.array([0.1, 0.0, 0.1, 0.0])
+
+
+def _power_deltas(step_delta: np.ndarray, count: int) -> np.ndarray:
+    """``(I + D)^k - I`` for ``k = 0 .. count - 1``, built by doubling.
+
+    Kept in delta form: ``I + D`` rounds ``D`` to the ulp of 1, which the
+    powers then amplify.
+    """
+    deltas = np.empty((count, 4, 4))
+    deltas[0] = 0.0
+    top, m = step_delta, 1  # top = (I + D)^m - I
+    while m < count:
+        # (I + X)(I + Y) - I = X Y + Y + X, for X = top and Y = deltas[k]
+        k = min(m, count - m)
+        shifted = deltas[m : m + k]
+        np.einsum("ab,kbc->kac", top, deltas[:k], out=shifted)
+        shifted += deltas[:k]
+        shifted += top
+        top = top + top + np.einsum("ab,bc->ac", top, top)
+        m *= 2
+    return deltas
+
+
+def _solve_linear(params: QuarterCarParams, n: int, h: float) -> np.ndarray:
+    """Classic RK4 on the linear preset, ``n`` steps of ``h`` from rest.
+
+    One RK4 step of ``e' = A e`` is the map ``e -> (I + D) e`` with
+    ``D = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24``, so step ``jB + k`` is
+    ``(I + Q_j)(I + P_k) e_0`` for the powers ``P_k`` of one step and ``Q_j``
+    of ``B`` steps.  With ``x_0 = 0``, ``e_0 = -x_rest`` and
+    ``x = w_j + u_k + Q_j u_k`` where ``u_k = P_k e_0`` and ``w_j = Q_j e_0``.
+    Returns the states as rows ``(z_c, v_c, z_w, v_w)`` of ``n + 1`` samples.
+    """
+    a, x_rest = _linear_system(params)
+    ha = h * a
+    eye = np.eye(4)
+    poly = eye + ha / 4.0
+    for div in (3.0, 2.0):
+        poly = eye + np.einsum("ab,bc->ac", ha / div, poly)
+    step_delta = np.einsum("ab,bc->ac", ha, poly)
+    if not np.all(np.isfinite(step_delta)):
+        raise ValueError(f"non-finite linear model for {params}")
+    block = 1 << (n.bit_length() + 1) // 2  # about sqrt(n), so both tables stay small
+    blocks = -(-(n + 1) // block)
+    inner = _power_deltas(step_delta, block + 1)
+    outer = _power_deltas(inner[block], blocks)
+    e0 = -x_rest
+    u = np.einsum("kab,b->ka", inner[:block], e0)
+    w = np.einsum("jab,b->ja", outer, e0)
+    states = np.empty((4, blocks, block))
+    np.einsum("jab,kb->ajk", outer, u, out=states)
+    states += w.T[:, :, None]
+    states += u.T[:, None, :]
+    return states.reshape(4, -1)[:, : n + 1]
+
+
+#: Grid samples evaluated per numpy pass of the dense output.
+_SAMPLE_CHUNK = 4096
+
+#: Mixed absolute/relative tolerance of the Dormand-Prince oracle: at a
+#: hundredth of it the nonlinear bond power moves by 3e-7 of its peak.
+_DP_TOL = 1e-11
+
+# Dormand & Prince (1980) 5(4) tableau and the dense output coefficients of
+# Hairer, Norsett & Wanner, Solving ODEs I, section II.6 (their DOPRI5).  The
+# model is autonomous for t >= 0, so the nodes c_i are not needed.  The last
+# row of _DP_A is the 5th-order solution, whose derivative is the next step's
+# first stage.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DP_D = (
+    -12715105075 / 11282082432,
+    0.0,
+    87487479700 / 32700410799,
+    -10690763975 / 1880347072,
+    701980252875 / 199316789632,
+    -1453857185 / 822651844,
+    69997945 / 29380423,
+)
+
+
+def _rhs(params: QuarterCarParams, x: Sequence[float]) -> list[float]:
+    """Time derivative of the monolithic quarter car under the road step."""
+    z_c, v_c, z_w, v_w = x
+    f_c = spring_damper_force(z_c, z_w, v_c, v_w, params)
+    f_w = tyre_force(z_w, 0.0, params)
+    return [v_c, -f_c / params.m_c, v_w, (f_c - f_w) / params.m_w]
+
+
+def _solve_adaptive(
+    params: QuarterCarParams, n: int, h_grid: float, tol: float = _DP_TOL
+) -> np.ndarray:
+    """Adaptive Dormand-Prince 5(4) from rest, sampled on the grid ``k * h_grid``.
+
+    Each accepted step stores its start time, its length and the five dense
+    output coefficients of each state; the ``n + 1`` grid samples are
+    evaluated from them at the end.  Raises ``ValueError`` when the error
+    estimate is not finite or the step size underflows.
+    """
+    from array import array
+    from math import isfinite
+    from operator import mul
+
+    t_end = n * h_grid
+    steps = array("d")  # per accepted step: t, h, then 5 coefficients x 4 states
+    t = 0.0
+    x = [0.0, 0.0, 0.0, 0.0]
+    k_first = _rhs(params, x)
+    h = h_grid
+    while t < t_end:
+        h = min(h, t_end - t)
+        if t + h == t:
+            raise ValueError(f"reference step size underflow at t={t} for {params}")
+        stages = [[k] for k in k_first]  # per state, its derivative at each stage
+        for row in _DP_A:  # the last row is the 5th-order solution, k7 its FSAL stage
+            x_new = [xi + h * sum(map(mul, row, ks)) for xi, ks in zip(x, stages)]
+            for ks, k in zip(stages, _rhs(params, x_new)):
+                ks.append(k)
+        err = 0.0
+        for xi, xn, ks in zip(x, x_new, stages):
+            scale = tol * (1.0 + max(abs(xi), abs(xn)))
+            err += (h * sum(map(mul, _DP_E, ks)) / scale) ** 2
+        err = (0.25 * err) ** 0.5
+        if not isfinite(err):
+            raise ValueError(f"non-finite reference error estimate at t={t} for {params}")
+        if err <= 1.0:
+            dx = [xn - xi for xi, xn in zip(x, x_new)]
+            spline = [h * ks[0] - d for d, ks in zip(dx, stages)]
+            steps.extend((t, h))
+            steps.extend(x)
+            steps.extend(dx)
+            steps.extend(spline)
+            steps.extend([d - h * ks[-1] - c for d, c, ks in zip(dx, spline, stages)])
+            steps.extend([h * sum(map(mul, _DP_D, ks)) for ks in stages])
+            t += h
+            x = x_new
+            k_first = [ks[-1] for ks in stages]
+        h *= min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
+    data = np.frombuffer(steps).reshape(-1, 22)
+    states = np.empty((4, n + 1))
+    for lo in range(0, n + 1, _SAMPLE_CHUNK):  # chunks keep the temporaries small
+        hi = min(lo + _SAMPLE_CHUNK, n + 1)
+        grid = np.arange(lo, hi) * h_grid
+        rows = data[np.searchsorted(data[:, 0], grid, side="right") - 1]
+        theta = ((grid - rows[:, 0]) / rows[:, 1])[:, None]
+        theta1 = 1.0 - theta
+        c1, c2, c3, c4, c5 = rows[:, 2:].reshape(-1, 5, 4).transpose(1, 0, 2)
+        states[:, lo:hi] = (c1 + theta * (c2 + theta1 * (c3 + theta * (c4 + theta1 * c5)))).T
+    return states
+
+
 @lru_cache(maxsize=16)
-def _solve_states(params: QuarterCarParams, t_end: float, h_ref: float):
-    """Fixed-step RK4 on the monolithic model; returns the dense state arrays."""
+def _solve_states(params: QuarterCarParams, t_end: float, h_ref: float) -> np.ndarray:
+    """States ``(z_c, v_c, z_w, v_w)`` from rest on the grid ``k * h_ref``."""
+    for name, value in (("t_end", t_end), ("h_ref", h_ref)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     n = int(round(t_end / h_ref))
     if n < 1:
         raise ValueError("t_end must cover at least one reference step")
-    m_c, m_w = params.m_c, params.m_w
-    k_c, k_w, d_c = params.k_c, params.k_w, params.d_c
-    expo = params.damping_exponent
-    linear = expo == 1.0
-
-    def rhs(zc, vc, zw, vw):
-        dv = vc - vw
-        if linear:
-            fc = k_c * (zc - zw) + d_c * dv
-        elif dv > 0.0:
-            fc = k_c * (zc - zw) + d_c * dv**expo
-        elif dv < 0.0:
-            fc = k_c * (zc - zw) - d_c * (-dv) ** expo
-        else:
-            fc = k_c * (zc - zw)
-        fw = k_w * (zw - 0.1)  # road step is 0.1 for all t >= 0
-        return vc, -fc / m_c, vw, (fc - fw) / m_w
-
-    z_c = np.empty(n + 1)
-    v_c = np.empty(n + 1)
-    z_w = np.empty(n + 1)
-    v_w = np.empty(n + 1)
-    zc = vc = zw = vw = 0.0
-    z_c[0] = v_c[0] = z_w[0] = v_w[0] = 0.0
-    h = h_ref
-    half = 0.5 * h
-    sixth = h / 6.0
-    for i in range(n):
-        a1, b1, c1, d1 = rhs(zc, vc, zw, vw)
-        a2, b2, c2, d2 = rhs(zc + half * a1, vc + half * b1, zw + half * c1, vw + half * d1)
-        a3, b3, c3, d3 = rhs(zc + half * a2, vc + half * b2, zw + half * c2, vw + half * d2)
-        a4, b4, c4, d4 = rhs(zc + h * a3, vc + h * b3, zw + h * c3, vw + h * d3)
-        zc += sixth * (a1 + 2.0 * (a2 + a3) + a4)
-        vc += sixth * (b1 + 2.0 * (b2 + b3) + b4)
-        zw += sixth * (c1 + 2.0 * (c2 + c3) + c4)
-        vw += sixth * (d1 + 2.0 * (d2 + d3) + d4)
-        j = i + 1
-        z_c[j] = zc
-        v_c[j] = vc
-        z_w[j] = zw
-        v_w[j] = vw
-    t = np.arange(n + 1) * h_ref
-    return t, z_c, v_c, z_w, v_w
+    if params.damping_exponent == 1.0:
+        return _solve_linear(params, n, h_ref)
+    return _solve_adaptive(params, n, h_ref)
 
 
 @lru_cache(maxsize=16)
@@ -144,7 +289,8 @@ def reference_solve(
     """
     if reticulation not in RETICULATIONS:
         raise ValueError(f"unknown reticulation {reticulation!r}, expected one of {RETICULATIONS}")
-    t, z_c, v_c, z_w, v_w = _solve_states(params, t_end, h_ref)
+    z_c, v_c, z_w, v_w = _solve_states(params, t_end, h_ref)
+    t = np.arange(len(z_c)) * h_ref
     f_c = params.k_c * (z_c - z_w) + _damping_force_arrays(params, v_c - v_w)
     if reticulation == "A":
         p0_12 = f_c * v_c
@@ -180,17 +326,7 @@ def linear_exact_states(params: QuarterCarParams, times: Sequence[float]) -> np.
 
     if params.damping_exponent != 1.0:
         raise ValueError("closed-form solution requires the linear damping law")
-    m_c, m_w, k_c, k_w, d_c = params.m_c, params.m_w, params.k_c, params.k_w, params.d_c
-    a = np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [-k_c / m_c, -d_c / m_c, k_c / m_c, d_c / m_c],
-            [0.0, 0.0, 0.0, 1.0],
-            [k_c / m_w, d_c / m_w, -(k_c + k_w) / m_w, -d_c / m_w],
-        ]
-    )
-    b = np.array([0.0, 0.0, 0.0, k_w * 0.1 / m_w])
-    x_rest = np.linalg.solve(a, -b)  # static equilibrium under the road step
+    a, x_rest = _linear_system(params)
     out = np.empty((len(times), 4))
     for i, t in enumerate(times):
         out[i] = x_rest + expm(a * t) @ (-x_rest)  # x0 = 0

@@ -228,6 +228,13 @@ def test_cli_check_mismatch_exits_three(tmp_path):
     assert code == 1
 
 
+def test_cli_unknown_check_row_exits_one_before_running(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--check", "T3:no-such-row"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_run_twice_writes_identical_bytes(tmp_path):
     args = [
         "run", "--controller", "ecco", "--r", "3.1e-5", "--t-end", "0.3",
@@ -292,8 +299,13 @@ def test_empty_output_paths_rejected_before_any_step(tmp_path, monkeypatch, caps
 
 def test_cli_unwritable_output_exits_one(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
-    assert main(["run", "--t-end", "0.01", "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    for argv in (
+        ["run", "--t-end", "0.01"],
+        ["sweep", "--dt", "1e-3..2e-3", "--points", "2", "--t-end", "0.2"],
+        ["scan", "--reticulation", "B", "--resolution", "0.02"],
+    ):
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_reproduce_unknown_table_exits_one(capsys):

@@ -5,7 +5,12 @@ import pytest
 
 from eccosim.control import ConstantStep
 from eccosim.master import run_cosimulation
-from eccosim.quartercar import LINEAR_PARAMS, NONLINEAR_PARAMS, build_reticulation
+from eccosim.quartercar import (
+    LINEAR_PARAMS,
+    NONLINEAR_PARAMS,
+    QuarterCarParams,
+    build_reticulation,
+)
 from eccosim.reference import (
     NoOnsetInRange,
     ReferenceTrajectory,
@@ -18,6 +23,13 @@ from eccosim.reference import (
     step_size_sweep,
     summarize,
 )
+from eccosim.reference import _DP_TOL, _damping_force_arrays, _solve_adaptive, _solve_linear
+
+
+def _p0_12(params, states):
+    """Reticulation A bond power of state rows ``(z_c, v_c, z_w, v_w)``."""
+    z_c, v_c, z_w, v_w = states
+    return (params.k_c * (z_c - z_w) + _damping_force_arrays(params, v_c - v_w)) * v_c
 
 
 def test_local_power_error_examples():
@@ -70,6 +82,37 @@ def test_grid_self_convergence_nonlinear():
     scale = np.max(np.abs(fine.P0_12))
     diff = np.max(np.abs(coarse.P0_12 - fine.P0_12[::2]))
     assert diff / scale < 1e-4
+
+
+def test_adaptive_oracle_converges_with_its_tolerance():
+    # on a fixed grid the nonlinear check above compares one solution with itself
+    n = 100_000
+    loose = _p0_12(NONLINEAR_PARAMS, _solve_adaptive(NONLINEAR_PARAMS, n, 1e-5))
+    tight = _p0_12(NONLINEAR_PARAMS, _solve_adaptive(NONLINEAR_PARAMS, n, 1e-5, tol=_DP_TOL / 100))
+    assert np.max(np.abs(loose - tight)) / np.max(np.abs(tight)) < 1e-6
+
+
+def test_adaptive_oracle_matches_affine_rk4_on_linear_preset():
+    n = 100_000
+    rk4 = _p0_12(LINEAR_PARAMS, _solve_linear(LINEAR_PARAMS, n, 1e-5))
+    adaptive = _p0_12(LINEAR_PARAMS, _solve_adaptive(LINEAR_PARAMS, n, 1e-5))
+    assert np.max(np.abs(adaptive - rk4)) / np.max(np.abs(rk4)) < 1e-8
+
+
+@pytest.mark.parametrize("t_end, h_ref", [
+    (0.0, 1e-5), (-1.0, 1e-5), (float("nan"), 1e-5), (float("inf"), 1e-5),
+    (1.0, 0.0), (1.0, -1e-5), (1.0, float("nan")), (1.0, float("inf")),
+])
+def test_reference_rejects_bad_horizon_or_grid(t_end, h_ref):
+    with pytest.raises(ValueError, match="finite and positive"):
+        reference_solve(LINEAR_PARAMS, t_end, h_ref)
+
+
+@pytest.mark.parametrize("n_d", [0.5, 1.5])
+def test_reference_raises_on_non_finite_model(n_d):
+    # linear (n_d = 0.5) and adaptive (n_d = 1.5) paths both fail instead of spinning
+    with pytest.raises(ValueError, match="non-finite"):
+        reference_solve(QuarterCarParams(d_c=float("nan"), n_d=n_d), 0.1)
 
 
 @pytest.mark.parametrize("reticulation", ["A", "B"])
