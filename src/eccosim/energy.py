@@ -84,12 +84,14 @@ class CompensatedSum:
         return self._s + self._c
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BondLedgerEntry:
     """One macro step of one bond: powers, residuals, and the running residual sum.
 
     ``dE_res == dP_res * dt`` holds exactly (rectangle rule); ``E_res_accum``
-    is the compensated running sum of ``dE_res`` since t = 0.
+    is the compensated running sum of ``dE_res`` since t = 0.  Entries are
+    treated as read-only; the class is not frozen because a frozen dataclass
+    costs several times more to build, and one is built per bond per step.
     """
 
     t_next: float
@@ -110,28 +112,24 @@ class BondLedger:
         self.bond = bond
         self.entries: list[BondLedgerEntry] = []
         self._accum = CompensatedSum()
+        self._sigma = bond.sigma
 
     def record(
         self, t_next: float, dt: float, u1: float, u2: float, y1: float, y2: float
     ) -> BondLedgerEntry:
-        """Account one completed macro step from held inputs and fresh outputs."""
-        p1 = port_power(u1, y1)
-        p2 = port_power(u2, y2)
-        p12 = transmitted_power(self.bond, y1, y2)
+        """Account one completed macro step from held inputs and fresh outputs.
+
+        The arithmetic is that of :func:`port_power`, :func:`transmitted_power`
+        and :func:`residual_energy_step`, inlined because it runs every step.
+        """
+        p1 = u1 * y1
+        p2 = u2 * y2
+        p12 = self._sigma * (y1 * y2)
         dp = -(p1 + p2)
-        de = residual_energy_step(dp, dt)
-        self._accum.add(de)
-        entry = BondLedgerEntry(
-            t_next=t_next,
-            dt=dt,
-            P_port1=p1,
-            P_port2=p2,
-            P_12=p12,
-            dP_res=dp,
-            dE_res=de,
-            E_step=p12 * dt,
-            E_res_accum=self._accum.value,
-        )
+        de = dp * dt
+        accum = self._accum
+        accum.add(de)
+        entry = BondLedgerEntry(t_next, dt, p1, p2, p12, dp, de, p12 * dt, accum.value)
         self.entries.append(entry)
         return entry
 

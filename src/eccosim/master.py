@@ -10,12 +10,13 @@ next macro step size.  Macro steps are never repeated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite
-from typing import Sequence
+from itertools import chain
+from math import inf, isfinite
+from typing import Callable, Sequence
 
 from .control import StepPolicy
 from .energy import BondLedger, BondLedgerEntry, CompensatedSum
-from .model import ConnectionGraph, SimulatorSlot, apply_connections, validate_graph
+from .model import ConnectionGraph, SimulatorSlot, Wiring, apply_connections, validate_graph
 
 
 class SimulatorFailure(RuntimeError):
@@ -26,9 +27,13 @@ class SimulatorFailure(RuntimeError):
         self.record = record
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StepRow:
-    """One accepted macro step: time stamp, step size, indicator, ledgers, probes."""
+    """One accepted macro step: time stamp, step size, indicator, ledgers, probes.
+
+    Rows are treated as read-only; like :class:`BondLedgerEntry` the class is
+    not frozen because a frozen dataclass costs several times more to build.
+    """
 
     t: float
     dt: float
@@ -81,13 +86,34 @@ def probe_states(slots: Sequence[SimulatorSlot]) -> dict[str, float]:
     return merged
 
 
-def _stacked_outputs(bonds, outputs) -> list[float]:
+def _stacked_outputs(wiring: Wiring, outputs) -> list[float]:
     """Coupling outputs stacked bond by bond: (y_a1, y_a2, y_b1, y_b2, ...)."""
     stacked = []
-    for bond in bonds:
-        stacked.append(outputs[bond.port1.owner][bond.port1.output_index])
-        stacked.append(outputs[bond.port2.owner][bond.port2.output_index])
+    for o1, _, k1, _, o2, _, k2, _ in wiring.routes:
+        stacked += (outputs[o1][k1], outputs[o2][k2])
     return stacked
+
+
+def _non_finite_signal(slots: Sequence[SimulatorSlot], outputs) -> str:
+    """Name the first non-finite output, then probe, as the step check reads them."""
+    for i, out in enumerate(outputs):
+        for k, v in enumerate(out):
+            if not isfinite(v):
+                return f"slot {i} output {k}"
+    for i, slot in enumerate(slots):
+        for name, v in slot.probes().items():
+            if not isfinite(v):
+                return f"slot {i} probe {name!r}"
+    return "unknown signal"
+
+
+def _overflowed_bond(wiring: Wiring, entries) -> str:
+    """Name the first bond whose power is non-finite and the two outputs it multiplies."""
+    for j, (entry, route) in enumerate(zip(entries, wiring.routes)):
+        if not (isfinite(entry.P_12) and isfinite(entry.dP_res)):
+            o1, _, k1, _, o2, _, k2, _ = route
+            return f"bond {j} (slot {o1} output {k1}, slot {o2} output {k2})"
+    return "unknown bond"
 
 
 def run_cosimulation(
@@ -96,71 +122,104 @@ def run_cosimulation(
     policy: StepPolicy,
     t_end: float,
     dt0: float | None = None,
+    stop: Callable[[StepRow], bool] | None = None,
 ) -> RunRecord:
     """Run the Jacobi master loop from t = 0 to ``t_end``.
 
     Per macro step: inputs are set from the last outputs, all slots step over
     the same interval, ledgers absorb the step, and the policy proposes the
     next step size.  The final step is truncated to land exactly on ``t_end``.
-    No step is ever redone.
+    No step is ever redone.  When ``stop`` is given, ``stop(row)`` is called
+    after each row is appended; if it returns true the run ends there with
+    ``record.complete`` set to False.
 
     Raises :class:`ValueError` before any step when ``t_end`` is negative or
-    not finite, and :class:`SimulatorFailure` (with the partial record
-    attached) when a slot produces a non-finite output or probe value.
+    not finite, and before the next step when the policy proposes a step size
+    that is not finite and positive.  Raises :class:`SimulatorFailure` (with
+    the partial record attached) when a slot produces a non-finite output or
+    probe value, or when a bond power overflows; the message names the slot
+    and signal, or the bond, that failed first.
     """
     if not (isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
     wiring = validate_graph(graph, slots)
     ledgers = [BondLedger(bond) for bond in wiring.bonds]
     record = RunRecord(t_end=t_end, policy=policy.name, bond_count=len(ledgers))
+    rows = record.rows
 
-    outputs = [list(slot.get_outputs()) for slot in slots]
-    dt_next = policy.start(dt0, 0.0, _stacked_outputs(wiring.bonds, outputs))
+    # Methods are looked up once per run instead of once per macro step.
+    set_inputs = [slot.set_inputs for slot in slots]
+    do_steps = [slot.do_step for slot in slots]
+    get_outputs = [slot.get_outputs for slot in slots]
+    read_probes = [slot.probes for slot in slots]
+    taps = [
+        (ledger.record, o1, i1, k1, o2, i2, k2)
+        for ledger, (o1, i1, k1, _, o2, i2, k2, _) in zip(ledgers, wiring.routes)
+    ]
+    next_step = policy.next_step
+
+    outputs = [get() for get in get_outputs]
+    dt_next = policy.start(dt0, 0.0, _stacked_outputs(wiring, outputs))
 
     clock = CompensatedSum()
+    t_now = clock.value
     t_tol = 1e-12 * max(abs(t_end), 1.0)
     while True:
-        t_now = clock.value
         remaining = t_end - t_now
         if remaining <= t_tol:
             break
+        if not 0.0 < dt_next < inf:
+            raise ValueError(
+                f"policy {policy.name!r} proposed step size {dt_next} at t={t_now}; "
+                "it must be finite and positive"
+            )
         # Truncate onto t_end; absorb a degenerate final sliver into this step.
         dt = remaining if dt_next >= remaining * (1.0 - 1e-9) else dt_next
 
         inputs = apply_connections(wiring, outputs)
-        for slot, u in zip(slots, inputs):
-            slot.set_inputs(u)
-        for slot in slots:
-            slot.do_step(t_now, dt)
+        for set_u, u in zip(set_inputs, inputs):
+            set_u(u)
+        for do_step in do_steps:
+            do_step(t_now, dt)
 
         clock.add(dt)
         t_next = clock.value
-        outputs = [list(slot.get_outputs()) for slot in slots]
-        probes = probe_states(slots)
+        outputs = [get() for get in get_outputs]
+        probes: dict[str, float] = {}
+        for read in read_probes:
+            probes.update(read())
 
-        bad = not all(isfinite(v) for out in outputs for v in out)
-        bad = bad or not all(isfinite(v) for v in probes.values())
-        if bad:
+        if not all(map(isfinite, chain(*outputs, probes.values()))):
             record.complete = False
-            raise SimulatorFailure(f"non-finite simulator output at t={t_next}", record)
-
-        entries = tuple(
-            ledger.record(
-                t_next,
-                dt,
-                inputs[ledger.bond.port1.owner][ledger.bond.port1.input_index],
-                inputs[ledger.bond.port2.owner][ledger.bond.port2.input_index],
-                outputs[ledger.bond.port1.owner][ledger.bond.port1.output_index],
-                outputs[ledger.bond.port2.owner][ledger.bond.port2.output_index],
+            raise SimulatorFailure(
+                f"non-finite simulator output at t={t_next}: "
+                + _non_finite_signal(slots, outputs),
+                record,
             )
-            for ledger in ledgers
-        )
-        if not all(isfinite(e.P_12) and isfinite(e.dP_res) for e in entries):
+
+        entries = []
+        stacked = []
+        powers_finite = True
+        for record_step, o1, i1, k1, o2, i2, k2 in taps:
+            y1 = outputs[o1][k1]
+            y2 = outputs[o2][k2]
+            entry = record_step(t_next, dt, inputs[o1][i1], inputs[o2][i2], y1, y2)
+            entries.append(entry)
+            stacked += (y1, y2)
+            powers_finite = powers_finite and isfinite(entry.P_12) and isfinite(entry.dP_res)
+        if not powers_finite:
             # finite signals whose products overflow: the run has blown up
             record.complete = False
-            raise SimulatorFailure(f"non-finite bond power at t={t_next}", record)
-        dt_next, eps = policy.next_step(
-            t_next, dt, entries, _stacked_outputs(wiring.bonds, outputs)
-        )
-        record.rows.append(StepRow(t=t_next, dt=dt, eps=eps, bonds=entries, probes=probes))
+            raise SimulatorFailure(
+                f"non-finite bond power at t={t_next}: " + _overflowed_bond(wiring, entries),
+                record,
+            )
+        entries = tuple(entries)
+        dt_next, eps = next_step(t_next, dt, entries, stacked)
+        row = StepRow(t_next, dt, eps, entries, probes)
+        rows.append(row)
+        if stop is not None and stop(row):
+            record.complete = False
+            break
+        t_now = t_next
     return record

@@ -118,12 +118,15 @@ class SimulatorSlot(ABC):
 class Wiring:
     """Validated routing table produced by :func:`validate_graph`.
 
-    Keeps the bonds plus the per-simulator input widths needed to materialize
-    complete input vectors.
+    Keeps the bonds, the per-simulator input widths needed to materialize
+    complete input vectors, and one flat route per bond,
+    ``(owner1, input1, output1, c1, owner2, input2, output2, c2)``, so the
+    per-step exchange reads plain integers instead of walking port objects.
     """
 
     bonds: tuple[PowerBond, ...]
     input_widths: tuple[int, ...]
+    routes: tuple[tuple[int, int, int, int, int, int, int, int], ...]
 
 
 def validate_graph(graph: ConnectionGraph, slots: Sequence[SimulatorSlot]) -> Wiring:
@@ -159,7 +162,16 @@ def validate_graph(graph: ConnectionGraph, slots: Sequence[SimulatorSlot]) -> Wi
                 raise DuplicateConnection(f"output {out_key} wired twice")
             used_inputs.add(in_key)
             used_outputs.add(out_key)
-    return Wiring(bonds=graph.bonds, input_widths=tuple(s.n_inputs for s in slots))
+    routes = tuple(
+        (
+            b.port1.owner, b.port1.input_index, b.port1.output_index, b.c1,
+            b.port2.owner, b.port2.input_index, b.port2.output_index, b.c2,
+        )
+        for b in graph.bonds
+    )
+    return Wiring(
+        bonds=graph.bonds, input_widths=tuple(s.n_inputs for s in slots), routes=routes
+    )
 
 
 def apply_connections(
@@ -170,10 +182,7 @@ def apply_connections(
     ``outputs`` holds one output vector per simulator; unbonded inputs are 0.
     """
     inputs = [[0.0] * width for width in wiring.input_widths]
-    for bond in wiring.bonds:
-        p1, p2 = bond.port1, bond.port2
-        y1 = outputs[p1.owner][p1.output_index]
-        y2 = outputs[p2.owner][p2.output_index]
-        inputs[p1.owner][p1.input_index] = bond.c1 * y2
-        inputs[p2.owner][p2.input_index] = bond.c2 * y1
+    for o1, i1, k1, c1, o2, i2, k2, c2 in wiring.routes:
+        inputs[o1][i1] = c1 * outputs[o2][k2]
+        inputs[o2][i2] = c2 * outputs[o1][k1]
     return inputs

@@ -15,7 +15,7 @@ integrating that held input alongside its own states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import ConnectionGraph, PortRole, PowerBond, PowerPort, SimulatorSlot
 
@@ -30,10 +30,12 @@ class QuarterCarParams:
     k_w: float = 150000.0  # tyre spring [N/m]
     d_c: float = 1000.0  # damping constant
     n_d: float = 0.5  # damping-law exponent knob; 0.5 is exactly linear
+    # 2 / (1 + 2*n_d), derived once: the damping law reads it every micro step.
+    # Kept out of init, repr, ==, and hash, so those see only the six knobs.
+    damping_exponent: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def damping_exponent(self) -> float:
-        return 2.0 / (1.0 + 2.0 * self.n_d)
+    def __post_init__(self):
+        object.__setattr__(self, "damping_exponent", 2.0 / (1.0 + 2.0 * self.n_d))
 
 
 LINEAR_PARAMS = QuarterCarParams()
@@ -145,13 +147,14 @@ class WheelAssembly(SimulatorSlot):
         n = self.micro_step_ratio
         h = dt / n
         u = self.u
+        k_w, m_w = p.k_w, p.m_w
         z_c_int, z_w, v_w = self.z_c_int, self.z_w, self.v_w
         for j in range(n):
             f_c = spring_damper_force(z_c_int, z_w, u, v_w, p)
-            f_w = p.k_w * (z_w - excitation(t + j * h))
+            f_w = k_w * (z_w - excitation(t + j * h))
             z_c_int += h * u
             z_w += h * v_w
-            v_w += h * (f_c - f_w) / p.m_w
+            v_w += h * (f_c - f_w) / m_w
         self.z_c_int, self.z_w, self.v_w = z_c_int, z_w, v_w
 
     def get_outputs(self):
@@ -193,11 +196,12 @@ class ChassisSpringDamper(SimulatorSlot):
         n = self.micro_step_ratio
         h = dt / n
         u = self.u
+        m_c = p.m_c
         z_c, v_c, z_w_int = self.z_c, self.v_c, self.z_w_int
         for _ in range(n):
             f_c = spring_damper_force(z_c, z_w_int, v_c, u, p)
             z_c += h * v_c
-            v_c += h * (-f_c) / p.m_c
+            v_c += h * (-f_c) / m_c
             z_w_int += h * u
         self.z_c, self.v_c, self.z_w_int = z_c, v_c, z_w_int
 
@@ -239,11 +243,12 @@ class WheelOnly(SimulatorSlot):
         n = self.micro_step_ratio
         h = dt / n
         f_c = -self.u  # held suspension force acting on the wheel
+        k_w, m_w = p.k_w, p.m_w
         z_w, v_w = self.z_w, self.v_w
         for j in range(n):
-            f_w = p.k_w * (z_w - excitation(t + j * h))
+            f_w = k_w * (z_w - excitation(t + j * h))
             z_w += h * v_w
-            v_w += h * (f_c - f_w) / p.m_w
+            v_w += h * (f_c - f_w) / m_w
         self.z_w, self.v_w = z_w, v_w
 
     def get_outputs(self):
@@ -284,15 +289,16 @@ class MonolithicQuarterCar(SimulatorSlot):
         p = self.params
         n = self.micro_step_ratio
         h = dt / n
+        k_w, m_c, m_w = p.k_w, p.m_c, p.m_w
         z_c, v_c, z_w, v_w, z_c_int = self.z_c, self.v_c, self.z_w, self.v_w, self.z_c_int
         for j in range(n):
             f_c = spring_damper_force(z_c, z_w, v_c, v_w, p)
-            f_w = p.k_w * (z_w - excitation(t + j * h))
+            f_w = k_w * (z_w - excitation(t + j * h))
             z_c += h * v_c
             z_c_int += h * v_c
             z_w += h * v_w
-            v_c += h * (-f_c) / p.m_c
-            v_w += h * (f_c - f_w) / p.m_w
+            v_c += h * (-f_c) / m_c
+            v_w += h * (f_c - f_w) / m_w
         self.z_c, self.v_c, self.z_w, self.v_w, self.z_c_int = z_c, v_c, z_w, v_w, z_c_int
 
     def get_outputs(self):

@@ -428,15 +428,21 @@ def _diverges(
     micro_s2: int,
     threshold: float,
 ) -> bool:
+    """True when the run fails or any probed state exceeds ``threshold``.
+
+    The run stops at the first row beyond the threshold: later rows cannot
+    change the verdict.
+    """
+
+    def beyond(row) -> bool:
+        return any(abs(v) > threshold for v in row.probes.values())
+
     slots, graph = build_reticulation(reticulation, params, micro_s1, micro_s2)
     try:
-        record = run_cosimulation(slots, graph, ConstantStep(dt), t_scan)
+        record = run_cosimulation(slots, graph, ConstantStep(dt), t_scan, stop=beyond)
     except SimulatorFailure:
         return True
-    for row in record.rows:
-        if any(abs(v) > threshold for v in row.probes.values()):
-            return True
-    return False
+    return not record.complete
 
 
 def stability_scan(

@@ -219,6 +219,8 @@ def test_c09_stability_onsets():
         f"instability onsets: A {onset_a * 1e3:.2f} ms vs 58.5 +/-2, "
         f"B {onset_b * 1e3:.2f} ms vs 11.3 +/-1",
     )
+    # the exact bisection results behind the benchmark's pinned scan CSVs
+    assert (onset_a, onset_b) == (0.05921875, 0.011328125)
 
 
 def test_c10_sweep_slopes_and_estimator_quality():

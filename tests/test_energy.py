@@ -112,6 +112,24 @@ def test_ledger_accumulation_and_consistency():
     assert ledger.total_residual == ledger.entries[-1].E_res_accum
 
 
+@given(
+    u1=st.floats(-1e6, 1e6),
+    u2=st.floats(-1e6, 1e6),
+    y1=st.floats(-1e6, 1e6),
+    y2=st.floats(-1e6, 1e6),
+    dt=st.floats(1e-9, 1.0),
+    c1=st.sampled_from([1, -1]),
+)
+def test_ledger_entry_matches_power_helpers(u1, u2, y1, y2, dt, c1):
+    # the ledger inlines the helpers' arithmetic; the results must be identical
+    bond = bond_with_sign(c1, -c1)
+    e = BondLedger(bond).record(dt, dt, u1, u2, y1, y2)
+    assert (e.P_port1, e.P_port2) == (port_power(u1, y1), port_power(u2, y2))
+    assert e.P_12 == transmitted_power(bond, y1, y2)
+    assert e.dP_res == residual_power((u1, u2), (y1, y2))
+    assert e.dE_res == residual_energy_step(e.dP_res, dt)
+
+
 def test_ledger_sign_semantics():
     # positive residual power => accumulated residual energy increases
     ledger = BondLedger(bond_with_sign(1, -1))

@@ -5,7 +5,13 @@ import io
 import pytest
 
 from eccosim.bench import write_trajectory_csv
-from eccosim.control import ConstantStep, PIConfig, PIController, ResidualEnergyIndicator
+from eccosim.control import (
+    ConstantStep,
+    PIConfig,
+    PIController,
+    ResidualEnergyIndicator,
+    StepPolicy,
+)
 from eccosim.master import RunRecord, SimulatorFailure, probe_states, run_cosimulation
 from eccosim.model import ConnectionGraph
 from eccosim.quartercar import (
@@ -125,6 +131,72 @@ def test_simulator_failure_aborts_with_partial_record():
     assert record is not None
     assert not record.complete
     assert 0 < record.step_count < 1200
+    # the force and velocity stay finite, their product overflows
+    message = str(exc_info.value)
+    assert message.startswith("non-finite bond power at t=")
+    assert message.endswith(": bond 0 (slot 0 output 0, slot 1 output 0)")
+
+
+@pytest.mark.parametrize(
+    "state, signal", [("v_w", "slot 1 output 0"), ("z_w", "slot 1 probe 'z_w'")]
+)
+def test_simulator_failure_names_slot_and_signal(state, signal):
+    slots, graph = build_reticulation("B", LINEAR_PARAMS)
+    wheel = slots[1]
+    wheel_step = wheel.do_step
+
+    def do_step(t, dt):  # the wheel's state breaks during its third step
+        wheel_step(t, dt)
+        if wheel.step_calls == 3:
+            setattr(wheel, state, float("nan"))
+
+    wheel.do_step = do_step
+    with pytest.raises(SimulatorFailure) as exc_info:
+        run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
+    assert str(exc_info.value) == f"non-finite simulator output at t=0.003: {signal}"
+    assert exc_info.value.record.step_count == 2
+
+
+class _Proposes(StepPolicy):
+    """Starts with ``first``, then proposes ``then`` after every step."""
+
+    name = "proposes"
+
+    def __init__(self, first, then):
+        self.first, self.then = first, then
+
+    def start(self, dt0, t0, outputs):
+        return self.first
+
+    def next_step(self, t_next, dt_used, bond_steps, outputs):
+        return self.then, 0.0
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, float("nan"), float("inf")])
+def test_bad_policy_step_rejected_before_next_step(bad):
+    # at the first proposal, before any step
+    slots, graph = build_reticulation("B", LINEAR_PARAMS)
+    with pytest.raises(ValueError, match="finite and positive"):
+        run_cosimulation(slots, graph, _Proposes(bad, 1e-3), 1.0)
+    assert [slot.step_calls for slot in slots] == [0, 0]
+    # after an accepted step
+    slots, graph = build_reticulation("B", LINEAR_PARAMS)
+    with pytest.raises(ValueError, match="finite and positive"):
+        run_cosimulation(slots, graph, _Proposes(1e-3, bad), 1.0)
+    assert [slot.step_calls for slot in slots] == [1, 1]
+
+
+def test_stop_hook_ends_run_at_first_true_row():
+    def beyond(row):
+        return any(abs(v) > 1e6 for v in row.probes.values())
+
+    slots, graph = build_reticulation("B", LINEAR_PARAMS)
+    record = run_cosimulation(slots, graph, ConstantStep(0.0125), 100.0, stop=beyond)
+    assert record.step_count == 395
+    assert record.complete is False
+    assert [slot.step_calls for slot in slots] == [395, 395]
+    assert beyond(record.rows[-1])
+    assert not any(beyond(row) for row in record.rows[:-1])
 
 
 def test_adaptive_run_respects_step_bounds_and_rate_limits():
