@@ -55,8 +55,6 @@ from .reference import (
     NoOnsetInRange,
     ReferenceTrajectory,
     TimeRangeMismatch,
-    damper_dissipation,
-    linear_exact_states,
     local_power_error,
     reference_solve,
     stability_scan,

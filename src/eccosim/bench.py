@@ -27,7 +27,6 @@ from .control import (
 from .master import RunRecord, run_cosimulation
 from .quartercar import PRESETS, RETICULATIONS, build_reticulation, preset_params
 from .reference import (
-    DEFAULT_H_REF,
     ErrorSummary,
     ReferenceTrajectory,
     reference_solve,
@@ -205,10 +204,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     return run_cosimulation(slots, graph, policy, cfg.resolved_t_end, dt0=cfg.resolved_dt0)
 
 
-def experiment_reference(cfg: ExperimentConfig, h_ref: float = DEFAULT_H_REF) -> ReferenceTrajectory:
-    return reference_solve(
-        preset_params(cfg.preset), cfg.resolved_t_end, h_ref, cfg.reticulation
-    )
+def experiment_reference(cfg: ExperimentConfig) -> ReferenceTrajectory:
+    return reference_solve(preset_params(cfg.preset), cfg.resolved_t_end, cfg.reticulation)
 
 
 def summarize_experiment(cfg: ExperimentConfig, record: RunRecord) -> ErrorSummary:

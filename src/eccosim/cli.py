@@ -10,8 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields
-
-import numpy as np
+from math import log10
 
 from .bench import (
     DEFAULT_T_END,
@@ -487,6 +486,19 @@ def _write_out(path: str, text: str) -> int:
     return 0
 
 
+def _log_spaced(lo: float, hi: float, count: int) -> list[float]:
+    """``count`` log-spaced values from ``lo`` to ``hi``, both ends exact.
+
+    The exponents are spaced as ``np.geomspace`` spaces them; its ``power`` and
+    ``log10`` may round an inner value one ulp apart from ``**`` and ``log10``.
+    """
+    if count == 1:
+        return [lo]
+    start = log10(lo)
+    step = (log10(hi) - start) / (count - 1)
+    return [lo] + [10.0 ** (i * step + start) for i in range(1, count - 1)] + [hi]
+
+
 def cmd_sweep(args) -> int:
     try:
         lo_str, _, hi_str = args.dt.partition("..")
@@ -496,9 +508,12 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: bad --dt range {args.dt!r}: {exc}", file=sys.stderr)
         return 1
+    if args.points < 1:
+        print(f"error: --points must be at least 1, got {args.points}", file=sys.stderr)
+        return 1
     params = preset_params(args.preset)
     t_end = args.t_end if args.t_end is not None else DEFAULT_T_END[args.preset]
-    dts = [float(x) for x in np.geomspace(lo, hi, args.points)]
+    dts = _log_spaced(lo, hi, args.points)
     try:
         points = step_size_sweep(dts, params, args.reticulation, t_end=t_end)
     except ValueError as exc:

@@ -194,14 +194,14 @@ class ConstantStep(StepPolicy):
     name = "constant"
 
     def __init__(self, dt: float = 1e-3):
-        if dt <= 0.0:
-            raise ValueError("constant step size must be positive")
+        if not (isfinite(dt) and dt > 0.0):
+            raise ValueError(f"constant step size must be finite and positive, got {dt}")
         self.dt = dt
 
     def start(self, dt0, t0, outputs):
         if dt0 is not None:
-            if dt0 <= 0.0:
-                raise ValueError("dt0 must be positive")
+            if not (isfinite(dt0) and dt0 > 0.0):
+                raise ValueError(f"dt0 must be finite and positive, got {dt0}")
             self.dt = dt0
         return self.dt
 

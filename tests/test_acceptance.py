@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from oracle_checks import bond_powers_at_tolerance, damper_dissipation, linear_exact_states
 
 from eccosim.bench import ExperimentConfig, run_experiment, summarize_experiment, write_trajectory_csv
 from eccosim.control import (
@@ -27,8 +28,7 @@ from eccosim.master import run_cosimulation
 from eccosim.model import PortRole, SimulatorSlot
 from eccosim.quartercar import LINEAR_PARAMS, build_reticulation
 from eccosim.reference import (
-    damper_dissipation,
-    linear_exact_states,
+    _DP_TOL,
     reference_solve,
     stability_scan,
     step_size_sweep,
@@ -255,7 +255,7 @@ def test_c11_residual_equals_summed_local_power_errors():
     worst = 0.0
     for row in record.rows:
         entry = row.bonds[0]
-        p0_1, p0_2 = ref.port_powers_at(ref.index_at(row.t))
+        p0_1, p0_2 = ref.port_powers_at(row.t)
         dp1 = entry.P_port1 - p0_1
         dp2 = entry.P_port2 - p0_2
         worst = max(worst, abs(dp1 + dp2 + entry.dP_res))
@@ -438,23 +438,24 @@ def test_c16_oracle_self_checks():
     exact = linear_exact_states(LINEAR_PARAMS, times)
     worst_state = 0.0
     for row, t in zip(exact, times):
-        i = ref5.index_at(t)
-        solved = np.array([ref5.z_c[i], ref5.v_c[i], ref5.z_w[i], ref5.v_w[i]])
+        solved = np.array(ref5.states_at(t))
         scale = np.maximum(np.abs(row), 1e-3)
         worst_state = max(worst_state, float(np.max(np.abs(solved - row) / scale)))
     ok_expm = worst_state <= 1e-7
 
-    coarse = reference_solve(LINEAR_PARAMS, 1.0, h_ref=1e-5)
-    fine = reference_solve(LINEAR_PARAMS, 1.0, h_ref=5e-6)
-    grid_err = float(
-        np.max(np.abs(coarse.P0_12 - fine.P0_12[::2])) / np.max(np.abs(fine.P0_12))
+    # the oracle at its tolerance and at a hundredth of it, on a 10 us grid
+    grid = [k * 1e-5 for k in range(100_001)]
+    loose, tight = (
+        np.array(bond_powers_at_tolerance(LINEAR_PARAMS, 1.0, tol, grid))
+        for tol in (_DP_TOL, _DP_TOL / 100)
     )
-    ok_grid = grid_err <= 1e-8
+    tol_err = float(np.max(np.abs(loose - tight)) / np.max(np.abs(tight)))
+    ok_tol = tol_err <= 1e-8
 
     check(
         "criterion 16",
-        ok_diss and ok_expm and ok_grid,
+        ok_diss and ok_expm and ok_tol,
         f"dissipation {dissipated:.2f} J vs 750 +/-0.1%; matrix-exponential "
-        f"state error {worst_state:.2e} <= 1e-7; grid self-convergence "
-        f"{grid_err:.2e} <= 1e-8",
+        f"state error {worst_state:.2e} <= 1e-7; tolerance self-convergence "
+        f"{tol_err:.2e} <= 1e-8",
     )

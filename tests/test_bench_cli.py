@@ -17,7 +17,7 @@ from eccosim.bench import (
     write_summary_csv,
     write_trajectory_csv,
 )
-from eccosim.cli import EXPECTED_TABLES, main
+from eccosim.cli import EXPECTED_TABLES, _log_spaced, main
 
 CONFIG_TEXT = """
 # benchmark configuration
@@ -266,6 +266,8 @@ def test_cli_check_passing_row(tmp_path):
     ["sweep", "--t-end", "nan"],
     ["sweep", "--t-end", "-1"],
     ["run", "--controller", "ecco", "--r", "1e-200", "--e0", "1e-200", "--t-end", "0.01"],
+    ["sweep", "--points", "0"],
+    ["sweep", "--points", "-1"],
 ])
 def test_cli_bad_horizon_or_value_exits_one(argv, tmp_path, capsys):
     # each of these once hung or exited 0 or 2; now all are config errors
@@ -343,6 +345,17 @@ def test_cli_sweep_writes_monotone_table(tmp_path):
     assert errs == sorted(errs)
 
 
+def test_default_sweep_step_sizes_match_geomspace():
+    import numpy as np
+
+    assert _log_spaced(1e-4, 1e-2, 9) == [float(x) for x in np.geomspace(1e-4, 1e-2, 9)]
+    assert _log_spaced(1e-4, 1e-2, 1) == [1e-4]
+    for lo, hi, n in ((1e-3, 5e-2, 7), (2e-4, 3e-3, 13)):
+        dts = _log_spaced(lo, hi, n)
+        assert (dts[0], dts[-1], len(dts)) == (lo, hi, n)
+        assert dts == pytest.approx(list(np.geomspace(lo, hi, n)), rel=1e-15, abs=0)
+
+
 def test_cli_sweep_bad_range_exits_one():
     assert main(["sweep", "--dt", "1e-2..1e-4"]) == 1
     assert main(["sweep", "--dt", "oops"]) == 1
@@ -376,3 +389,29 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.read_text() == TRAJECTORY_HEADER + "\n"
+
+
+def test_package_runs_without_numpy(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import eccosim
+
+    # every module, then a run with its summary, in a fresh interpreter
+    code = (
+        "import importlib, pkgutil, sys, eccosim\n"
+        "for m in pkgutil.iter_modules(eccosim.__path__):\n"
+        "    if m.name != '__main__':\n"
+        "        importlib.import_module('eccosim.' + m.name)\n"
+        "from eccosim.cli import main\n"
+        "assert main(['run', '--t-end', '0.05', '--out', sys.argv[1]]) == 0\n"
+        "assert 'numpy' not in sys.modules and 'scipy' not in sys.modules, 'numpy or scipy imported'\n"
+    )
+    paths = [str(Path(eccosim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "r.csv")], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -211,6 +211,16 @@ def test_constant_policy_keeps_dt():
     assert (dt, eps) == (1e-3, 0.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-3, float("nan"), float("inf"), float("-inf")])
+def test_constant_policy_rejects_non_finite_or_non_positive_step(bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        ConstantStep(bad)
+    pol = ConstantStep(1e-3)
+    with pytest.raises(ValueError, match="finite and positive"):
+        pol.start(bad, 0.0, [])
+    assert pol.dt == 1e-3
+
+
 def test_ecco_controller_defaults_and_floor():
     pol = PIController(ResidualEnergyIndicator(rel_tol=1e-5), PIConfig())
     dt0 = pol.start(None, 0.0, [0.0, 0.0])

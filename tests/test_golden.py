@@ -9,7 +9,8 @@ Summary CSV bytes are not pinned, because ``mean_abs_dP`` depends on the
 reference oracle's rounding.  Its value is pinned instead, to the tolerance
 the oracle can be trusted to: 1e-9 relative on the linear preset and 1e-4 on
 the nonlinear one, whose square-root damping law limits every solver's
-accuracy near velocity reversals.
+accuracy near velocity reversals.  The other summary fields do not read the
+oracle, so they are pinned exactly.
 """
 
 import hashlib
@@ -42,21 +43,42 @@ TRAJECTORY_SHA256 = {
 
 MEAN_ABS_DP = {
     "T3:constant": 1.2276880651967483,
-    "T3:ecco-2.8e-6": 0.3968809122609386,
-    "T3:ecco-3.1e-5": 1.2422370382700536,
+    "T3:ecco-2.8e-6": 0.39737461566156984,
+    "T3:ecco-3.1e-5": 1.2422704234766444,
     "T7:constant": 3.6025354859283443,
-    "T7:ecco-7.5e-6": 1.1208061171228094,
-    "T7:ecco-1.0e-4": 3.9380978157471715,
+    "T7:ecco-7.5e-6": 1.1206954392205217,
+    "T7:ecco-1.0e-4": 3.9375148718567257,
     "T8:constant": 11.833812181453107,
-    "T8:ecco-9.1e-7": 1.1916035550900608,
+    "T8:ecco-9.1e-7": 1.2081398511888426,
     "T9:constant": 30.37588511002591,
-    "T9:ecco-2.4e-5": 5.501564875124897,
+    "T9:ecco-2.4e-5": 5.509321076763683,
     "T10:constant": 37.917711171271655,
-    "T10:ecco-1.0e-6": 3.488865785631727,
-    "PC-linear:pc-6.7e-1": 0.789975951526364,
-    "PC-nonlinear:pc-2.1": 1.938450126227765,
-    "PC-altA:pc-6.0e-1": 1.3678350963724433,
-    "PC-altB:pc-6.5": 20.310706479178084,
+    "T10:ecco-1.0e-6": 3.494074564934328,
+    "PC-linear:pc-6.7e-1": 0.7903656713246414,
+    "PC-nonlinear:pc-2.1": 1.9384711109345185,
+    "PC-altA:pc-6.0e-1": 1.3719980158127811,
+    "PC-altB:pc-6.5": 20.321851308121175,
+}
+
+#: (mean_P12, total_residual, mean_dt, step_count): the summary fields that do
+#: not depend on the reference oracle, so they are pinned exactly.
+SUMMARY_EXACT = {
+    "T3:constant": (0.39207904314303854, -6.349012156713895, 0.001, 4000),
+    "T3:ecco-2.8e-6": (0.04082741672469492, -1.6124610418012886, 0.001002004008016032, 3992),
+    "T3:ecco-3.1e-5": (0.1168582368593265, -4.970879080833826, 0.002932551319648094, 1364),
+    "T7:constant": (0.6026701757572658, -4.8183992182631, 0.001, 2000),
+    "T7:ecco-7.5e-6": (-0.019906691328166914, -1.6104876806017043, 0.000998502246630055, 2003),
+    "T7:ecco-1.0e-4": (-0.0054181736629459465, -5.870304536919774, 0.003134796238244514, 638),
+    "T8:constant": (-191.6894642709254, 22.731508805836604, 0.001, 4000),
+    "T8:ecco-9.1e-7": (-187.88730124486304, 1.5603805689324448, 0.0010025062656641604, 3990),
+    "T9:constant": (-391.41183477893736, 45.417104264333844, 0.001, 2000),
+    "T9:ecco-2.4e-5": (-377.856452536372, 5.2202219018675216, 0.0010095911155981827, 1981),
+    "T10:constant": (-219.98364291078556, 26.482286238067065, 0.001, 4000),
+    "T10:ecco-1.0e-6": (-190.39813874450883, 1.5908161676926393, 0.0009995002498750624, 4002),
+    "PC-linear:pc-6.7e-1": (0.2632771208679139, -3.0791984266469057, 0.0010222335803731152, 3913),
+    "PC-nonlinear:pc-2.1": (0.537385695017798, -3.3593514004999836, 0.0010152284263959391, 1970),
+    "PC-altA:pc-6.0e-1": (-187.9146211796515, 1.7474686718568018, 0.0010196278358399185, 3923),
+    "PC-altB:pc-6.5": (-394.1116966345262, 22.42238621533261, 0.0010576414595452142, 1891),
 }
 
 SUMMARY_REL_TOL = {"linear": 1e-9, "nonlinear": 1e-4}
@@ -83,6 +105,7 @@ def _outputs(key):
 
 def test_every_distinct_table_config_is_pinned():
     assert set(_distinct_configs()) == set(TRAJECTORY_SHA256) == set(MEAN_ABS_DP)
+    assert set(SUMMARY_EXACT) == set(MEAN_ABS_DP)
 
 
 @pytest.mark.parametrize("key", sorted(TRAJECTORY_SHA256))
@@ -94,3 +117,9 @@ def test_trajectory_csv_bytes_are_pinned(key):
 def test_summary_mean_abs_dp_is_pinned(key):
     rel = SUMMARY_REL_TOL[_distinct_configs()[key].preset]
     assert _outputs(key)[1].mean_abs_dP == pytest.approx(MEAN_ABS_DP[key], rel=rel, abs=0)
+
+
+@pytest.mark.parametrize("key", sorted(SUMMARY_EXACT))
+def test_summary_exact_fields_are_pinned(key):
+    s = _outputs(key)[1]
+    assert (s.mean_P12, s.total_residual, s.mean_dt, s.step_count) == SUMMARY_EXACT[key]

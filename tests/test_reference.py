@@ -1,7 +1,12 @@
 """Reference solver self-checks and error metrics."""
 
+import struct
+from array import array
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracle_checks import bond_powers_at_tolerance, damper_dissipation, linear_exact_states
 
 from eccosim.control import ConstantStep
 from eccosim.master import run_cosimulation
@@ -10,26 +15,50 @@ from eccosim.quartercar import (
     NONLINEAR_PARAMS,
     QuarterCarParams,
     build_reticulation,
+    spring_damper_force,
 )
 from eccosim.reference import (
+    _DP_TOL,
+    _STEP_WIDTH,
     NoOnsetInRange,
     ReferenceTrajectory,
     TimeRangeMismatch,
-    damper_dissipation,
-    linear_exact_states,
     local_power_error,
+    pairwise_sum,
     reference_solve,
     stability_scan,
     step_size_sweep,
     summarize,
 )
-from eccosim.reference import _DP_TOL, _damping_force_arrays, _solve_adaptive, _solve_linear
+
+#: Sample times every 10 us over the first second.
+GRID = [k * 1e-5 for k in range(100_001)]
 
 
-def _p0_12(params, states):
-    """Reticulation A bond power of state rows ``(z_c, v_c, z_w, v_w)``."""
-    z_c, v_c, z_w, v_w = states
-    return (params.k_c * (z_c - z_w) + _damping_force_arrays(params, v_c - v_w)) * v_c
+def _bond_powers(params, tol=_DP_TOL, times=GRID):
+    return bond_powers_at_tolerance(params, 1.0, tol, times)
+
+
+def _max_rel_diff(a, b):
+    """Largest difference of two sampled signals, relative to the peak of ``b``."""
+    return max(abs(x - y) for x, y in zip(a, b)) / max(map(abs, b))
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 1000).flatmap(lambda n: st.lists(st.floats(-1e200, 1e200), min_size=n, max_size=n)))
+def test_pairwise_sum_matches_numpy_bit_for_bit(xs):
+    assert _bits(pairwise_sum(xs)) == _bits(float(np.sum(np.array(xs, dtype=float))))
+
+
+def test_pairwise_sum_matches_numpy_on_a_long_run():
+    rng = np.random.default_rng(40_000)
+    xs = (rng.standard_normal(40_000) * 10.0 ** rng.uniform(-8, 8, 40_000)).tolist()
+    assert _bits(pairwise_sum(xs)) == _bits(float(np.sum(np.array(xs))))
+    assert _bits(pairwise_sum([-0.0] * 9)) == _bits(float(np.sum(np.array([-0.0] * 9))))
 
 
 def test_local_power_error_examples():
@@ -39,10 +68,11 @@ def test_local_power_error_examples():
 
 def test_static_equilibrium():
     ref = reference_solve(LINEAR_PARAMS, 4.0)
-    assert ref.z_c[-1] == pytest.approx(0.1, abs=1e-3)
-    assert ref.z_w[-1] == pytest.approx(0.1, abs=1e-3)
-    assert abs(ref.v_c[-1]) < 1e-2
-    assert ref.F_c[-1] == pytest.approx(0.0, abs=20.0)
+    z_c, v_c, z_w, v_w = ref.states_at(4.0)
+    assert z_c == pytest.approx(0.1, abs=1e-3)
+    assert z_w == pytest.approx(0.1, abs=1e-3)
+    assert abs(v_c) < 1e-2
+    assert spring_damper_force(z_c, z_w, v_c, v_w, LINEAR_PARAMS) == pytest.approx(0.0, abs=20.0)
 
 
 def test_total_dissipation_equals_initial_tyre_energy():
@@ -56,10 +86,8 @@ def test_matrix_exponential_cross_check():
     times = [0.1, 1.0, 5.0]
     exact = linear_exact_states(LINEAR_PARAMS, times)
     for row, t in zip(exact, times):
-        i = ref.index_at(t)
-        solved = np.array([ref.z_c[i], ref.v_c[i], ref.z_w[i], ref.v_w[i]])
-        scale = np.maximum(np.abs(row), 1e-3)
-        assert np.max(np.abs(solved - row) / scale) < 1e-7
+        solved = ref.states_at(t)
+        assert max(abs(s - e) / max(abs(e), 1e-3) for s, e in zip(solved, row)) < 1e-7
 
 
 def test_linear_exact_states_requires_linear_damping():
@@ -68,49 +96,34 @@ def test_linear_exact_states_requires_linear_damping():
 
 
 def test_grid_self_convergence_linear():
-    coarse = reference_solve(LINEAR_PARAMS, 1.0, h_ref=1e-5)
-    fine = reference_solve(LINEAR_PARAMS, 1.0, h_ref=5e-6)
-    scale = np.max(np.abs(fine.P0_12))
-    diff = np.max(np.abs(coarse.P0_12 - fine.P0_12[::2]))
-    assert diff / scale < 1e-8
-
-
-def test_grid_self_convergence_nonlinear():
-    # the square-root damping limits the attainable order near velocity crossings
-    coarse = reference_solve(NONLINEAR_PARAMS, 1.0, h_ref=1e-5)
-    fine = reference_solve(NONLINEAR_PARAMS, 1.0, h_ref=5e-6)
-    scale = np.max(np.abs(fine.P0_12))
-    diff = np.max(np.abs(coarse.P0_12 - fine.P0_12[::2]))
-    assert diff / scale < 1e-4
+    # the oracle at its tolerance and at a hundredth of it, sampled on GRID
+    loose = _bond_powers(LINEAR_PARAMS)
+    tight = _bond_powers(LINEAR_PARAMS, tol=_DP_TOL / 100)
+    assert _max_rel_diff(loose, tight) < 1e-8
 
 
 def test_adaptive_oracle_converges_with_its_tolerance():
-    # on a fixed grid the nonlinear check above compares one solution with itself
-    n = 100_000
-    loose = _p0_12(NONLINEAR_PARAMS, _solve_adaptive(NONLINEAR_PARAMS, n, 1e-5))
-    tight = _p0_12(NONLINEAR_PARAMS, _solve_adaptive(NONLINEAR_PARAMS, n, 1e-5, tol=_DP_TOL / 100))
-    assert np.max(np.abs(loose - tight)) / np.max(np.abs(tight)) < 1e-6
+    loose = _bond_powers(NONLINEAR_PARAMS)
+    tight = _bond_powers(NONLINEAR_PARAMS, tol=_DP_TOL / 100)
+    assert _max_rel_diff(loose, tight) < 1e-6
 
 
-def test_adaptive_oracle_matches_affine_rk4_on_linear_preset():
-    n = 100_000
-    rk4 = _p0_12(LINEAR_PARAMS, _solve_linear(LINEAR_PARAMS, n, 1e-5))
-    adaptive = _p0_12(LINEAR_PARAMS, _solve_adaptive(LINEAR_PARAMS, n, 1e-5))
-    assert np.max(np.abs(adaptive - rk4)) / np.max(np.abs(rk4)) < 1e-8
+def test_adaptive_oracle_matches_matrix_exponential_on_linear_preset():
+    times = GRID[::10]
+    z_c, v_c, z_w, v_w = linear_exact_states(LINEAR_PARAMS, times).T
+    exact = [spring_damper_force(*x, LINEAR_PARAMS) * x[2] for x in zip(z_c, z_w, v_c, v_w)]
+    assert _max_rel_diff(_bond_powers(LINEAR_PARAMS, times=times), exact) < 1e-8
 
 
-@pytest.mark.parametrize("t_end, h_ref", [
-    (0.0, 1e-5), (-1.0, 1e-5), (float("nan"), 1e-5), (float("inf"), 1e-5),
-    (1.0, 0.0), (1.0, -1e-5), (1.0, float("nan")), (1.0, float("inf")),
-])
-def test_reference_rejects_bad_horizon_or_grid(t_end, h_ref):
+@pytest.mark.parametrize("t_end", [0.0, -1.0, float("nan"), float("inf")])
+def test_reference_rejects_bad_horizon(t_end):
     with pytest.raises(ValueError, match="finite and positive"):
-        reference_solve(LINEAR_PARAMS, t_end, h_ref)
+        reference_solve(LINEAR_PARAMS, t_end)
 
 
 @pytest.mark.parametrize("n_d", [0.5, 1.5])
 def test_reference_raises_on_non_finite_model(n_d):
-    # linear (n_d = 0.5) and adaptive (n_d = 1.5) paths both fail instead of spinning
+    # linear (n_d = 0.5) and nonlinear (n_d = 1.5) damping both fail instead of spinning
     with pytest.raises(ValueError, match="non-finite"):
         reference_solve(QuarterCarParams(d_c=float("nan"), n_d=n_d), 0.1)
 
@@ -118,39 +131,47 @@ def test_reference_raises_on_non_finite_model(n_d):
 @pytest.mark.parametrize("reticulation", ["A", "B"])
 def test_reference_port_powers_balance_exactly(reticulation):
     ref = reference_solve(LINEAR_PARAMS, 1.0, reticulation=reticulation)
-    for i in (0, 1, 10_000, 100_000):
-        p1, p2 = ref.port_powers_at(i)
+    for t in (0.0, 1e-5, 0.1, 1.0):
+        p1, p2 = ref.port_powers_at(t)
         assert p1 + p2 == 0.0
+        assert p1 == ref.bond_powers([t])[0]
 
 
 def test_index_lookup_and_bounds():
     ref = reference_solve(LINEAR_PARAMS, 1.0)
-    assert ref.index_at(0.0) == 0
-    assert ref.index_at(0.5) == 50_000
-    with pytest.raises(TimeRangeMismatch):
-        ref.index_at(2.0)
+    assert ref.step_at(0.0) == 0
+    assert ref.step_at(1.0) == len(ref.t) - 1
+    k = ref.step_at(0.5)
+    assert ref.t[k] <= 0.5 < ref.t[k + 1]
+    assert ref.states_at(0.0) == (0.0, 0.0, 0.0, 0.0)
+    for bad in (-1e-9, 1.0 + 1e-9, 2.0, float("nan")):
+        with pytest.raises(TimeRangeMismatch):
+            ref.states_at(bad)
+        with pytest.raises(TimeRangeMismatch):
+            ref.bond_powers([bad])
+    with pytest.raises(ValueError, match="ascending"):
+        ref.bond_powers([0.5, 0.25])
+
+
+def test_bond_powers_walk_matches_single_lookups():
+    ref = reference_solve(NONLINEAR_PARAMS, 2.0, reticulation="B")
+    times = [0.0, 0.0, 3e-6, 0.25, 0.25, 0.7, 1.3, 2.0]
+    times += list(ref.t[100:110])  # the start of a step belongs to that step
+    times.sort()
+    assert ref.bond_powers(times) == [ref.port_powers_at(t)[0] for t in times]
 
 
 def test_summarize_run_against_itself_is_error_free():
     slots, graph = build_reticulation("A", LINEAR_PARAMS)
     record = run_cosimulation(slots, graph, ConstantStep(1e-3), 0.2)
-    # synthetic reference whose dense samples replay the run's own bond power
-    n = 200
-    p0 = np.zeros(n + 1)
-    for i, row in enumerate(record.rows):
-        p0[i + 1] = row.bonds[0].P_12
-    fake = ReferenceTrajectory(
-        params=LINEAR_PARAMS,
-        reticulation="A",
-        h_ref=1e-3,
-        t=np.arange(n + 1) * 1e-3,
-        z_c=np.zeros(n + 1),
-        v_c=np.zeros(n + 1),
-        z_w=np.zeros(n + 1),
-        v_w=np.zeros(n + 1),
-        F_c=np.zeros(n + 1),
-        P0_12=p0,
-    )
+    # synthetic reference with one step per row, starting at the row's time:
+    # there its dense output is the state (P_12, 1, 0, 1), whose bond power
+    # under a unit spring stiffness is the run's own P_12
+    steps = array("d")
+    for row in record.rows:
+        steps.extend([row.t, 1.0, row.bonds[0].P_12, 1.0, 0.0, 1.0] + [0.0] * 16)
+    params = QuarterCarParams(k_c=1.0)
+    fake = ReferenceTrajectory(params, "A", record.duration, steps[::_STEP_WIDTH], steps)
     summary = summarize(record, fake)
     assert summary.mean_abs_dP == 0.0
     assert summary.step_count == 200
