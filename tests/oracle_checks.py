@@ -1,11 +1,13 @@
 """Independent checks of the reference oracle, for the tests only.
 
-The matrix-exponential solution of the linear preset and the damper's
-dissipated energy, both computed with numpy / scipy from outside the oracle,
-and the oracle's bond power at a tolerance of the caller's choice.
+The matrix-exponential solution of the linear preset, a scipy DOP853 solution
+of either preset and the damper's dissipated energy, all computed with
+numpy / scipy from outside the oracle, and the oracle's bond power at a
+tolerance of the caller's choice.
 """
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from eccosim.quartercar import QuarterCarParams
@@ -43,6 +45,25 @@ def linear_exact_states(params: QuarterCarParams, times) -> np.ndarray:
     for i, t in enumerate(times):
         out[i] = x_rest + expm(a * t) @ (-x_rest)  # x0 = 0
     return out
+
+
+def scipy_states(params: QuarterCarParams, times) -> np.ndarray:
+    """Either preset solved by scipy's DOP853 at ``rtol=1e-12`` from rest.
+
+    The right-hand side is written out here, apart from the oracle's.
+    Returns one row (z_c, v_c, z_w, v_w) per requested time.
+    """
+
+    def rhs(_t, x):
+        z_c, v_c, z_w, v_w = x
+        dv = v_c - v_w
+        f_c = params.k_c * (z_c - z_w) + params.d_c * np.sign(dv) * abs(dv) ** params.damping_exponent
+        return [v_c, -f_c / params.m_c, v_w, (f_c - params.k_w * (z_w - 0.1)) / params.m_w]
+
+    sol = solve_ivp(rhs, (0.0, times[-1]), [0.0] * 4, "DOP853", t_eval=times, rtol=1e-12, atol=1e-14)
+    if not sol.success:
+        raise RuntimeError(sol.message)
+    return sol.y.T
 
 
 def damper_dissipation(traj: ReferenceTrajectory) -> float:

@@ -6,7 +6,7 @@ from array import array
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracle_checks import bond_powers_at_tolerance, damper_dissipation, linear_exact_states
+from oracle_checks import bond_powers_at_tolerance, damper_dissipation, linear_exact_states, scipy_states
 
 from eccosim.control import ConstantStep
 from eccosim.master import run_cosimulation
@@ -100,6 +100,13 @@ def test_grid_self_convergence_linear():
     loose = _bond_powers(LINEAR_PARAMS)
     tight = _bond_powers(LINEAR_PARAMS, tol=_DP_TOL / 100)
     assert _max_rel_diff(loose, tight) < 1e-8
+
+
+def test_grid_self_convergence_nonlinear():
+    # the oracle against an independent scipy solve, both sampled on GRID
+    z_c, v_c, z_w, v_w = scipy_states(NONLINEAR_PARAMS, GRID).T
+    other = [spring_damper_force(*x, NONLINEAR_PARAMS) * x[2] for x in zip(z_c, z_w, v_c, v_w)]
+    assert _max_rel_diff(_bond_powers(NONLINEAR_PARAMS), other) < 1e-8
 
 
 def test_adaptive_oracle_converges_with_its_tolerance():
