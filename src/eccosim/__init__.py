@@ -3,7 +3,6 @@ adaptive macro step control, plus the quarter-car benchmark harness."""
 
 from .control import (
     ConstantStep,
-    InsufficientHistory,
     NonFiniteIndicator,
     OutputExtrapolationIndicator,
     PIConfig,
@@ -26,7 +25,7 @@ from .energy import (
     total_residual_power,
     transmitted_power,
 )
-from .master import RunRecord, SimulatorFailure, StepRow, probe_states, run_cosimulation
+from .master import RunRecord, SimulatorFailure, StepRow, run_cosimulation
 from .model import (
     ConnectionGraph,
     DanglingPort,

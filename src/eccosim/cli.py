@@ -302,23 +302,34 @@ EXPECTED_TABLES: dict[str, Table] = {
 }
 
 
-def measured_metrics(summary) -> dict[str, float]:
-    return {
+def check_row(row: Row, summary) -> int:
+    """Print each cell of ``row`` against ``summary``; return how many failed.
+
+    Display-only cells never fail.
+    """
+    metrics = {
         "mean_dt_ms": summary.mean_dt * 1e3,
         "mean_P12": summary.mean_P12,
         "mean_abs_dP": summary.mean_abs_dP,
         "total_residual": summary.total_residual,
     }
-
-
-def check_cell(cell: Cell, metrics: dict[str, float]) -> tuple[bool, float]:
-    """Evaluate one cell; display-only cells always pass."""
-    value = metrics[cell.metric]
-    if cell.magnitude:
-        value = abs(value)
-    if cell.rel_tol is None:
-        return True, value
-    return abs(value - cell.expected) <= cell.rel_tol * abs(cell.expected), value
+    failures = 0
+    for cell in row.cells:
+        value = metrics[cell.metric]
+        if cell.magnitude:
+            value = abs(value)
+        if cell.rel_tol is None:
+            status, band = "info", ""
+        else:
+            ok = abs(value - cell.expected) <= cell.rel_tol * abs(cell.expected)
+            status = "ok" if ok else "FAIL"
+            band = f"+/-{cell.rel_tol:.0%}"
+            failures += not ok
+        print(
+            f"  {row.label:<14} {cell.metric:<16} measured {value:>12.5g}"
+            f"  expected {cell.expected:>10g} {band:<8} {status}"
+        )
+    return failures
 
 
 class _Parser(argparse.ArgumentParser):
@@ -362,13 +373,18 @@ def _print_summary(cfg: ExperimentConfig, summary) -> None:
     )
 
 
-def _find_row(key: str) -> Row:
-    table_id, _, label = key.partition(":")
+def _find_table(table_id: str) -> Table:
     table = EXPECTED_TABLES.get(table_id)
     if table is None:
         raise ConfigError(
             f"unknown table {table_id!r}; valid: {', '.join(sorted(EXPECTED_TABLES))}"
         )
+    return table
+
+
+def _find_row(key: str) -> Row:
+    table_id, _, label = key.partition(":")
+    table = _find_table(table_id)
     for row in table.rows:
         if row.label == label:
             return row
@@ -377,85 +393,39 @@ def _find_row(key: str) -> Row:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _config_from_args(args)
-        row = _find_row(args.check) if args.check else None
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = _config_from_args(args)
+    row = _find_row(args.check) if args.check else None
     try:
         record = run_experiment(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NonFiniteIndicator as exc:
-        print(f"simulation failure: {exc}", file=sys.stderr)
-        return 2
     except SimulatorFailure as exc:
-        print(f"simulation failure: {exc}", file=sys.stderr)
         if exc.record is not None:
+            # The run's own failure decides the exit code, not this write's.
             try:
                 with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
                     write_trajectory_csv(exc.record, fh)
                 print(f"partial trajectory written to {cfg.out_path}", file=sys.stderr)
             except OSError as err:
                 print(f"error: {err}", file=sys.stderr)
-        return 2
+        raise
     summary = summarize_experiment(cfg, record)
-    try:
-        paths = save_experiment_output(cfg, record, summary)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    paths = save_experiment_output(cfg, record, summary)
     _print_summary(cfg, summary)
     print(f"wrote {paths[0]} and {paths[1]}")
-    if row is not None:
-        metrics = measured_metrics(summary)
-        failed = False
-        for cell in row.cells:
-            ok, value = check_cell(cell, metrics)
-            band = f"+/-{cell.rel_tol:.0%}" if cell.rel_tol is not None else "info"
-            status = "ok" if ok else "FAIL"
-            print(f"  {cell.metric:<16} {value:>12.4g} vs {cell.expected:<10g} {band:<8} {status}")
-            failed = failed or not ok
-        if failed:
-            return 3
+    if row is not None and check_row(row, summary):
+        return 3
     return 0
 
 
 def cmd_reproduce(args) -> int:
-    table = EXPECTED_TABLES.get(args.table)
-    if table is None:
-        print(
-            f"unknown table {args.table!r}; valid ids: {', '.join(sorted(EXPECTED_TABLES))}",
-            file=sys.stderr,
-        )
-        return 1
+    table = _find_table(args.table)
     print(f"{args.table}: {table.title}")
     failures = 0
     residuals: dict[str, float] = {}
     for row in table.rows:
-        try:
-            record = run_experiment(row.config)
-        except (SimulatorFailure, NonFiniteIndicator) as exc:
-            print(f"  {row.label}: simulation failure: {exc}", file=sys.stderr)
-            return 2
+        record = run_experiment(row.config)
         summary = summarize_experiment(row.config, record)
-        metrics = measured_metrics(summary)
-        residuals[row.label] = abs(metrics["total_residual"])
-        for cell in row.cells:
-            ok, value = check_cell(cell, metrics)
-            if cell.rel_tol is None:
-                status, band = "info", ""
-            else:
-                status = "ok" if ok else "FAIL"
-                band = f"+/-{cell.rel_tol:.0%}"
-                if not ok:
-                    failures += 1
-            print(
-                f"  {row.label:<14} {cell.metric:<16} measured {value:>12.5g}"
-                f"  expected {cell.expected:>10g} {band:<8} {status}"
-            )
+        residuals[row.label] = abs(summary.total_residual)
+        failures += check_row(row, summary)
     if table.residual_reduction_min is not None:
         base = residuals.get("constant", 0.0)
         adaptive = min(v for k, v in residuals.items() if k != "constant")
@@ -474,16 +444,11 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
-def _write_out(path: str, text: str) -> int:
-    """Write a command's ``--out`` file; exit code 1 when it cannot be written."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _write_out(path: str, text: str) -> None:
+    """Write a command's ``--out`` file and say so."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
     print(f"wrote {path}")
-    return 0
 
 
 def _log_spaced(lo: float, hi: float, count: int) -> list[float]:
@@ -499,6 +464,10 @@ def _log_spaced(lo: float, hi: float, count: int) -> list[float]:
     return [lo] + [10.0 ** (i * step + start) for i in range(1, count - 1)] + [hi]
 
 
+#: Most ``sweep --points``; each point is a full run, and the list is built first.
+MAX_SWEEP_POINTS = 1000
+
+
 def cmd_sweep(args) -> int:
     try:
         lo_str, _, hi_str = args.dt.partition("..")
@@ -506,22 +475,13 @@ def cmd_sweep(args) -> int:
         if not 0 < lo < hi:
             raise ValueError("need 0 < low < high")
     except ValueError as exc:
-        print(f"error: bad --dt range {args.dt!r}: {exc}", file=sys.stderr)
-        return 1
-    if args.points < 1:
-        print(f"error: --points must be at least 1, got {args.points}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"bad --dt range {args.dt!r}: {exc}") from None
+    if not 1 <= args.points <= MAX_SWEEP_POINTS:
+        raise ConfigError(f"--points must be in 1..{MAX_SWEEP_POINTS}, got {args.points}")
     params = preset_params(args.preset)
     t_end = args.t_end if args.t_end is not None else DEFAULT_T_END[args.preset]
     dts = _log_spaced(lo, hi, args.points)
-    try:
-        points = step_size_sweep(dts, params, args.reticulation, t_end=t_end)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SimulatorFailure as exc:
-        print(f"simulation failure during sweep: {exc}", file=sys.stderr)
-        return 2
+    points = step_size_sweep(dts, params, args.reticulation, t_end=t_end)
     lines = ["dt,mean_abs_dP,residual_estimate"]
     for p in points:
         lines.append(
@@ -529,10 +489,11 @@ def cmd_sweep(args) -> int:
             f"{format_number(p.residual_estimate)}"
         )
     text = "\n".join(lines) + "\n"
-    if not args.out_path:
+    if args.out_path:
+        _write_out(args.out_path, text)
+    else:
         print(text, end="")
-        return 0
-    return _write_out(args.out_path, text)
+    return 0
 
 
 #: (stable, divergent) bracket ends [s], in ``RETICULATIONS`` order
@@ -544,23 +505,19 @@ def cmd_scan(args) -> int:
     lo = args.lo if args.lo is not None else lo
     hi = args.hi if args.hi is not None else hi
     params = preset_params(args.preset)
-    try:
-        onset = stability_scan(
-            params,
-            args.reticulation,
-            lo,
-            hi,
-            t_scan=args.t_scan,
-            threshold=args.threshold,
-            resolution=args.resolution,
-        )
-    except ValueError as exc:  # includes NoOnsetInRange
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    onset = stability_scan(
+        params,
+        args.reticulation,
+        lo,
+        hi,
+        t_scan=args.t_scan,
+        threshold=args.threshold,
+        resolution=args.resolution,
+    )
     print(f"reticulation {args.reticulation}: instability onset at dt = {onset * 1e3:.2f} ms")
     if args.out_path:
         text = f"reticulation,onset_dt\n{args.reticulation},{format_number(onset)}\n"
-        return _write_out(args.out_path, text)
+        _write_out(args.out_path, text)
     return 0
 
 
@@ -608,8 +565,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the only place an exception becomes exit code 1 or 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (SimulatorFailure, NonFiniteIndicator) as exc:
+        print(f"simulation failure: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

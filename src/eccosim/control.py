@@ -26,10 +26,6 @@ class NonFiniteIndicator(RuntimeError):
     """The error indicator evaluated to NaN or infinity."""
 
 
-class InsufficientHistory(ValueError):
-    """Not enough stored outputs to build an extrapolation of the requested order."""
-
-
 def _broadcast(value, n: int, name: str) -> tuple[float, ...]:
     if isinstance(value, (int, float)):
         return (float(value),) * n
@@ -117,31 +113,17 @@ def pi_step_size(
 
 
 def predict_outputs(
-    history: Sequence[tuple[float, Sequence[float]]], t_next: float, order: int
+    history: Sequence[tuple[float, Sequence[float]]], t_next: float
 ) -> list[float]:
-    """Extrapolate each output to ``t_next`` through the last order+1 samples.
+    """Extrapolate each output to ``t_next`` along the line through the last two samples.
 
-    Component-wise Lagrange polynomial of degree ``order``; past step sizes may
-    be non-uniform.  Raises :class:`InsufficientHistory` with fewer samples.
+    ``history`` holds ``(t, outputs)`` samples, at least two; past step sizes
+    may be non-uniform.
     """
-    if len(history) < order + 1:
-        raise InsufficientHistory(
-            f"need {order + 1} stored outputs for order {order}, have {len(history)}"
-        )
-    points = list(history)[-(order + 1) :]
-    times = [p[0] for p in points]
-    weights = []
-    for j, tj in enumerate(times):
-        w = 1.0
-        for l, tl in enumerate(times):
-            if l != j:
-                w *= (t_next - tl) / (tj - tl)
-        weights.append(w)
-    n_out = len(points[0][1])
-    return [
-        sum(weights[j] * points[j][1][a] for j in range(len(points)))
-        for a in range(n_out)
-    ]
+    (t0, y0), (t1, y1) = history[-2], history[-1]
+    w0 = (t_next - t1) / (t0 - t1)
+    w1 = (t_next - t0) / (t1 - t0)
+    return [w0 * a + w1 * b for a, b in zip(y0, y1)]
 
 
 def pc_indicator(
@@ -252,7 +234,7 @@ class ResidualEnergyIndicator:
 
 
 class OutputExtrapolationIndicator:
-    """Miss of a degree-1 Lagrange extrapolation of the coupling outputs.
+    """Miss of a linear extrapolation of the coupling outputs.
 
     ``tol`` and ``rho`` may be scalars or one value per coupling output; the
     output count is taken from the outputs at :meth:`start`.  The
@@ -284,7 +266,7 @@ class OutputExtrapolationIndicator:
     def __call__(self, t_next, bond_steps, outputs) -> float | None:
         eps = None
         if len(self.history) == 2:
-            y_pred = predict_outputs(self.history, t_next, 1)
+            y_pred = predict_outputs(self.history, t_next)
             eps = pc_indicator(outputs, y_pred, self.output_tol, self.output_rho)
         self.history.append((t_next, tuple(outputs)))
         return eps

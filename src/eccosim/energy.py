@@ -106,11 +106,9 @@ class BondLedgerEntry:
 
 
 class BondLedger:
-    """Append-only per-bond time series, written once per accepted macro step."""
+    """Running residual energy of one bond; :meth:`record` returns each step's entry."""
 
     def __init__(self, bond: PowerBond):
-        self.bond = bond
-        self.entries: list[BondLedgerEntry] = []
         self._accum = CompensatedSum()
         self._sigma = bond.sigma
 
@@ -129,9 +127,7 @@ class BondLedger:
         de = dp * dt
         accum = self._accum
         accum.add(de)
-        entry = BondLedgerEntry(t_next, dt, p1, p2, p12, dp, de, p12 * dt, accum.value)
-        self.entries.append(entry)
-        return entry
+        return BondLedgerEntry(t_next, dt, p1, p2, p12, dp, de, p12 * dt, accum.value)
 
     @property
     def total_residual(self) -> float:

@@ -64,26 +64,9 @@ class RunRecord:
     def mean_dt(self) -> float:
         return self.duration / len(self.rows) if self.rows else 0.0
 
-    def mean_p12(self, bond: int = 0) -> float:
-        """Time-weighted mean of the transmitted bond power."""
-        if not self.rows:
-            return 0.0
-        acc = CompensatedSum()
-        for row in self.rows:
-            acc.add(row.bonds[bond].P_12 * row.dt)
-        return acc.value / self.duration
-
     def total_residual(self, bond: int = 0) -> float:
         """Accumulated residual energy over the run (joules)."""
         return self.rows[-1].bonds[bond].E_res_accum if self.rows else 0.0
-
-
-def probe_states(slots: Sequence[SimulatorSlot]) -> dict[str, float]:
-    """Merge the named diagnostic probes of all slots into one mapping."""
-    merged: dict[str, float] = {}
-    for slot in slots:
-        merged.update(slot.probes())
-    return merged
 
 
 def _stacked_outputs(wiring: Wiring, outputs) -> list[float]:

@@ -81,26 +81,36 @@ def tyre_force(z_w: float, t: float, params: QuarterCarParams) -> float:
     return params.k_w * (z_w - excitation(t))
 
 
-class ChassisExact(SimulatorSlot):
+class QuarterCarSlot(SimulatorSlot):
+    """State every quarter-car slot shares: the parameters, the micro step
+    count, the input held over a macro step, and a count of ``do_step`` calls."""
+
+    n_inputs = 1
+    n_outputs = 1
+
+    def __init__(self, params: QuarterCarParams = LINEAR_PARAMS, micro_steps: int = 10):
+        if micro_steps < 1:
+            raise ValueError("micro_steps must be >= 1")
+        self.params = params
+        self.micro_step_ratio = micro_steps
+        self.u = 0.0
+        self.step_calls = 0
+
+    def set_inputs(self, u):
+        self.u = u[0]
+
+
+class ChassisExact(QuarterCarSlot):
     """Reticulation A, S1: the chassis mass alone.
 
     Input is the (negated) suspension force; with it held constant the motion
     is solved exactly.  Output is the chassis velocity.
     """
 
-    n_inputs = 1
-    n_outputs = 1
-    micro_step_ratio = 1
-
     def __init__(self, params: QuarterCarParams = LINEAR_PARAMS):
-        self.params = params
+        super().__init__(params, micro_steps=1)
         self.z_c = 0.0
         self.v_c = 0.0
-        self.u = 0.0
-        self.step_calls = 0
-
-    def set_inputs(self, u):
-        self.u = u[0]
 
     def do_step(self, t, dt):
         self.step_calls += 1
@@ -115,7 +125,7 @@ class ChassisExact(SimulatorSlot):
         return {"z_c": self.z_c, "v_c": self.v_c}
 
 
-class WheelAssembly(SimulatorSlot):
+class WheelAssembly(QuarterCarSlot):
     """Reticulation A, S2: wheel, tyre spring, and the suspension spring-damper.
 
     Input is the chassis velocity, integrated internally to reconstruct the
@@ -124,22 +134,11 @@ class WheelAssembly(SimulatorSlot):
     derivatives taken at the start of each substep.
     """
 
-    n_inputs = 1
-    n_outputs = 1
-
     def __init__(self, params: QuarterCarParams = LINEAR_PARAMS, micro_steps: int = 10):
-        if micro_steps < 1:
-            raise ValueError("micro_steps must be >= 1")
-        self.params = params
-        self.micro_step_ratio = micro_steps
+        super().__init__(params, micro_steps)
         self.z_c_int = 0.0
         self.z_w = 0.0
         self.v_w = 0.0
-        self.u = 0.0
-        self.step_calls = 0
-
-    def set_inputs(self, u):
-        self.u = u[0]
 
     def do_step(self, t, dt):
         self.step_calls += 1
@@ -166,29 +165,18 @@ class WheelAssembly(SimulatorSlot):
         return {"z_w": self.z_w, "v_w": self.v_w}
 
 
-class ChassisSpringDamper(SimulatorSlot):
+class ChassisSpringDamper(QuarterCarSlot):
     """Reticulation B, S1: chassis mass plus the suspension spring-damper.
 
     Input is the wheel velocity (integrated to a wheel displacement shadow),
     output is the suspension force at the end of the step.
     """
 
-    n_inputs = 1
-    n_outputs = 1
-
     def __init__(self, params: QuarterCarParams = LINEAR_PARAMS, micro_steps: int = 10):
-        if micro_steps < 1:
-            raise ValueError("micro_steps must be >= 1")
-        self.params = params
-        self.micro_step_ratio = micro_steps
+        super().__init__(params, micro_steps)
         self.z_c = 0.0
         self.v_c = 0.0
         self.z_w_int = 0.0
-        self.u = 0.0
-        self.step_calls = 0
-
-    def set_inputs(self, u):
-        self.u = u[0]
 
     def do_step(self, t, dt):
         self.step_calls += 1
@@ -214,28 +202,17 @@ class ChassisSpringDamper(SimulatorSlot):
         return {"z_c": self.z_c, "v_c": self.v_c}
 
 
-class WheelOnly(SimulatorSlot):
+class WheelOnly(QuarterCarSlot):
     """Reticulation B, S2: wheel mass on the tyre spring.
 
     Input is the negated suspension force, output the wheel velocity.  The
     micro step count can be dropped to 1 for the low-accuracy variant.
     """
 
-    n_inputs = 1
-    n_outputs = 1
-
     def __init__(self, params: QuarterCarParams = LINEAR_PARAMS, micro_steps: int = 10):
-        if micro_steps < 1:
-            raise ValueError("micro_steps must be >= 1")
-        self.params = params
-        self.micro_step_ratio = micro_steps
+        super().__init__(params, micro_steps)
         self.z_w = 0.0
         self.v_w = 0.0
-        self.u = 0.0
-        self.step_calls = 0
-
-    def set_inputs(self, u):
-        self.u = u[0]
 
     def do_step(self, t, dt):
         self.step_calls += 1
@@ -258,7 +235,7 @@ class WheelOnly(SimulatorSlot):
         return {"z_w": self.z_w, "v_w": self.v_w}
 
 
-class MonolithicQuarterCar(SimulatorSlot):
+class MonolithicQuarterCar(QuarterCarSlot):
     """The full 4-state model in a single slot: no bonds, no coupling error.
 
     Uses the same forward Euler micro stepping as the split simulators and
@@ -270,16 +247,12 @@ class MonolithicQuarterCar(SimulatorSlot):
     n_outputs = 0
 
     def __init__(self, params: QuarterCarParams = LINEAR_PARAMS, micro_steps: int = 10):
-        if micro_steps < 1:
-            raise ValueError("micro_steps must be >= 1")
-        self.params = params
-        self.micro_step_ratio = micro_steps
+        super().__init__(params, micro_steps)
         self.z_c = 0.0
         self.v_c = 0.0
         self.z_w = 0.0
         self.v_w = 0.0
         self.z_c_int = 0.0
-        self.step_calls = 0
 
     def set_inputs(self, u):
         pass

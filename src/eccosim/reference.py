@@ -368,12 +368,15 @@ def stability_scan(
 
     A run diverges when any probed state exceeds ``threshold`` (or goes
     non-finite) before ``t_scan``.  The initial range must bracket the onset:
-    ``dt_lo`` stable, ``dt_hi`` divergent.
+    ``dt_lo`` stable, ``dt_hi`` divergent.  The bisection also ends when the
+    two ends are adjacent floats, so any positive ``resolution`` terminates.
     """
     if not 0.0 < dt_lo < dt_hi:
         raise ValueError("require 0 < dt_lo < dt_hi")
     if not resolution > 0.0:
         raise ValueError("resolution must be positive")
+    if not (isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
 
     def scan(dt):
         return _diverges(dt, params, reticulation, t_scan, micro_s1, micro_s2, threshold)
@@ -385,6 +388,8 @@ def stability_scan(
     lo, hi = dt_lo, dt_hi
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # the bracket is one ulp wide: nothing lies between
+            break
         if scan(mid):
             hi = mid
         else:

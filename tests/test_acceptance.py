@@ -332,7 +332,7 @@ def test_c12_scale_invariance_of_indicators():
             _, _, y1, y2 = signals(i)
             y = (y1 * f1, y2 * f2)
             if len(history) >= 2:
-                pred = predict_outputs(history[-2:], row.t, 1)
+                pred = predict_outputs(history[-2:], row.t)
                 seq.append(pc_indicator(y, pred, [0.67, 0.67], [1e-4, 1e-4]))
             else:
                 seq.append(0.0)

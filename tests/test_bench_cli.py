@@ -17,7 +17,10 @@ from eccosim.bench import (
     write_summary_csv,
     write_trajectory_csv,
 )
+from eccosim import cli
 from eccosim.cli import EXPECTED_TABLES, _log_spaced, main
+from eccosim.control import NonFiniteIndicator
+from eccosim.master import RunRecord, SimulatorFailure
 
 CONFIG_TEXT = """
 # benchmark configuration
@@ -268,6 +271,10 @@ def test_cli_check_passing_row(tmp_path):
     ["run", "--controller", "ecco", "--r", "1e-200", "--e0", "1e-200", "--t-end", "0.01"],
     ["sweep", "--points", "0"],
     ["sweep", "--points", "-1"],
+    ["sweep", "--dt", "1e-3..2e-3", "--points", "100000000000"],
+    ["scan", "--reticulation", "A", "--threshold", "nan"],
+    ["scan", "--reticulation", "A", "--threshold", "inf"],
+    ["scan", "--reticulation", "A", "--threshold", "0"],
 ])
 def test_cli_bad_horizon_or_value_exits_one(argv, tmp_path, capsys):
     # each of these once hung or exited 0 or 2; now all are config errors
@@ -308,6 +315,44 @@ def test_cli_unwritable_output_exits_one(tmp_path, capsys):
     ):
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, worker", [
+    (["run", "--t-end", "0.01"], "run_experiment"),
+    (["reproduce", "T3"], "run_experiment"),
+    (["sweep", "--points", "2"], "step_size_sweep"),
+    (["scan", "--reticulation", "A"], "stability_scan"),
+], ids=["run", "reproduce", "sweep", "scan"])
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigError("bad key"), 1, "error:"),
+    (ValueError("bad value"), 1, "error:"),
+    (OSError("disk full"), 1, "error:"),
+    (SimulatorFailure("slot 0 output 0"), 2, "simulation failure:"),
+    (NonFiniteIndicator("indicator is nan"), 2, "simulation failure:"),
+], ids=["ConfigError", "ValueError", "OSError", "SimulatorFailure", "NonFiniteIndicator"])
+def test_cli_main_maps_each_error_to_its_exit_code(
+    argv, worker, error, code, prefix, tmp_path, monkeypatch, capsys
+):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, worker, fail)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and str(error) in err
+    assert "Traceback" not in err
+
+
+def test_cli_failed_partial_write_still_exits_two(tmp_path, monkeypatch, capsys):
+    def fail(cfg):
+        raise SimulatorFailure("slot 1 output 0", RunRecord(complete=False))
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    assert main(["run", "--out", str(tmp_path / "missing" / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "error: [Errno" in err and "simulation failure: slot 1 output 0" in err
+    assert "Traceback" not in err
 
 
 def test_cli_reproduce_unknown_table_exits_one(capsys):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from eccosim.control import (
     EPS_FLOOR,
     ConstantStep,
-    InsufficientHistory,
     NonFiniteIndicator,
     OutputExtrapolationIndicator,
     PIConfig,
@@ -131,31 +130,26 @@ def test_pi_step_size_monotone_in_current_indicator():
 
 def test_predict_outputs_linear_identity():
     hist = [(0.0, (1.0, -2.0)), (0.5, (2.0, 1.0))]
-    pred = predict_outputs(hist, 1.0, 1)
+    pred = predict_outputs(hist, 1.0)
     assert pred[0] == pytest.approx(2 * 2.0 - 1.0, rel=1e-15)
     assert pred[1] == pytest.approx(2 * 1.0 - (-2.0), rel=1e-15)
 
 
 def test_predict_outputs_constant_history():
     hist = [(0.0, (3.25,)), (0.7, (3.25,))]
-    assert predict_outputs(hist, 2.0, 1) == [3.25]
+    assert predict_outputs(hist, 2.0) == [3.25]
 
 
 def test_predict_outputs_quadratic_signal_underestimates():
     hist = [(0.0, (0.0,)), (1.0, (1.0,))]
-    assert predict_outputs(hist, 2.0, 1) == [2.0]  # true value 4
+    assert predict_outputs(hist, 2.0) == [2.0]  # true value 4
 
 
 def test_predict_outputs_exact_on_affine_nonuniform():
     a, b = -0.7, 2.3
     hist = [(0.1, (a + b * 0.1,)), (0.17, (a + b * 0.17,))]
     for t in (0.3, 0.55, 1.0):
-        assert predict_outputs(hist, t, 1)[0] == pytest.approx(a + b * t, rel=1e-12)
-
-
-def test_predict_outputs_insufficient_history():
-    with pytest.raises(InsufficientHistory):
-        predict_outputs([(0.0, (1.0,))], 1.0, 1)
+        assert predict_outputs(hist, t)[0] == pytest.approx(a + b * t, rel=1e-12)
 
 
 def test_pc_indicator_examples():

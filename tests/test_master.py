@@ -12,7 +12,7 @@ from eccosim.control import (
     ResidualEnergyIndicator,
     StepPolicy,
 )
-from eccosim.master import RunRecord, SimulatorFailure, probe_states, run_cosimulation
+from eccosim.master import RunRecord, SimulatorFailure, run_cosimulation
 from eccosim.model import ConnectionGraph
 from eccosim.quartercar import (
     LINEAR_PARAMS,
@@ -45,7 +45,9 @@ def test_free_simulator_without_bonds_matches_standalone():
 
 def test_initial_probes_are_zero():
     slots, _ = build_reticulation("A", LINEAR_PARAMS)
-    assert probe_states(slots) == {"z_c": 0.0, "v_c": 0.0, "z_w": 0.0, "v_w": 0.0}
+    assert {**slots[0].probes(), **slots[1].probes()} == {
+        "z_c": 0.0, "v_c": 0.0, "z_w": 0.0, "v_w": 0.0
+    }
 
 
 def test_no_rollback_every_step_executed_once():

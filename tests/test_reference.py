@@ -1,5 +1,6 @@
 """Reference solver self-checks and error metrics."""
 
+import math
 import struct
 from array import array
 
@@ -209,7 +210,8 @@ def test_summarize_accepts_longer_reference():
     summary = summarize(record, long_ref)
     assert summary.step_count == 200
     assert summary.mean_abs_dP > 0.0
-    assert summary.mean_P12 == pytest.approx(record.mean_p12(), rel=1e-12)
+    mean_p12 = math.fsum(row.bonds[0].P_12 * row.dt for row in record.rows) / record.duration
+    assert summary.mean_P12 == pytest.approx(mean_p12, rel=1e-12)
     assert summary.mean_dt == record.mean_dt()
 
 
@@ -225,6 +227,14 @@ def test_stability_scan_requires_bracketing():
         stability_scan(LINEAR_PARAMS, "A", 1e-3, 2e-3, t_scan=3.0)
     with pytest.raises(NoOnsetInRange):
         stability_scan(LINEAR_PARAMS, "B", 0.05, 0.08, t_scan=3.0)
+
+
+def test_stability_scan_ends_below_float_resolution():
+    # once the bracket is one ulp wide its midpoint rounds onto an end; the
+    # bisection once repeated that midpoint forever
+    coarse = stability_scan(LINEAR_PARAMS, "A", 0.040, 0.080, t_scan=10.0)
+    fine = stability_scan(LINEAR_PARAMS, "A", 0.040, 0.080, t_scan=10.0, resolution=1e-300)
+    assert abs(fine - coarse) <= 1e-4
 
 
 def test_working_point_is_stable():
