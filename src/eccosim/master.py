@@ -19,6 +19,12 @@ from .energy import BondLedger, BondLedgerEntry, CompensatedSum
 from .model import ConnectionGraph, SimulatorSlot, Wiring, apply_connections, validate_graph
 
 
+#: Most macro steps one run may take: about 0.7 GB of rows, and 25 times the
+#: longest run any table, sweep or export makes.  A run that needs more is a
+#: step-size mistake, and fails before it exhausts memory.
+MAX_MACRO_STEPS = 1_000_000
+
+
 class SimulatorFailure(RuntimeError):
     """A simulator produced a non-finite output or state; carries the partial record."""
 
@@ -118,8 +124,9 @@ def run_cosimulation(
 
     Raises :class:`ValueError` before any step when ``t_end`` is negative or
     not finite, and before the next step when the policy proposes a step size
-    that is not finite and positive.  Raises :class:`SimulatorFailure` (with
-    the partial record attached) when a slot produces a non-finite output or
+    that is not finite and positive or the run has already taken
+    ``MAX_MACRO_STEPS`` steps.  Raises :class:`SimulatorFailure` (with the
+    partial record attached) when a slot produces a non-finite output or
     probe value, or when a bond power overflows; the message names the slot
     and signal, or the bond, that failed first.
     """
@@ -140,6 +147,7 @@ def run_cosimulation(
         for ledger, (o1, i1, k1, _, o2, i2, k2, _) in zip(ledgers, wiring.routes)
     ]
     next_step = policy.next_step
+    max_steps = MAX_MACRO_STEPS
 
     outputs = [get() for get in get_outputs]
     dt_next = policy.start(dt0, 0.0, _stacked_outputs(wiring, outputs))
@@ -151,6 +159,11 @@ def run_cosimulation(
         remaining = t_end - t_now
         if remaining <= t_tol:
             break
+        if len(rows) >= max_steps:
+            raise ValueError(
+                f"run reached MAX_MACRO_STEPS = {max_steps} at t={t_now} "
+                f"of t_end={t_end}; use a larger step size or a shorter horizon"
+            )
         if not 0.0 < dt_next < inf:
             raise ValueError(
                 f"policy {policy.name!r} proposed step size {dt_next} at t={t_now}; "

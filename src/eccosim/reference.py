@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import isfinite
-from operator import add, mul
+from operator import add
 from typing import Sequence
 
 from .control import ConstantStep
@@ -26,8 +26,8 @@ from .quartercar import (
     RETICULATIONS,
     QuarterCarParams,
     build_reticulation,
+    excitation,
     spring_damper_force,
-    tyre_force,
 )
 
 
@@ -158,12 +158,12 @@ _DP_D = (
 )
 
 
-def _rhs(params: QuarterCarParams, x: Sequence[float]) -> list[float]:
-    """Time derivative of the monolithic quarter car under the road step."""
-    z_c, v_c, z_w, v_w = x
-    f_c = spring_damper_force(z_c, z_w, v_c, v_w, params)
-    f_w = tyre_force(z_w, 0.0, params)
-    return [v_c, -f_c / params.m_c, v_w, (f_c - f_w) / params.m_w]
+# The tableau unpacked once for the straight-line step below; a72, e2 and d2
+# are zero and their terms are left out.
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
+    (_A61, _A62, _A63, _A64, _A65), (_A71, _, _A73, _A74, _A75, _A76) = _DP_A
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _DP_E
+_D1, _, _D3, _D4, _D5, _D6, _D7 = _DP_D
 
 
 @lru_cache(maxsize=16)
@@ -174,42 +174,99 @@ def _solve(params: QuarterCarParams, t_end: float, tol: float = _DP_TOL) -> tupl
     output coefficients of each state in ``steps``; ``starts`` repeats the
     start times.  Raises ``ValueError`` for a horizon that is not finite and
     positive, a non-finite error estimate or a step size that underflows.
+
+    The step is written out over the four states ``(z, v, w, u)`` =
+    ``(z_c, v_c, z_w, v_w)``.  The derivatives of ``z`` and ``w`` are ``v``
+    and ``u``, so each stage ``i`` computes only the accelerations ``ai`` and
+    ``bi`` of chassis and wheel.  Every tableau sum runs left to right over
+    the stages, so the bits do not depend on how a Python version sums.
     """
     if not (isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    m_c, m_w, k_w = params.m_c, params.m_w, params.k_w
+    road = excitation(0.0)
+    force = spring_damper_force
     steps = array("d")
+    extend = steps.extend
     t = 0.0
-    x = [0.0, 0.0, 0.0, 0.0]
-    k_first = _rhs(params, x)
+    z = v = w = u = 0.0
+    f = force(z, w, v, u, params)
+    a1 = -f / m_c
+    b1 = (f - k_w * (w - road)) / m_w
     h = _DP_H0
     while t < t_end:
         h = min(h, t_end - t)
         if t + h == t:
             raise ValueError(f"reference step size underflow at t={t} for {params}")
-        stages = [[k] for k in k_first]  # per state, its derivative at each stage
-        for row in _DP_A:  # the last row is the 5th-order solution, k7 its FSAL stage
-            x_new = [xi + h * sum(map(mul, row, ks)) for xi, ks in zip(x, stages)]
-            for ks, k in zip(stages, _rhs(params, x_new)):
-                ks.append(k)
-        err = 0.0
-        for xi, xn, ks in zip(x, x_new, stages):
-            scale = tol * (1.0 + max(abs(xi), abs(xn)))
-            err += (h * sum(map(mul, _DP_E, ks)) / scale) ** 2
+        z2 = z + h * (_A21 * v)
+        v2 = v + h * (_A21 * a1)
+        w2 = w + h * (_A21 * u)
+        u2 = u + h * (_A21 * b1)
+        f = force(z2, w2, v2, u2, params)
+        a2 = -f / m_c
+        b2 = (f - k_w * (w2 - road)) / m_w
+        z3 = z + h * (_A31 * v + _A32 * v2)
+        v3 = v + h * (_A31 * a1 + _A32 * a2)
+        w3 = w + h * (_A31 * u + _A32 * u2)
+        u3 = u + h * (_A31 * b1 + _A32 * b2)
+        f = force(z3, w3, v3, u3, params)
+        a3 = -f / m_c
+        b3 = (f - k_w * (w3 - road)) / m_w
+        z4 = z + h * (_A41 * v + _A42 * v2 + _A43 * v3)
+        v4 = v + h * (_A41 * a1 + _A42 * a2 + _A43 * a3)
+        w4 = w + h * (_A41 * u + _A42 * u2 + _A43 * u3)
+        u4 = u + h * (_A41 * b1 + _A42 * b2 + _A43 * b3)
+        f = force(z4, w4, v4, u4, params)
+        a4 = -f / m_c
+        b4 = (f - k_w * (w4 - road)) / m_w
+        z5 = z + h * (_A51 * v + _A52 * v2 + _A53 * v3 + _A54 * v4)
+        v5 = v + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
+        w5 = w + h * (_A51 * u + _A52 * u2 + _A53 * u3 + _A54 * u4)
+        u5 = u + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
+        f = force(z5, w5, v5, u5, params)
+        a5 = -f / m_c
+        b5 = (f - k_w * (w5 - road)) / m_w
+        z6 = z + h * (_A61 * v + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5)
+        v6 = v + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
+        w6 = w + h * (_A61 * u + _A62 * u2 + _A63 * u3 + _A64 * u4 + _A65 * u5)
+        u6 = u + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5)
+        f = force(z6, w6, v6, u6, params)
+        a6 = -f / m_c
+        b6 = (f - k_w * (w6 - road)) / m_w
+        # the 5th-order solution; its derivative is the next step's first stage
+        z7 = z + h * (_A71 * v + _A73 * v3 + _A74 * v4 + _A75 * v5 + _A76 * v6)
+        v7 = v + h * (_A71 * a1 + _A73 * a3 + _A74 * a4 + _A75 * a5 + _A76 * a6)
+        w7 = w + h * (_A71 * u + _A73 * u3 + _A74 * u4 + _A75 * u5 + _A76 * u6)
+        u7 = u + h * (_A71 * b1 + _A73 * b3 + _A74 * b4 + _A75 * b5 + _A76 * b6)
+        f = force(z7, w7, v7, u7, params)
+        a7 = -f / m_c
+        b7 = (f - k_w * (w7 - road)) / m_w
+        err = (
+            (h * (_E1 * v + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7)
+             / (tol * (1.0 + max(abs(z), abs(z7))))) ** 2
+            + (h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * a7)
+               / (tol * (1.0 + max(abs(v), abs(v7))))) ** 2
+            + (h * (_E1 * u + _E3 * u3 + _E4 * u4 + _E5 * u5 + _E6 * u6 + _E7 * u7)
+               / (tol * (1.0 + max(abs(w), abs(w7))))) ** 2
+            + (h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6 + _E7 * b7)
+               / (tol * (1.0 + max(abs(u), abs(u7))))) ** 2
+        )
         err = (0.25 * err) ** 0.5
         if not isfinite(err):
             raise ValueError(f"non-finite reference error estimate at t={t} for {params}")
         if err <= 1.0:
-            dx = [xn - xi for xi, xn in zip(x, x_new)]
-            spline = [h * ks[0] - d for d, ks in zip(dx, stages)]
-            steps.extend((t, h))
-            steps.extend(x)
-            steps.extend(dx)
-            steps.extend(spline)
-            steps.extend([d - h * ks[-1] - c for d, c, ks in zip(dx, spline, stages)])
-            steps.extend([h * sum(map(mul, _DP_D, ks)) for ks in stages])
+            dz, dv, dw, du = z7 - z, v7 - v, w7 - w, u7 - u
+            sz, sv, sw, su = h * v - dz, h * a1 - dv, h * u - dw, h * b1 - du
+            extend((
+                t, h, z, v, w, u, dz, dv, dw, du, sz, sv, sw, su,
+                dz - h * v7 - sz, dv - h * a7 - sv, dw - h * u7 - sw, du - h * b7 - su,
+                h * (_D1 * v + _D3 * v3 + _D4 * v4 + _D5 * v5 + _D6 * v6 + _D7 * v7),
+                h * (_D1 * a1 + _D3 * a3 + _D4 * a4 + _D5 * a5 + _D6 * a6 + _D7 * a7),
+                h * (_D1 * u + _D3 * u3 + _D4 * u4 + _D5 * u5 + _D6 * u6 + _D7 * u7),
+                h * (_D1 * b1 + _D3 * b3 + _D4 * b4 + _D5 * b5 + _D6 * b6 + _D7 * b7),
+            ))
             t += h
-            x = x_new
-            k_first = [ks[-1] for ks in stages]
+            z, v, w, u, a1, b1 = z7, v7, w7, u7, a7, b7
         h *= min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
     return steps[::_STEP_WIDTH], steps
 
@@ -316,7 +373,7 @@ def step_size_sweep(
     points = []
     for dt, record in zip(dt_values, records):
         summary = summarize(record, ref)
-        abs_res = sum(abs(row.bonds[0].dE_res) for row in record.rows)
+        abs_res = reduce(add, (abs(row.bonds[0].dE_res) for row in record.rows), 0.0)
         points.append(
             SweepPoint(
                 dt=dt,

@@ -17,7 +17,7 @@ from eccosim.bench import (
     write_summary_csv,
     write_trajectory_csv,
 )
-from eccosim import cli
+from eccosim import cli, master
 from eccosim.cli import EXPECTED_TABLES, _log_spaced, main
 from eccosim.control import NonFiniteIndicator
 from eccosim.master import RunRecord, SimulatorFailure
@@ -281,6 +281,16 @@ def test_cli_bad_horizon_or_value_exits_one(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_run_past_macro_step_cap_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(master, "MAX_MACRO_STEPS", 50)
+    out = tmp_path / "x.csv"
+    assert main(["run", "--controller", "constant", "--dt0", "1e-9", "--t-end", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_MACRO_STEPS = 50" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_non_finite_indicator_exits_two(tmp_path, capsys):

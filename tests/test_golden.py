@@ -10,7 +10,9 @@ reference oracle's rounding.  Its value is pinned instead, to the tolerance
 the oracle can be trusted to: 1e-9 relative on the linear preset and 1e-4 on
 the nonlinear one, whose square-root damping law limits every solver's
 accuracy near velocity reversals.  The other summary fields do not read the
-oracle, so they are pinned exactly.
+oracle, so they are pinned exactly.  The default ``sweep`` is pinned the
+same way: its step sizes and residual estimates exactly, its ``mean_abs_dP``
+to the linear tolerance.
 """
 
 import hashlib
@@ -19,8 +21,10 @@ from functools import lru_cache
 
 import pytest
 
-from eccosim.bench import run_experiment, summarize_experiment, write_trajectory_csv
-from eccosim.cli import EXPECTED_TABLES
+from eccosim.bench import DEFAULT_T_END, run_experiment, summarize_experiment, write_trajectory_csv
+from eccosim.cli import EXPECTED_TABLES, _log_spaced
+from eccosim.quartercar import LINEAR_PARAMS
+from eccosim.reference import step_size_sweep
 
 TRAJECTORY_SHA256 = {
     "T3:constant": "4e8ca3be591207f5963f3796fa6b1800cd92d2581c9c947eb990abd7ba31f92c",
@@ -83,6 +87,22 @@ SUMMARY_EXACT = {
 
 SUMMARY_REL_TOL = {"linear": 1e-9, "nonlinear": 1e-4}
 
+#: (dt, mean_abs_dP, residual_estimate) of each point of the default ``sweep``
+#: (linear preset, reticulation A, 4 s, 9 steps from 0.1 to 10 ms).  ``dt`` and
+#: ``residual_estimate`` do not read the oracle and are pinned exactly;
+#: ``mean_abs_dP`` is pinned to ``SUMMARY_REL_TOL["linear"]``.
+DEFAULT_SWEEP = (
+    (0.0001, 0.12086126868876125, 0.11276966577336353),
+    (0.00017782794100389227, 0.21521392119318472, 0.20090093341426452),
+    (0.00031622776601683794, 0.3836295890152404, 0.35841036306966606),
+    (0.0005623413251903491, 0.6851205354723157, 0.6410057937015121),
+    (0.001, 1.2276880652214333, 1.1513432904277556),
+    (0.0017782794100389228, 2.2132552587648875, 2.083681621081121),
+    (0.0031622776601683794, 4.035015915241826, 3.816817284027928),
+    (0.005623413251903491, 7.489196233363692, 7.137467468612026),
+    (0.01, 14.47367860054538, 13.826277517692594),
+)
+
 
 def _distinct_configs():
     """Distinct table configs keyed by the first ``TABLE:label`` using each."""
@@ -123,3 +143,12 @@ def test_summary_mean_abs_dp_is_pinned(key):
 def test_summary_exact_fields_are_pinned(key):
     s = _outputs(key)[1]
     assert (s.mean_P12, s.total_residual, s.mean_dt, s.step_count) == SUMMARY_EXACT[key]
+
+
+def test_default_sweep_is_pinned():
+    points = step_size_sweep(_log_spaced(1e-4, 1e-2, 9), LINEAR_PARAMS, "A", DEFAULT_T_END["linear"])
+    assert [(p.dt, p.residual_estimate) for p in points] == [(dt, res) for dt, _, res in DEFAULT_SWEEP]
+    rel = SUMMARY_REL_TOL["linear"]
+    assert [p.mean_abs_dP for p in points] == [
+        pytest.approx(dp, rel=rel, abs=0) for _, dp, _ in DEFAULT_SWEEP
+    ]

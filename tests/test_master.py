@@ -12,6 +12,7 @@ from eccosim.control import (
     ResidualEnergyIndicator,
     StepPolicy,
 )
+from eccosim import master
 from eccosim.master import RunRecord, SimulatorFailure, run_cosimulation
 from eccosim.model import ConnectionGraph
 from eccosim.quartercar import (
@@ -29,6 +30,16 @@ def test_empty_horizon_yields_empty_record():
     assert record.duration == 0.0
     assert record.mean_dt() == 0.0
     assert record.total_residual() == 0.0
+
+
+def test_macro_step_cap_stops_a_run_before_the_step_past_it(monkeypatch):
+    monkeypatch.setattr(master, "MAX_MACRO_STEPS", 50)
+    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    assert run_cosimulation(slots, graph, ConstantStep(1e-3), 0.05).step_count == 50
+    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    with pytest.raises(ValueError, match="MAX_MACRO_STEPS = 50"):
+        run_cosimulation(slots, graph, ConstantStep(1e-9), 4.0)
+    assert [slot.step_calls for slot in slots] == [50, 50]
 
 
 def test_free_simulator_without_bonds_matches_standalone():

@@ -7,7 +7,13 @@ from array import array
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracle_checks import bond_powers_at_tolerance, damper_dissipation, linear_exact_states, scipy_states
+from oracle_checks import (
+    bond_powers_at_tolerance,
+    damper_dissipation,
+    generic_solve,
+    linear_exact_states,
+    scipy_states,
+)
 
 from eccosim.control import ConstantStep
 from eccosim.master import run_cosimulation
@@ -24,6 +30,7 @@ from eccosim.reference import (
     NoOnsetInRange,
     ReferenceTrajectory,
     TimeRangeMismatch,
+    _solve,
     local_power_error,
     pairwise_sum,
     reference_solve,
@@ -121,6 +128,14 @@ def test_adaptive_oracle_matches_matrix_exponential_on_linear_preset():
     z_c, v_c, z_w, v_w = linear_exact_states(LINEAR_PARAMS, times).T
     exact = [spring_damper_force(*x, LINEAR_PARAMS) * x[2] for x in zip(z_c, z_w, v_c, v_w)]
     assert _max_rel_diff(_bond_powers(LINEAR_PARAMS, times=times), exact) < 1e-8
+
+
+@pytest.mark.parametrize("t_end", [0.3, 1.0, 2.0])
+@pytest.mark.parametrize("params", [LINEAR_PARAMS, NONLINEAR_PARAMS], ids=["linear", "nonlinear"])
+def test_straight_line_step_matches_generic_tableau_loop(params, t_end):
+    # same sums in the same order: every stored double is the same bits
+    for tol in (_DP_TOL, _DP_TOL / 100):
+        assert _solve(params, t_end, tol)[1].tobytes() == generic_solve(params, t_end, tol)[1].tobytes()
 
 
 @pytest.mark.parametrize("t_end", [0.0, -1.0, float("nan"), float("inf")])
