@@ -14,6 +14,7 @@ from .control import (
     pi_step_size,
     predict_outputs,
 )
+from .bench import NoOnsetInRange, stability_scan, step_size_sweep
 from .energy import (
     BondLedger,
     BondLedgerEntry,
@@ -51,13 +52,10 @@ from .quartercar import (
 )
 from .reference import (
     ErrorSummary,
-    NoOnsetInRange,
     ReferenceTrajectory,
     TimeRangeMismatch,
     local_power_error,
     reference_solve,
-    stability_scan,
-    step_size_sweep,
     summarize,
 )
 

@@ -1,9 +1,12 @@
-"""Benchmark harness: experiment configuration and deterministic CSV output.
+"""Benchmark harness: experiment configuration, the one experiment runner,
+the constant-step sweep and stability scan, and deterministic CSV output.
 
 Experiments are described by a flat ``section.key = value`` config file (or
 equivalent CLI flags) selecting the model preset, the reticulation, the step
 controller and its parameters, and the horizon.  The same configuration
-object drives the library directly in tests and through the CLI.
+object drives the library directly in tests and through the CLI, and
+``run_experiment`` is the only place one is built and run: the sweep and the
+scan run copies of a config with constant steps of each trial size.
 
 CSV serialization uses the shortest round-trip decimal representation, so a
 written file parses back bit-exactly and identical runs produce identical
@@ -12,9 +15,11 @@ bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 from math import isfinite
-from typing import IO, Mapping
+from operator import add
+from typing import IO, Callable, Mapping, Sequence
 
 from .control import (
     ConstantStep,
@@ -24,14 +29,9 @@ from .control import (
     ResidualEnergyIndicator,
     StepPolicy,
 )
-from .master import RunRecord, run_cosimulation
+from .master import RunRecord, SimulatorFailure, StepRow, run_cosimulation
 from .quartercar import PRESETS, RETICULATIONS, build_reticulation, preset_params
-from .reference import (
-    ErrorSummary,
-    ReferenceTrajectory,
-    reference_solve,
-    summarize,
-)
+from .reference import ErrorSummary, reference_solve, summarize
 
 #: Default horizons per preset.  The nonlinear model settles fast and is run
 #: to 2 s; the linear benchmarks use 4 s.
@@ -45,6 +45,10 @@ SUMMARY_HEADER = "preset,reticulation,controller,tolerance,mean_dt,steps,mean_P1
 
 class ConfigError(ValueError):
     """A configuration file or override could not be parsed or validated."""
+
+
+class NoOnsetInRange(ValueError):
+    """The scanned step-size range does not bracket a stability onset."""
 
 
 def _setting(default, key: str, flag: str, parse, help: str, choices=None):
@@ -192,8 +196,14 @@ def build_policy(cfg: ExperimentConfig) -> StepPolicy:
     return PIController(indicator, bounds)
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunRecord:
-    """Build the configured model and controller and run the master loop."""
+def run_experiment(
+    cfg: ExperimentConfig, stop: Callable[[StepRow], bool] | None = None
+) -> RunRecord:
+    """Build the configured model and controller and run the master loop.
+
+    ``stop`` is passed on to :func:`run_cosimulation`, which ends the run at
+    the first row for which it returns true.
+    """
     slots, graph = build_reticulation(
         cfg.reticulation,
         preset_params(cfg.preset),
@@ -201,18 +211,100 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         micro_s2=cfg.micro_ratio_s2,
     )
     policy = build_policy(cfg)
-    return run_cosimulation(slots, graph, policy, cfg.resolved_t_end, dt0=cfg.resolved_dt0)
-
-
-def experiment_reference(cfg: ExperimentConfig) -> ReferenceTrajectory:
-    return reference_solve(preset_params(cfg.preset), cfg.resolved_t_end, cfg.reticulation)
+    return run_cosimulation(
+        slots, graph, policy, cfg.resolved_t_end, dt0=cfg.resolved_dt0, stop=stop
+    )
 
 
 def summarize_experiment(cfg: ExperimentConfig, record: RunRecord) -> ErrorSummary:
     """Error summary against the matching reference; degenerate runs are all-zero."""
     if record.step_count == 0:
         return ErrorSummary(0.0, 0.0, 0.0, 0.0, 0)
-    return summarize(record, experiment_reference(cfg))
+    ref = reference_solve(preset_params(cfg.preset), cfg.resolved_t_end, cfg.reticulation)
+    return summarize(record, ref)
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """One constant-step run: true mean power error vs the residual estimate."""
+
+    dt: float
+    mean_abs_dP: float
+    residual_estimate: float  # half the time-averaged |residual energy|
+
+
+def step_size_sweep(cfg: ExperimentConfig, dt_values: Sequence[float]) -> list[SweepPoint]:
+    """Constant-step runs of ``cfg`` over ``dt_values``, recording both error curves.
+
+    All runs execute before the reference is solved, so a divergent step size
+    fails fast without paying for the reference solution.  The horizon must
+    be positive: both curves are averages over it.
+    """
+    t_end = cfg.resolved_t_end
+    if not t_end > 0.0:
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    runs = [replace(cfg, controller="constant", dt0=dt) for dt in dt_values]
+    records = [run_experiment(run) for run in runs]
+    points = []
+    for run, record in zip(runs, records):
+        abs_res = reduce(add, (abs(row.bonds[0].dE_res) for row in record.rows), 0.0)
+        points.append(
+            SweepPoint(
+                dt=run.dt0,
+                mean_abs_dP=summarize_experiment(run, record).mean_abs_dP,
+                residual_estimate=0.5 * abs_res / record.duration,
+            )
+        )
+    return points
+
+
+def stability_scan(
+    cfg: ExperimentConfig,
+    dt_lo: float,
+    dt_hi: float,
+    threshold: float = 1e6,
+    resolution: float = 1e-4,
+) -> float:
+    """Smallest constant macro step of ``cfg`` that diverges, bisected to ``resolution``.
+
+    A run diverges when it fails or any probed state exceeds ``threshold``
+    before the config's horizon; it stops at the first row beyond the
+    threshold, since later rows cannot change the verdict.  The initial range
+    must bracket the onset: ``dt_lo`` stable, ``dt_hi`` divergent.  The
+    bisection also ends when the two ends are adjacent floats, so any
+    positive ``resolution`` terminates.
+    """
+    if not 0.0 < dt_lo < dt_hi:
+        raise ValueError("require 0 < dt_lo < dt_hi")
+    if not resolution > 0.0:
+        raise ValueError("resolution must be positive")
+    if not (isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
+
+    def beyond(row: StepRow) -> bool:
+        return any(abs(v) > threshold for v in row.probes.values())
+
+    def diverges(dt: float) -> bool:
+        try:
+            record = run_experiment(replace(cfg, controller="constant", dt0=dt), stop=beyond)
+        except SimulatorFailure:
+            return True
+        return not record.complete
+
+    if diverges(dt_lo):
+        raise NoOnsetInRange(f"lower bound {dt_lo} already diverges")
+    if not diverges(dt_hi):
+        raise NoOnsetInRange(f"upper bound {dt_hi} does not diverge")
+    lo, hi = dt_lo, dt_hi
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # the bracket is one ulp wide: nothing lies between
+            break
+        if diverges(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def format_number(x: float) -> str:

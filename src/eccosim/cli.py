@@ -13,35 +13,34 @@ from dataclasses import dataclass, fields
 from math import log10
 
 from .bench import (
-    DEFAULT_T_END,
     ConfigError,
     ExperimentConfig,
     format_number,
     load_config,
     run_experiment,
     save_experiment_output,
+    stability_scan,
+    step_size_sweep,
     summarize_experiment,
     write_trajectory_csv,
 )
 from .control import NonFiniteIndicator
 from .master import SimulatorFailure
-from .quartercar import RETICULATIONS, preset_params
-from .reference import stability_scan, step_size_sweep
+from .quartercar import RETICULATIONS
 
 
 @dataclass(frozen=True)
 class Cell:
     """One expected table cell: metric name, expected value, tolerance band.
 
-    ``rel_tol`` of None marks a display-only cell.  ``magnitude`` compares
-    |measured| against the expected value (the residual-energy columns are
-    printed as magnitudes).
+    ``rel_tol`` of None marks a display-only cell.  ``total_residual`` cells
+    compare |measured| against the expected value: the tables print the
+    residual energy as a magnitude.
     """
 
     metric: str
     expected: float
     rel_tol: float | None = None
-    magnitude: bool = False
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ def _t3_rows() -> tuple[Row, ...]:
                 Cell("mean_dt_ms", 1.0),
                 Cell("mean_P12", 0.4, 0.30),
                 Cell("mean_abs_dP", 1.3, 0.30),
-                Cell("total_residual", 6.4, 0.15, magnitude=True),
+                Cell("total_residual", 6.4, 0.15),
             ),
         ),
         Row(
@@ -83,7 +82,7 @@ def _t3_rows() -> tuple[Row, ...]:
                 Cell("mean_dt_ms", 1.0, 0.20),
                 Cell("mean_P12", 0.0),
                 Cell("mean_abs_dP", 0.4, 0.30),
-                Cell("total_residual", 1.6, 0.25, magnitude=True),
+                Cell("total_residual", 1.6, 0.25),
             ),
         ),
         Row(
@@ -93,7 +92,7 @@ def _t3_rows() -> tuple[Row, ...]:
                 Cell("mean_dt_ms", 2.9, 0.20),
                 Cell("mean_P12", 0.1),
                 Cell("mean_abs_dP", 1.3),
-                Cell("total_residual", 5.0, 0.25, magnitude=True),
+                Cell("total_residual", 5.0, 0.25),
             ),
         ),
     )
@@ -108,7 +107,7 @@ def _t7_rows() -> tuple[Row, ...]:
                 Cell("mean_dt_ms", 1.0),
                 Cell("mean_P12", 1.0),
                 Cell("mean_abs_dP", 4.0, 0.30),
-                Cell("total_residual", 5.0, 0.30, magnitude=True),
+                Cell("total_residual", 5.0, 0.30),
             ),
         ),
         Row(
@@ -118,7 +117,7 @@ def _t7_rows() -> tuple[Row, ...]:
                 Cell("mean_dt_ms", 1.0),
                 Cell("mean_P12", 0.0),
                 Cell("mean_abs_dP", 1.1, 0.30),
-                Cell("total_residual", 1.6, 0.30, magnitude=True),
+                Cell("total_residual", 1.6, 0.30),
             ),
         ),
         Row(
@@ -128,7 +127,7 @@ def _t7_rows() -> tuple[Row, ...]:
                 Cell("mean_dt_ms", 3.1, 0.30),
                 Cell("mean_P12", 0.0),
                 Cell("mean_abs_dP", 4.0),
-                Cell("total_residual", 6.0, None, magnitude=True),
+                Cell("total_residual", 6.0),
             ),
         ),
     )
@@ -143,7 +142,7 @@ def _t8_rows() -> tuple[Row, ...]:
                 Cell("mean_dt_ms", 1.0),
                 Cell("mean_P12", -192.0, 0.20),
                 Cell("mean_abs_dP", 12.0, 0.20),
-                Cell("total_residual", 23.0, 0.20, magnitude=True),
+                Cell("total_residual", 23.0, 0.20),
             ),
         ),
         Row(
@@ -153,7 +152,7 @@ def _t8_rows() -> tuple[Row, ...]:
                 Cell("mean_dt_ms", 1.0),
                 Cell("mean_P12", -187.9, 0.20),
                 Cell("mean_abs_dP", 1.3, 0.20),
-                Cell("total_residual", 1.6, 0.20, magnitude=True),
+                Cell("total_residual", 1.6, 0.20),
             ),
         ),
     )
@@ -168,7 +167,7 @@ def _t9_rows() -> tuple[Row, ...]:
                 Cell("mean_dt_ms", 1.0),
                 Cell("mean_P12", -390.0, 0.30),
                 Cell("mean_abs_dP", 30.0, 0.30),
-                Cell("total_residual", 50.0, 0.30, magnitude=True),
+                Cell("total_residual", 50.0, 0.30),
             ),
         ),
         Row(
@@ -178,7 +177,7 @@ def _t9_rows() -> tuple[Row, ...]:
                 Cell("mean_dt_ms", 1.0),
                 Cell("mean_P12", -377.0, 0.30),
                 Cell("mean_abs_dP", 5.0, 0.30),
-                Cell("total_residual", 5.0, 0.30, magnitude=True),
+                Cell("total_residual", 5.0, 0.30),
             ),
         ),
     )
@@ -207,7 +206,7 @@ EXPECTED_TABLES: dict[str, Table] = {
                     Cell("mean_dt_ms", 1.0),
                     Cell("mean_P12", -220.0, 0.30),
                     Cell("mean_abs_dP", 40.0, 0.30),
-                    Cell("total_residual", 30.0, 0.30, magnitude=True),
+                    Cell("total_residual", 30.0, 0.30),
                 ),
             ),
             Row(
@@ -217,7 +216,7 @@ EXPECTED_TABLES: dict[str, Table] = {
                     Cell("mean_dt_ms", 1.0),
                     Cell("mean_P12", -190.0, 0.30),
                     Cell("mean_abs_dP", 4.0, 0.30),
-                    Cell("total_residual", 2.0, 0.30, magnitude=True),
+                    Cell("total_residual", 2.0, 0.30),
                 ),
             ),
         ),
@@ -236,7 +235,7 @@ EXPECTED_TABLES: dict[str, Table] = {
                     Cell("mean_dt_ms", 1.0),
                     Cell("mean_P12", 0.3),
                     Cell("mean_abs_dP", 0.7, 0.35),
-                    Cell("total_residual", 2.9, 0.35, magnitude=True),
+                    Cell("total_residual", 2.9, 0.35),
                 ),
             ),
             _t3_rows()[1],
@@ -255,7 +254,7 @@ EXPECTED_TABLES: dict[str, Table] = {
                     Cell("mean_dt_ms", 1.0),
                     Cell("mean_P12", 0.4),
                     Cell("mean_abs_dP", 1.9, 0.35),
-                    Cell("total_residual", 3.1, 0.35, magnitude=True),
+                    Cell("total_residual", 3.1, 0.35),
                 ),
             ),
             _t7_rows()[1],
@@ -274,7 +273,7 @@ EXPECTED_TABLES: dict[str, Table] = {
                     Cell("mean_dt_ms", 1.0),
                     Cell("mean_P12", -187.7),
                     Cell("mean_abs_dP", 1.3, 0.35),
-                    Cell("total_residual", 1.7, 0.35, magnitude=True),
+                    Cell("total_residual", 1.7, 0.35),
                 ),
             ),
             _t8_rows()[1],
@@ -293,7 +292,7 @@ EXPECTED_TABLES: dict[str, Table] = {
                     Cell("mean_dt_ms", 1.0),
                     Cell("mean_P12", -392.0),
                     Cell("mean_abs_dP", 18.0, 0.35),
-                    Cell("total_residual", 21.0, 0.35, magnitude=True),
+                    Cell("total_residual", 21.0, 0.35),
                 ),
             ),
             _t9_rows()[1],
@@ -316,7 +315,7 @@ def check_row(row: Row, summary) -> int:
     failures = 0
     for cell in row.cells:
         value = metrics[cell.metric]
-        if cell.magnitude:
+        if cell.metric == "total_residual":
             value = abs(value)
         if cell.rel_tol is None:
             status, band = "info", ""
@@ -478,10 +477,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad --dt range {args.dt!r}: {exc}") from None
     if not 1 <= args.points <= MAX_SWEEP_POINTS:
         raise ConfigError(f"--points must be in 1..{MAX_SWEEP_POINTS}, got {args.points}")
-    params = preset_params(args.preset)
-    t_end = args.t_end if args.t_end is not None else DEFAULT_T_END[args.preset]
-    dts = _log_spaced(lo, hi, args.points)
-    points = step_size_sweep(dts, params, args.reticulation, t_end=t_end)
+    cfg = ExperimentConfig(preset=args.preset, reticulation=args.reticulation, t_end=args.t_end)
+    points = step_size_sweep(cfg, _log_spaced(lo, hi, args.points))
     lines = ["dt,mean_abs_dP,residual_estimate"]
     for p in points:
         lines.append(
@@ -504,16 +501,8 @@ def cmd_scan(args) -> int:
     lo, hi = _SCAN_RANGES[args.reticulation]
     lo = args.lo if args.lo is not None else lo
     hi = args.hi if args.hi is not None else hi
-    params = preset_params(args.preset)
-    onset = stability_scan(
-        params,
-        args.reticulation,
-        lo,
-        hi,
-        t_scan=args.t_scan,
-        threshold=args.threshold,
-        resolution=args.resolution,
-    )
+    cfg = ExperimentConfig(preset=args.preset, reticulation=args.reticulation, t_end=args.t_scan)
+    onset = stability_scan(cfg, lo, hi, threshold=args.threshold, resolution=args.resolution)
     print(f"reticulation {args.reticulation}: instability onset at dt = {onset * 1e3:.2f} ms")
     if args.out_path:
         text = f"reticulation,onset_dt\n{args.reticulation},{format_number(onset)}\n"

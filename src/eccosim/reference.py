@@ -5,9 +5,7 @@ Dormand-Prince 5(4) integrator and keeps the dense output of every accepted
 step (Hairer, Norsett & Wanner, Solving ODEs I, section II.6), so the exact
 coupling bond power of either reticulation can be read at any time of the
 run.  Error summaries compare a co-simulation record against it at each
-communication point's own time.  Also here: the step-size sweep that pits the
-residual estimate against the true power error, and the bisection scan for
-the constant-step stability onset.
+communication point's own time.
 """
 
 from __future__ import annotations
@@ -20,23 +18,12 @@ from math import isfinite
 from operator import add
 from typing import Sequence
 
-from .control import ConstantStep
-from .master import RunRecord, SimulatorFailure, run_cosimulation
-from .quartercar import (
-    RETICULATIONS,
-    QuarterCarParams,
-    build_reticulation,
-    excitation,
-    spring_damper_force,
-)
+from .master import RunRecord
+from .quartercar import RETICULATIONS, QuarterCarParams, excitation, spring_damper_force
 
 
 class TimeRangeMismatch(ValueError):
     """The reference trajectory does not cover the run being summarized."""
-
-
-class NoOnsetInRange(ValueError):
-    """The scanned step-size range does not bracket a stability onset."""
 
 
 #: Doubles per accepted step in ``ReferenceTrajectory.steps``: the step's start
@@ -341,114 +328,3 @@ def summarize(record: RunRecord, ref: ReferenceTrajectory, bond: int = 0) -> Err
         mean_dt=record.mean_dt(),
         step_count=record.step_count,
     )
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One constant-step run: true mean power error vs the residual estimate."""
-
-    dt: float
-    mean_abs_dP: float
-    residual_estimate: float  # half the time-averaged |residual energy|
-
-
-def step_size_sweep(
-    dt_values: Sequence[float],
-    params: QuarterCarParams,
-    reticulation: str = "A",
-    t_end: float = 4.0,
-    micro_s1: int = 10,
-    micro_s2: int = 10,
-) -> list[SweepPoint]:
-    """Constant-step runs over ``dt_values``, recording both error curves.
-
-    All runs execute before the reference is solved, so a divergent step size
-    fails fast without paying for the reference solution.
-    """
-    records = []
-    for dt in dt_values:
-        slots, graph = build_reticulation(reticulation, params, micro_s1, micro_s2)
-        records.append(run_cosimulation(slots, graph, ConstantStep(dt), t_end))
-    ref = reference_solve(params, t_end, reticulation)
-    points = []
-    for dt, record in zip(dt_values, records):
-        summary = summarize(record, ref)
-        abs_res = reduce(add, (abs(row.bonds[0].dE_res) for row in record.rows), 0.0)
-        points.append(
-            SweepPoint(
-                dt=dt,
-                mean_abs_dP=summary.mean_abs_dP,
-                residual_estimate=0.5 * abs_res / record.duration,
-            )
-        )
-    return points
-
-
-def _diverges(
-    dt: float,
-    params: QuarterCarParams,
-    reticulation: str,
-    t_scan: float,
-    micro_s1: int,
-    micro_s2: int,
-    threshold: float,
-) -> bool:
-    """True when the run fails or any probed state exceeds ``threshold``.
-
-    The run stops at the first row beyond the threshold: later rows cannot
-    change the verdict.
-    """
-
-    def beyond(row) -> bool:
-        return any(abs(v) > threshold for v in row.probes.values())
-
-    slots, graph = build_reticulation(reticulation, params, micro_s1, micro_s2)
-    try:
-        record = run_cosimulation(slots, graph, ConstantStep(dt), t_scan, stop=beyond)
-    except SimulatorFailure:
-        return True
-    return not record.complete
-
-
-def stability_scan(
-    params: QuarterCarParams,
-    reticulation: str,
-    dt_lo: float,
-    dt_hi: float,
-    t_scan: float = 4.0,
-    micro_s1: int = 10,
-    micro_s2: int = 10,
-    threshold: float = 1e6,
-    resolution: float = 1e-4,
-) -> float:
-    """Smallest constant macro step that diverges, bisected to ``resolution``.
-
-    A run diverges when any probed state exceeds ``threshold`` (or goes
-    non-finite) before ``t_scan``.  The initial range must bracket the onset:
-    ``dt_lo`` stable, ``dt_hi`` divergent.  The bisection also ends when the
-    two ends are adjacent floats, so any positive ``resolution`` terminates.
-    """
-    if not 0.0 < dt_lo < dt_hi:
-        raise ValueError("require 0 < dt_lo < dt_hi")
-    if not resolution > 0.0:
-        raise ValueError("resolution must be positive")
-    if not (isfinite(threshold) and threshold > 0.0):
-        raise ValueError(f"threshold must be finite and positive, got {threshold}")
-
-    def scan(dt):
-        return _diverges(dt, params, reticulation, t_scan, micro_s1, micro_s2, threshold)
-
-    if scan(dt_lo):
-        raise NoOnsetInRange(f"lower bound {dt_lo} already diverges")
-    if not scan(dt_hi):
-        raise NoOnsetInRange(f"upper bound {dt_hi} does not diverge")
-    lo, hi = dt_lo, dt_hi
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # the bracket is one ulp wide: nothing lies between
-            break
-        if scan(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

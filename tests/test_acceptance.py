@@ -14,8 +14,15 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from oracle_checks import bond_powers_at_tolerance, damper_dissipation, linear_exact_states
+from sweeps import default_sweep
 
-from eccosim.bench import ExperimentConfig, run_experiment, summarize_experiment, write_trajectory_csv
+from eccosim.bench import (
+    ExperimentConfig,
+    run_experiment,
+    stability_scan,
+    summarize_experiment,
+    write_trajectory_csv,
+)
 from eccosim.control import (
     PIController,
     ResidualEnergyIndicator,
@@ -27,13 +34,7 @@ from eccosim.control import (
 from eccosim.master import run_cosimulation
 from eccosim.model import PortRole, SimulatorSlot
 from eccosim.quartercar import LINEAR_PARAMS, build_reticulation
-from eccosim.reference import (
-    _DP_TOL,
-    reference_solve,
-    stability_scan,
-    step_size_sweep,
-    summarize,
-)
+from eccosim.reference import _DP_TOL, reference_solve, summarize
 
 
 def check(cid: str, ok: bool, detail: str) -> None:
@@ -210,8 +211,8 @@ def test_c08_predictor_corrector_rows():
 
 
 def test_c09_stability_onsets():
-    onset_a = stability_scan(LINEAR_PARAMS, "A", 0.040, 0.080, t_scan=100.0)
-    onset_b = stability_scan(LINEAR_PARAMS, "B", 0.005, 0.020, t_scan=100.0)
+    onset_a = stability_scan(ExperimentConfig(reticulation="A", t_end=100.0), 0.040, 0.080)
+    onset_b = stability_scan(ExperimentConfig(reticulation="B", t_end=100.0), 0.005, 0.020)
     ok = abs(onset_a - 58.5e-3) <= 2e-3 and abs(onset_b - 11.3e-3) <= 1e-3
     check(
         "criterion 9",
@@ -224,8 +225,7 @@ def test_c09_stability_onsets():
 
 
 def test_c10_sweep_slopes_and_estimator_quality():
-    dts = [float(x) for x in np.geomspace(1e-4, 1e-2, 9)]
-    points = step_size_sweep(dts, LINEAR_PARAMS, "A", t_end=4.0)
+    points = default_sweep()  # 0.1..10 ms, the same floats as np.geomspace(1e-4, 1e-2, 9)
     log_dt = np.log([p.dt for p in points])
     slope_true = np.polyfit(log_dt, np.log([p.mean_abs_dP for p in points]), 1)[0]
     slope_est = np.polyfit(log_dt, np.log([p.residual_estimate for p in points]), 1)[0]

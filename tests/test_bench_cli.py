@@ -1,10 +1,16 @@
 """Configuration parsing, CSV schemas, and CLI exit codes."""
 
 import io
+import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eccosim.bench import (
+    CONTROLLERS,
     SUMMARY_HEADER,
     TRAJECTORY_HEADER,
     ConfigError,
@@ -21,6 +27,7 @@ from eccosim import cli, master
 from eccosim.cli import EXPECTED_TABLES, _log_spaced, main
 from eccosim.control import NonFiniteIndicator
 from eccosim.master import RunRecord, SimulatorFailure
+from eccosim.quartercar import PRESETS, RETICULATIONS
 
 CONFIG_TEXT = """
 # benchmark configuration
@@ -275,12 +282,46 @@ def test_cli_check_passing_row(tmp_path):
     ["scan", "--reticulation", "A", "--threshold", "nan"],
     ["scan", "--reticulation", "A", "--threshold", "inf"],
     ["scan", "--reticulation", "A", "--threshold", "0"],
+    ["sweep", "--t-end", "0"],
 ])
 def test_cli_bad_horizon_or_value_exits_one(argv, tmp_path, capsys):
     # each of these once hung or exited 0 or 2; now all are config errors
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "x.csv").exists()
+
+
+_INVALID = st.sampled_from([math.nan, math.inf, -1.0, 0.0])
+#: Steps of at least 10 us over at most 50 ms keep every run under 5k macro steps.
+_STEP = _INVALID | st.floats(1e-5, 1e-2)
+_KNOB = st.sampled_from([0.0, -1.0, -1e-3, 1e-300, 5e-324]) | st.floats(1e-3, 10.0)
+_RUN_FLAGS = st.fixed_dictionaries(
+    {"--t-end": _INVALID | st.floats(0.0, 0.05, exclude_min=True)},
+    optional={
+        "--preset": st.sampled_from(tuple(PRESETS)),
+        "--reticulation": st.sampled_from(RETICULATIONS),
+        "--controller": st.sampled_from(CONTROLLERS),
+        **dict.fromkeys(("--dt0", "--dt-min", "--dt-max"), _STEP),
+        **dict.fromkeys(("--micro-s1", "--micro-s2"), st.integers(-1, 20)),
+        **dict.fromkeys(
+            ("--r", "--e0", "--tol", "--rho", "--alpha-s", "--theta-min", "--theta-max"), _KNOB
+        ),
+    },
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flags=_RUN_FLAGS)
+def test_cli_run_any_flags_exits_with_a_documented_code(flags):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        argv = ["run", *(f"{k}={v}" for k, v in flags.items()), "--out", os.path.join(tmp, "r.csv")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_run_past_macro_step_cap_exits_one(tmp_path, monkeypatch, capsys):

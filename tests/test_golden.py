@@ -21,10 +21,10 @@ from functools import lru_cache
 
 import pytest
 
-from eccosim.bench import DEFAULT_T_END, run_experiment, summarize_experiment, write_trajectory_csv
-from eccosim.cli import EXPECTED_TABLES, _log_spaced
-from eccosim.quartercar import LINEAR_PARAMS
-from eccosim.reference import step_size_sweep
+from sweeps import default_sweep
+
+from eccosim.bench import run_experiment, summarize_experiment, write_trajectory_csv
+from eccosim.cli import EXPECTED_TABLES
 
 TRAJECTORY_SHA256 = {
     "T3:constant": "4e8ca3be591207f5963f3796fa6b1800cd92d2581c9c947eb990abd7ba31f92c",
@@ -146,7 +146,7 @@ def test_summary_exact_fields_are_pinned(key):
 
 
 def test_default_sweep_is_pinned():
-    points = step_size_sweep(_log_spaced(1e-4, 1e-2, 9), LINEAR_PARAMS, "A", DEFAULT_T_END["linear"])
+    points = default_sweep()
     assert [(p.dt, p.residual_estimate) for p in points] == [(dt, res) for dt, _, res in DEFAULT_SWEEP]
     rel = SUMMARY_REL_TOL["linear"]
     assert [p.mean_abs_dP for p in points] == [

@@ -15,6 +15,7 @@ from oracle_checks import (
     scipy_states,
 )
 
+from eccosim.bench import ExperimentConfig, NoOnsetInRange, stability_scan, step_size_sweep
 from eccosim.control import ConstantStep
 from eccosim.master import run_cosimulation
 from eccosim.quartercar import (
@@ -27,15 +28,12 @@ from eccosim.quartercar import (
 from eccosim.reference import (
     _DP_TOL,
     _STEP_WIDTH,
-    NoOnsetInRange,
     ReferenceTrajectory,
     TimeRangeMismatch,
     _solve,
     local_power_error,
     pairwise_sum,
     reference_solve,
-    stability_scan,
-    step_size_sweep,
     summarize,
 )
 
@@ -231,7 +229,7 @@ def test_summarize_accepts_longer_reference():
 
 
 def test_step_size_sweep_monotone():
-    points = step_size_sweep([2e-3, 1e-3, 5e-4], LINEAR_PARAMS, "A", t_end=1.0)
+    points = step_size_sweep(ExperimentConfig(t_end=1.0), [2e-3, 1e-3, 5e-4])
     assert [p.dt for p in points] == [2e-3, 1e-3, 5e-4]
     assert points[0].mean_abs_dP > points[1].mean_abs_dP > points[2].mean_abs_dP > 0
     assert points[0].residual_estimate > points[1].residual_estimate > 0
@@ -239,16 +237,17 @@ def test_step_size_sweep_monotone():
 
 def test_stability_scan_requires_bracketing():
     with pytest.raises(NoOnsetInRange):
-        stability_scan(LINEAR_PARAMS, "A", 1e-3, 2e-3, t_scan=3.0)
+        stability_scan(ExperimentConfig(reticulation="A", t_end=3.0), 1e-3, 2e-3)
     with pytest.raises(NoOnsetInRange):
-        stability_scan(LINEAR_PARAMS, "B", 0.05, 0.08, t_scan=3.0)
+        stability_scan(ExperimentConfig(reticulation="B", t_end=3.0), 0.05, 0.08)
 
 
 def test_stability_scan_ends_below_float_resolution():
     # once the bracket is one ulp wide its midpoint rounds onto an end; the
     # bisection once repeated that midpoint forever
-    coarse = stability_scan(LINEAR_PARAMS, "A", 0.040, 0.080, t_scan=10.0)
-    fine = stability_scan(LINEAR_PARAMS, "A", 0.040, 0.080, t_scan=10.0, resolution=1e-300)
+    cfg = ExperimentConfig(reticulation="A", t_end=10.0)
+    coarse = stability_scan(cfg, 0.040, 0.080)
+    fine = stability_scan(cfg, 0.040, 0.080, resolution=1e-300)
     assert abs(fine - coarse) <= 1e-4
 
 
