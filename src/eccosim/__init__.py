@@ -26,7 +26,7 @@ from .energy import (
     total_residual_power,
     transmitted_power,
 )
-from .master import RunRecord, SimulatorFailure, StepRow, run_cosimulation
+from .master import RunRecord, SimulatorFailure, run_cosimulation
 from .model import (
     ConnectionGraph,
     DanglingPort,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
+from itertools import repeat
 from math import isfinite
 from operator import add
 from typing import IO, Callable, Mapping, Sequence
@@ -29,7 +30,7 @@ from .control import (
     ResidualEnergyIndicator,
     StepPolicy,
 )
-from .master import RunRecord, SimulatorFailure, StepRow, run_cosimulation
+from .master import RunRecord, SimulatorFailure, run_cosimulation
 from .quartercar import PRESETS, RETICULATIONS, build_reticulation, preset_params
 from .reference import ErrorSummary, reference_solve, summarize
 
@@ -197,12 +198,13 @@ def build_policy(cfg: ExperimentConfig) -> StepPolicy:
 
 
 def run_experiment(
-    cfg: ExperimentConfig, stop: Callable[[StepRow], bool] | None = None
+    cfg: ExperimentConfig, stop: Callable[[RunRecord], bool] | None = None
 ) -> RunRecord:
     """Build the configured model and controller and run the master loop.
 
-    ``stop`` is passed on to :func:`run_cosimulation`, which ends the run at
-    the first row for which it returns true.
+    ``stop`` is passed on to :func:`run_cosimulation`, which calls it with the
+    record after each step and ends the run at the first step it returns
+    true for.
     """
     slots, graph = build_reticulation(
         cfg.reticulation,
@@ -247,7 +249,7 @@ def step_size_sweep(cfg: ExperimentConfig, dt_values: Sequence[float]) -> list[S
     records = [run_experiment(run) for run in runs]
     points = []
     for run, record in zip(runs, records):
-        abs_res = reduce(add, (abs(row.bonds[0].dE_res) for row in record.rows), 0.0)
+        abs_res = reduce(add, map(abs, record.column("dE_res")), 0.0)
         points.append(
             SweepPoint(
                 dt=run.dt0,
@@ -268,12 +270,16 @@ def stability_scan(
     """Smallest constant macro step of ``cfg`` that diverges, bisected to ``resolution``.
 
     A run diverges when it fails or any probed state exceeds ``threshold``
-    before the config's horizon; it stops at the first row beyond the
-    threshold, since later rows cannot change the verdict.  The initial range
-    must bracket the onset: ``dt_lo`` stable, ``dt_hi`` divergent.  The
-    bisection also ends when the two ends are adjacent floats, so any
-    positive ``resolution`` terminates.
+    before the config's horizon; it stops at the first step beyond the
+    threshold, since later steps cannot change the verdict.  The horizon must
+    be positive, or no run could diverge.  The initial range must bracket the
+    onset: ``dt_lo`` stable, ``dt_hi`` divergent.  The bisection also ends
+    when the two ends are adjacent floats, so any positive ``resolution``
+    terminates.
     """
+    t_end = cfg.resolved_t_end
+    if not t_end > 0.0:
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
     if not 0.0 < dt_lo < dt_hi:
         raise ValueError("require 0 < dt_lo < dt_hi")
     if not resolution > 0.0:
@@ -281,8 +287,8 @@ def stability_scan(
     if not (isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"threshold must be finite and positive, got {threshold}")
 
-    def beyond(row: StepRow) -> bool:
-        return any(abs(v) > threshold for v in row.probes.values())
+    def beyond(record: RunRecord) -> bool:
+        return any(abs(v) > threshold for v in record.last_probes())
 
     def diverges(dt: float) -> bool:
         try:
@@ -312,6 +318,7 @@ def format_number(x: float) -> str:
     return repr(float(x))
 
 
+_BOND_COLUMNS = ("P_12", "P_port1", "P_port2", "dP_res", "dE_res", "E_res_accum")
 _PROBE_COLUMNS = ("z_c", "v_c", "z_w", "v_w")
 
 
@@ -320,31 +327,17 @@ def write_trajectory_csv(record: RunRecord, fh: IO[str]) -> None:
     if record.bond_count > 1:
         raise ValueError("trajectory schema covers single-bond runs")
     fh.write(TRAJECTORY_HEADER + "\n")
-    for row in record.rows:
-        if row.bonds:
-            b = row.bonds[0]
-            bond_fields = [
-                format_number(b.P_12),
-                format_number(b.P_port1),
-                format_number(b.P_port2),
-                format_number(b.dP_res),
-                format_number(b.dE_res),
-                format_number(b.E_res_accum),
-            ]
-        else:
-            bond_fields = [""] * 6
-        probe_fields = [
-            format_number(row.probes[name]) if name in row.probes else ""
-            for name in _PROBE_COLUMNS
-        ]
-        fh.write(
-            ",".join(
-                [format_number(row.t), format_number(row.dt), format_number(row.eps)]
-                + bond_fields
-                + probe_fields
-            )
-            + "\n"
-        )
+    # Columns hold floats, whose format_number is their repr.
+    names = ("t", "dt", "eps") + (_BOND_COLUMNS if record.bond_count else ())
+    columns = [map(repr, record.column(name)) for name in names]
+    if not record.bond_count:
+        columns += [repeat("")] * len(_BOND_COLUMNS)
+    columns += (
+        map(repr, record.column(name)) if name in record.probe_names else repeat("")
+        for name in _PROBE_COLUMNS
+    )
+    for fields in zip(*columns):  # the t column ends it
+        fh.write(",".join(fields) + "\n")
 
 
 def write_summary_csv(cfg: ExperimentConfig, summary: ErrorSummary, fh: IO[str]) -> None:

@@ -9,20 +9,29 @@ next macro step size.  Macro steps are never repeated.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 from math import inf, isfinite
+from operator import itemgetter
+from struct import Struct
 from typing import Callable, Sequence
 
 from .control import StepPolicy
-from .energy import BondLedger, BondLedgerEntry, CompensatedSum
+from .energy import BondLedger
 from .model import ConnectionGraph, SimulatorSlot, Wiring, apply_connections, validate_graph
 
 
-#: Most macro steps one run may take: about 0.7 GB of rows, and 25 times the
-#: longest run any table, sweep or export makes.  A run that needs more is a
-#: step-size mistake, and fails before it exhausts memory.
+#: Most macro steps one run may take: 14 doubles per single-bond step, so
+#: about 112 MB of rows, and 25 times the longest run any table, sweep or
+#: export makes.  A run that needs more is a step-size mistake, and fails
+#: before it exhausts memory.
 MAX_MACRO_STEPS = 1_000_000
+
+#: Leading fields of every row.
+STEP_FIELDS = ("t", "dt", "eps")
+#: Ledger fields each bond adds to a row, in row order.
+BOND_FIELDS = ("P_port1", "P_port2", "P_12", "dP_res", "dE_res", "E_step", "E_res_accum")
 
 
 class SimulatorFailure(RuntimeError):
@@ -33,46 +42,63 @@ class SimulatorFailure(RuntimeError):
         self.record = record
 
 
-@dataclass(slots=True)
-class StepRow:
-    """One accepted macro step: time stamp, step size, indicator, ledgers, probes.
-
-    Rows are treated as read-only; like :class:`BondLedgerEntry` the class is
-    not frozen because a frozen dataclass costs several times more to build.
-    """
-
-    t: float
-    dt: float
-    eps: float
-    bonds: tuple[BondLedgerEntry, ...]
-    probes: dict[str, float]
-
-
 @dataclass
 class RunRecord:
-    """Macro-time-stamped trajectory of a co-simulation run."""
+    """Macro-time-stamped trajectory of a co-simulation run.
 
-    rows: list[StepRow] = field(default_factory=list)
+    Each accepted step is one row of doubles in ``data``: ``t, dt, eps``,
+    then the seven :data:`BOND_FIELDS` of each bond in bond order, then the
+    probe values in ``probe_names`` order.  Read it through :meth:`column`,
+    :meth:`last_probes` and the summaries; only this module knows the layout.
+    """
+
     t_end: float = 0.0
     policy: str = ""
     bond_count: int = 0
+    probe_names: tuple[str, ...] = ()
     complete: bool = True
+    data: array = field(default_factory=lambda: array("d"), repr=False)
+
+    def __post_init__(self):
+        self._probe_start = len(STEP_FIELDS) + len(BOND_FIELDS) * self.bond_count
+        self.width = self._probe_start + len(self.probe_names)
+
+    def _offset(self, name: str, bond: int) -> int:
+        if name in STEP_FIELDS:
+            return STEP_FIELDS.index(name)
+        if name in BOND_FIELDS:
+            if not 0 <= bond < self.bond_count:
+                raise IndexError(f"bond {bond} out of range for {self.bond_count} bond(s)")
+            return len(STEP_FIELDS) + len(BOND_FIELDS) * bond + BOND_FIELDS.index(name)
+        if name in self.probe_names:
+            return self._probe_start + self.probe_names.index(name)
+        raise KeyError(f"no column {name!r}; probes are {self.probe_names}")
+
+    def column(self, name: str, bond: int = 0) -> array:
+        """One value per step of a step field, a bond's ledger field, or a probe."""
+        return self.data[self._offset(name, bond) :: self.width]
+
+    def last_probes(self) -> array:
+        """Probe values of the last step, in ``probe_names`` order; empty before the first."""
+        return self.data[len(self.data) - self.width + self._probe_start :]
 
     @property
     def step_count(self) -> int:
-        return len(self.rows)
+        return len(self.data) // self.width
 
     @property
     def duration(self) -> float:
         """Total simulated time, the sum of accepted step sizes."""
-        return self.rows[-1].t if self.rows else 0.0
+        return self.data[-self.width] if self.data else 0.0
 
     def mean_dt(self) -> float:
-        return self.duration / len(self.rows) if self.rows else 0.0
+        return self.duration / self.step_count if self.data else 0.0
 
     def total_residual(self, bond: int = 0) -> float:
         """Accumulated residual energy over the run (joules)."""
-        return self.rows[-1].bonds[bond].E_res_accum if self.rows else 0.0
+        if not self.data:
+            return 0.0
+        return self.data[len(self.data) - self.width + self._offset("E_res_accum", bond)]
 
 
 def _stacked_outputs(wiring: Wiring, outputs) -> list[float]:
@@ -83,26 +109,42 @@ def _stacked_outputs(wiring: Wiring, outputs) -> list[float]:
     return stacked
 
 
-def _non_finite_signal(slots: Sequence[SimulatorSlot], outputs) -> str:
+def _non_finite_signal(outputs, probe_names: list[tuple[str, ...]], probes) -> str:
     """Name the first non-finite output, then probe, as the step check reads them."""
     for i, out in enumerate(outputs):
         for k, v in enumerate(out):
             if not isfinite(v):
                 return f"slot {i} output {k}"
-    for i, slot in enumerate(slots):
-        for name, v in slot.probes().items():
+    values = iter(probes)
+    for i, names in enumerate(probe_names):
+        for name, v in zip(names, values):
             if not isfinite(v):
                 return f"slot {i} probe {name!r}"
     return "unknown signal"
 
 
-def _overflowed_bond(wiring: Wiring, entries) -> str:
-    """Name the first bond whose power is non-finite and the two outputs it multiplies."""
-    for j, (entry, route) in enumerate(zip(entries, wiring.routes)):
-        if not (isfinite(entry.P_12) and isfinite(entry.dP_res)):
-            o1, _, k1, _, o2, _, k2, _ = route
-            return f"bond {j} (slot {o1} output {k1}, slot {o2} output {k2})"
-    return "unknown bond"
+def _probe_layout(slots: Sequence[SimulatorSlot]) -> list[tuple[str, ...]]:
+    """Each slot's probe names, in the order its ``probes`` returns them.
+
+    Raises ``ValueError`` for a name that two slots share or that names a
+    step or ledger field, since :meth:`RunRecord.column` could not tell them apart.
+    """
+    names = [tuple(slot.probes()) for slot in slots]
+    owner = dict.fromkeys(STEP_FIELDS + BOND_FIELDS, "the record")
+    for i, keys in enumerate(names):
+        for name in keys:
+            if name in owner:
+                raise ValueError(f"slot {i} probe {name!r} is also a column of {owner[name]}")
+            owner[name] = f"slot {i}"
+    return names
+
+
+def _values_in_order(names: tuple[str, ...]) -> Callable[[dict[str, float]], tuple]:
+    """A reader of a probe dict's values in ``names`` order, whatever the dict's
+    order; it raises ``KeyError`` when a name is missing."""
+    if len(names) > 1:
+        return itemgetter(*names)
+    return lambda named: tuple(named[name] for name in names)
 
 
 def run_cosimulation(
@@ -111,40 +153,57 @@ def run_cosimulation(
     policy: StepPolicy,
     t_end: float,
     dt0: float | None = None,
-    stop: Callable[[StepRow], bool] | None = None,
+    stop: Callable[[RunRecord], bool] | None = None,
 ) -> RunRecord:
     """Run the Jacobi master loop from t = 0 to ``t_end``.
 
     Per macro step: inputs are set from the last outputs, all slots step over
     the same interval, ledgers absorb the step, and the policy proposes the
     next step size.  The final step is truncated to land exactly on ``t_end``.
-    No step is ever redone.  When ``stop`` is given, ``stop(row)`` is called
-    after each row is appended; if it returns true the run ends there with
-    ``record.complete`` set to False.
+    No step is ever redone.  When ``stop`` is given, ``stop(record)`` is
+    called after each row is appended; if it returns true the run ends there
+    with ``record.complete`` set to False.
+
+    The probe names are read once, from each slot's ``probes()`` at t = 0,
+    and fix the row layout for the run.
 
     Raises :class:`ValueError` before any step when ``t_end`` is negative or
-    not finite, and before the next step when the policy proposes a step size
-    that is not finite and positive or the run has already taken
-    ``MAX_MACRO_STEPS`` steps.  Raises :class:`SimulatorFailure` (with the
-    partial record attached) when a slot produces a non-finite output or
-    probe value, or when a bond power overflows; the message names the slot
-    and signal, or the bond, that failed first.
+    not finite or a probe name is not unique among the record's columns,
+    and before the next step when the policy proposes a step size that is
+    not finite and positive or the run has already taken ``MAX_MACRO_STEPS``
+    steps.  Raises :class:`SimulatorFailure` (with the partial record
+    attached) when a slot produces a non-finite output or probe value or
+    returns other probe names than at t = 0, or when a bond power
+    overflows; the message names the slot and signal, or the bond, that
+    failed first.
     """
     if not (isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
     wiring = validate_graph(graph, slots)
     ledgers = [BondLedger(bond) for bond in wiring.bonds]
-    record = RunRecord(t_end=t_end, policy=policy.name, bond_count=len(ledgers))
-    rows = record.rows
+    probe_names = _probe_layout(slots)
+    record = RunRecord(
+        t_end=t_end,
+        policy=policy.name,
+        bond_count=len(ledgers),
+        probe_names=tuple(chain(*probe_names)),
+    )
+    append_row = record.data.frombytes
+    pack_row = Struct(f"{record.width}d").pack
 
     # Methods are looked up once per run instead of once per macro step.
     set_inputs = [slot.set_inputs for slot in slots]
     do_steps = [slot.do_step for slot in slots]
     get_outputs = [slot.get_outputs for slot in slots]
-    read_probes = [slot.probes for slot in slots]
+    read_probes = [
+        (i, slot.probes, len(names), _values_in_order(names))
+        for i, (slot, names) in enumerate(zip(slots, probe_names))
+    ]
     taps = [
-        (ledger.record, o1, i1, k1, o2, i2, k2)
-        for ledger, (o1, i1, k1, _, o2, i2, k2, _) in zip(ledgers, wiring.routes)
+        (j, ledger.record, o1, i1, k1, o2, i2, k2)
+        for j, (ledger, (o1, i1, k1, _, o2, i2, k2, _)) in enumerate(
+            zip(ledgers, wiring.routes)
+        )
     ]
     next_step = policy.next_step
     max_steps = MAX_MACRO_STEPS
@@ -152,14 +211,17 @@ def run_cosimulation(
     outputs = [get() for get in get_outputs]
     dt_next = policy.start(dt0, 0.0, _stacked_outputs(wiring, outputs))
 
-    clock = CompensatedSum()
-    t_now = clock.value
+    # The clock is a CompensatedSum of the step sizes, kept in two locals.
+    clock = 0.0
+    clock_err = 0.0
+    t_now = clock + clock_err
     t_tol = 1e-12 * max(abs(t_end), 1.0)
+    steps = 0
     while True:
         remaining = t_end - t_now
         if remaining <= t_tol:
             break
-        if len(rows) >= max_steps:
+        if steps >= max_steps:
             raise ValueError(
                 f"run reached MAX_MACRO_STEPS = {max_steps} at t={t_now} "
                 f"of t_end={t_end}; use a larger step size or a shorter horizon"
@@ -178,43 +240,65 @@ def run_cosimulation(
         for do_step in do_steps:
             do_step(t_now, dt)
 
-        clock.add(dt)
-        t_next = clock.value
-        outputs = [get() for get in get_outputs]
-        probes: dict[str, float] = {}
-        for read in read_probes:
-            probes.update(read())
+        # CompensatedSum.add(dt), then .value
+        total = clock + dt
+        if abs(clock) >= abs(dt):
+            clock_err += (clock - total) + dt
+        else:
+            clock_err += (dt - total) + clock
+        clock = total
+        t_next = clock + clock_err
 
-        if not all(map(isfinite, chain(*outputs, probes.values()))):
+        outputs = [get() for get in get_outputs]
+        probes = []
+        for i, read, count, values_of in read_probes:
+            named = read()
+            if len(named) == count:
+                try:
+                    probes += values_of(named)
+                    continue
+                except KeyError:
+                    pass
+            record.complete = False
+            raise SimulatorFailure(
+                f"slot {i} changed its probe names at t={t_next}: "
+                f"{tuple(named)} instead of {probe_names[i]}",
+                record,
+            )
+
+        if not all(map(isfinite, chain(*outputs, probes))):
             record.complete = False
             raise SimulatorFailure(
                 f"non-finite simulator output at t={t_next}: "
-                + _non_finite_signal(slots, outputs),
+                + _non_finite_signal(outputs, probe_names, probes),
                 record,
             )
 
         entries = []
         stacked = []
-        powers_finite = True
-        for record_step, o1, i1, k1, o2, i2, k2 in taps:
+        ledger_fields = []
+        for j, record_step, o1, i1, k1, o2, i2, k2 in taps:
             y1 = outputs[o1][k1]
             y2 = outputs[o2][k2]
             entry = record_step(t_next, dt, inputs[o1][i1], inputs[o2][i2], y1, y2)
+            if not (isfinite(entry.P_12) and isfinite(entry.dP_res)):
+                # finite signals whose products overflow: the run has blown up
+                record.complete = False
+                raise SimulatorFailure(
+                    f"non-finite bond power at t={t_next}: bond {j} "
+                    f"(slot {o1} output {k1}, slot {o2} output {k2})",
+                    record,
+                )
             entries.append(entry)
             stacked += (y1, y2)
-            powers_finite = powers_finite and isfinite(entry.P_12) and isfinite(entry.dP_res)
-        if not powers_finite:
-            # finite signals whose products overflow: the run has blown up
-            record.complete = False
-            raise SimulatorFailure(
-                f"non-finite bond power at t={t_next}: " + _overflowed_bond(wiring, entries),
-                record,
+            ledger_fields += (  # in BOND_FIELDS order
+                entry.P_port1, entry.P_port2, entry.P_12, entry.dP_res,
+                entry.dE_res, entry.E_step, entry.E_res_accum,
             )
-        entries = tuple(entries)
-        dt_next, eps = next_step(t_next, dt, entries, stacked)
-        row = StepRow(t_next, dt, eps, entries, probes)
-        rows.append(row)
-        if stop is not None and stop(row):
+        dt_next, eps = next_step(t_next, dt, tuple(entries), stacked)
+        append_row(pack_row(t_next, dt, eps, *ledger_fields, *probes))
+        steps += 1
+        if stop is not None and stop(record):
             record.complete = False
             break
         t_now = t_next

@@ -58,6 +58,20 @@ def excitation(t: float) -> float:
     return 0.1 if t >= 0.0 else 0.0
 
 
+def _held_road_height(t: float, h: float, n: int) -> float:
+    """Road height under the ``n`` micro steps of length ``h`` that start at ``t``.
+
+    The micro steps start at ``t + j*h`` (``j < n``), never before ``t``, so
+    from ``t >= 0`` on the height is ``excitation(t)`` under all of them and
+    is read once per macro step.  A macro step that starts before t = 0 and
+    has a micro step starting at or after it raises ``ValueError``.
+    """
+    road = excitation(t)
+    if t < 0.0 and excitation(t + (n - 1) * h) != road:
+        raise ValueError(f"macro step from t={t} crosses the road step at t = 0")
+    return road
+
+
 def spring_damper_force(
     z_c: float, z_w: float, v_c: float, v_w: float, params: QuarterCarParams
 ) -> float:
@@ -147,10 +161,11 @@ class WheelAssembly(QuarterCarSlot):
         h = dt / n
         u = self.u
         k_w, m_w = p.k_w, p.m_w
+        road = _held_road_height(t, h, n)
         z_c_int, z_w, v_w = self.z_c_int, self.z_w, self.v_w
-        for j in range(n):
+        for _ in range(n):
             f_c = spring_damper_force(z_c_int, z_w, u, v_w, p)
-            f_w = k_w * (z_w - excitation(t + j * h))
+            f_w = k_w * (z_w - road)
             z_c_int += h * u
             z_w += h * v_w
             v_w += h * (f_c - f_w) / m_w
@@ -221,9 +236,10 @@ class WheelOnly(QuarterCarSlot):
         h = dt / n
         f_c = -self.u  # held suspension force acting on the wheel
         k_w, m_w = p.k_w, p.m_w
+        road = _held_road_height(t, h, n)
         z_w, v_w = self.z_w, self.v_w
-        for j in range(n):
-            f_w = k_w * (z_w - excitation(t + j * h))
+        for _ in range(n):
+            f_w = k_w * (z_w - road)
             z_w += h * v_w
             v_w += h * (f_c - f_w) / m_w
         self.z_w, self.v_w = z_w, v_w
@@ -263,10 +279,11 @@ class MonolithicQuarterCar(QuarterCarSlot):
         n = self.micro_step_ratio
         h = dt / n
         k_w, m_c, m_w = p.k_w, p.m_c, p.m_w
+        road = _held_road_height(t, h, n)
         z_c, v_c, z_w, v_w, z_c_int = self.z_c, self.v_c, self.z_w, self.v_w, self.z_c_int
-        for j in range(n):
+        for _ in range(n):
             f_c = spring_damper_force(z_c, z_w, v_c, v_w, p)
-            f_w = k_w * (z_w - excitation(t + j * h))
+            f_w = k_w * (z_w - road)
             z_c += h * v_c
             z_c_int += h * v_c
             z_w += h * v_w

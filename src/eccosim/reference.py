@@ -314,12 +314,12 @@ def summarize(record: RunRecord, ref: ReferenceTrajectory, bond: int = 0) -> Err
     and constant runs are compared on equal footing.  The reference is read
     at each row's own time and must cover the whole run.
     """
-    rows = record.rows
-    if not rows:
+    if not record.step_count:
         return ErrorSummary(0.0, 0.0, 0.0, 0.0, 0)
-    p0 = ref.bond_powers([row.t for row in rows])
-    weighted = [row.bonds[bond].P_12 * row.dt for row in rows]
-    errors = [abs(row.bonds[bond].P_12 - p) * row.dt for row, p in zip(rows, p0)]
+    p12, dt = record.column("P_12", bond), record.column("dt")
+    p0 = ref.bond_powers(record.column("t"))
+    weighted = [p * h for p, h in zip(p12, dt)]
+    errors = [abs(p - q) * h for p, q, h in zip(p12, p0, dt)]
     total_t = record.duration
     return ErrorSummary(
         mean_P12=pairwise_sum(weighted) / total_t,

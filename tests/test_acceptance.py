@@ -253,12 +253,12 @@ def test_c11_residual_equals_summed_local_power_errors():
     record = run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
     ref = reference_solve(LINEAR_PARAMS, 1.0, reticulation="A")
     worst = 0.0
-    for row in record.rows:
-        entry = row.bonds[0]
-        p0_1, p0_2 = ref.port_powers_at(row.t)
-        dp1 = entry.P_port1 - p0_1
-        dp2 = entry.P_port2 - p0_2
-        worst = max(worst, abs(dp1 + dp2 + entry.dP_res))
+    columns = zip(*(record.column(name) for name in ("t", "P_port1", "P_port2", "dP_res")))
+    for t, p_port1, p_port2, dp_res in columns:
+        p0_1, p0_2 = ref.port_powers_at(t)
+        dp1 = p_port1 - p0_1
+        dp2 = p_port2 - p0_2
+        worst = max(worst, abs(dp1 + dp2 + dp_res))
     ok = worst <= 1e-10
     check("criterion 11", ok, f"max |dP1 + dP2 + residual| = {worst:.3e} W <= 1e-10")
 
@@ -312,14 +312,14 @@ def test_c12_scale_invariance_of_indicators():
 
     def ecco_sequence(lam):
         seq = []
-        for i, row in enumerate(record.rows):
+        for i, dt in enumerate(record.column("dt")):
             u1, u2, y1, y2 = signals(i)
             u1 *= _role_factor(p1.input_role, lam)
             u2 *= _role_factor(p2.input_role, lam)
             y1 *= _role_factor(p1.output_role, lam)
             y2 *= _role_factor(p2.output_role, lam)
-            de = -(u1 * y1 + u2 * y2) * row.dt
-            e_step = bond.sigma * (y1 * y2) * row.dt
+            de = -(u1 * y1 + u2 * y2) * dt
+            e_step = bond.sigma * (y1 * y2) * dt
             seq.append(ecco_indicator([de], [e_step], [r], [e0]))
         return seq
 
@@ -328,20 +328,20 @@ def test_c12_scale_invariance_of_indicators():
         f2 = _role_factor(p2.output_role, lam)
         history = [(0.0, (0.0, 0.0))]
         seq = []
-        for i, row in enumerate(record.rows):
+        for i, t in enumerate(record.column("t")):
             _, _, y1, y2 = signals(i)
             y = (y1 * f1, y2 * f2)
             if len(history) >= 2:
-                pred = predict_outputs(history[-2:], row.t)
+                pred = predict_outputs(history[-2:], t)
                 seq.append(pc_indicator(y, pred, [0.67, 0.67], [1e-4, 1e-4]))
             else:
                 seq.append(0.0)
-            history.append((row.t, y))
+            history.append((t, y))
         return seq
 
     base = ecco_sequence(1.0)
     # recomputed indicator agrees with what the controller logged during the run
-    logged = [row.eps for row in record.rows]
+    logged = record.column("eps")
     recompute_err = max(
         abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(base, logged)
     )

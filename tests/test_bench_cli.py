@@ -138,13 +138,15 @@ def test_trajectory_csv_round_trips_bit_exact():
     lines = text.strip().split("\n")
     assert lines[0] == TRAJECTORY_HEADER
     record = run_experiment(cfg)
-    for line, row in zip(lines[1:], record.rows):
+    assert len(lines) - 1 == record.step_count
+    columns = zip(*(record.column(name) for name in ("t", "dt", "eps", "P_12", "z_c")))
+    for line, (t, dt, eps, p12, z_c) in zip(lines[1:], columns):
         fields = line.split(",")
-        assert float(fields[0]) == row.t
-        assert float(fields[1]) == row.dt
-        assert float(fields[2]) == row.eps
-        assert float(fields[3]) == row.bonds[0].P_12
-        assert float(fields[9]) == row.probes["z_c"]
+        assert float(fields[0]) == t
+        assert float(fields[1]) == dt
+        assert float(fields[2]) == eps
+        assert float(fields[3]) == p12
+        assert float(fields[9]) == z_c
 
 
 def test_identical_configs_write_identical_bytes():
@@ -289,6 +291,14 @@ def test_cli_bad_horizon_or_value_exits_one(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_scan_rejects_an_empty_horizon(capsys):
+    # every run of an empty horizon completes, so the scan used to blame the bracket
+    assert main(["scan", "--reticulation", "A", "--t-scan", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "t_end" in err
 
 
 _INVALID = st.sampled_from([math.nan, math.inf, -1.0, 0.0])

@@ -1,10 +1,12 @@
 """Master loop: exchange, stepping, ledgers, determinism, failure handling."""
 
+import gc
 import io
+import tracemalloc
 
 import pytest
 
-from eccosim.bench import write_trajectory_csv
+from eccosim.bench import ExperimentConfig, run_experiment, write_trajectory_csv
 from eccosim.control import (
     ConstantStep,
     PIConfig,
@@ -14,7 +16,8 @@ from eccosim.control import (
 )
 from eccosim import master
 from eccosim.master import RunRecord, SimulatorFailure, run_cosimulation
-from eccosim.model import ConnectionGraph
+from eccosim.energy import CompensatedSum
+from eccosim.model import ConnectionGraph, SimulatorSlot
 from eccosim.quartercar import (
     LINEAR_PARAMS,
     MonolithicQuarterCar,
@@ -46,11 +49,12 @@ def test_free_simulator_without_bonds_matches_standalone():
     driven = MonolithicQuarterCar(LINEAR_PARAMS)
     record = run_cosimulation([driven], ConnectionGraph(), ConstantStep(1e-3), 0.2)
     standalone = MonolithicQuarterCar(LINEAR_PARAMS)
-    for row in record.rows:  # replay the accepted step sequence
-        standalone.do_step(row.t - row.dt, row.dt)
+    for t, dt in zip(record.column("t"), record.column("dt")):  # replay the accepted steps
+        standalone.do_step(t - dt, dt)
     assert record.step_count == 200
     assert record.bond_count == 0
-    assert record.rows[-1].bonds == ()
+    with pytest.raises(IndexError):
+        record.column("P_12")
     assert driven.probes() == standalone.probes()
 
 
@@ -73,24 +77,26 @@ def test_ledger_rows_are_self_consistent():
     slots, graph = build_reticulation("B", LINEAR_PARAMS)
     record = run_cosimulation(slots, graph, ConstantStep(1e-3), 0.3)
     prev_accum = 0.0
-    for row in record.rows:
-        entry = row.bonds[0]
-        assert entry.dE_res == entry.dP_res * entry.dt
-        assert entry.E_step == entry.P_12 * entry.dt
-        increment = entry.E_res_accum - prev_accum
+    names = ("dt", "P_12", "dP_res", "dE_res", "E_step", "E_res_accum")
+    for dt, p12, dp_res, de_res, e_step, e_res_accum in zip(
+        *(record.column(name) for name in names)
+    ):
+        assert de_res == dp_res * dt
+        assert e_step == p12 * dt
+        increment = e_res_accum - prev_accum
         # compensated accumulation: increments match to a few ulps of the total
-        tol = 1e-13 * max(1.0, abs(entry.E_res_accum))
-        assert increment == pytest.approx(entry.dE_res, abs=tol)
-        prev_accum = entry.E_res_accum
-        assert row.dt == pytest.approx(1e-3, rel=1e-12)
+        tol = 1e-13 * max(1.0, abs(e_res_accum))
+        assert increment == pytest.approx(de_res, abs=tol)
+        prev_accum = e_res_accum
+        assert dt == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_final_step_truncates_onto_horizon():
     slots, graph = build_reticulation("A", LINEAR_PARAMS)
     record = run_cosimulation(slots, graph, ConstantStep(1e-3), 0.0105)
     assert record.step_count == 11
-    assert record.rows[-1].dt == pytest.approx(0.5e-3, rel=1e-9)
-    assert record.rows[-1].t == pytest.approx(0.0105, rel=1e-12)
+    assert record.column("dt")[-1] == pytest.approx(0.5e-3, rel=1e-9)
+    assert record.column("t")[-1] == pytest.approx(0.0105, rel=1e-12)
 
 
 def test_horizon_shorter_than_minimum_step_still_lands_exactly():
@@ -99,8 +105,8 @@ def test_horizon_shorter_than_minimum_step_still_lands_exactly():
     policy = PIController(ResidualEnergyIndicator(rel_tol=1e-5))
     record = run_cosimulation(slots, graph, policy, 5e-5)
     assert record.step_count == 1
-    assert record.rows[0].dt == pytest.approx(5e-5, rel=1e-12)
-    assert record.rows[0].t == pytest.approx(5e-5, rel=1e-12)
+    assert record.column("dt")[0] == pytest.approx(5e-5, rel=1e-12)
+    assert record.column("t")[0] == pytest.approx(5e-5, rel=1e-12)
 
 
 def _csv_bytes(record: RunRecord) -> str:
@@ -200,16 +206,19 @@ def test_bad_policy_step_rejected_before_next_step(bad):
 
 
 def test_stop_hook_ends_run_at_first_true_row():
-    def beyond(row):
-        return any(abs(v) > 1e6 for v in row.probes.values())
+    def beyond(record):
+        return any(abs(v) > 1e6 for v in record.last_probes())
 
     slots, graph = build_reticulation("B", LINEAR_PARAMS)
     record = run_cosimulation(slots, graph, ConstantStep(0.0125), 100.0, stop=beyond)
     assert record.step_count == 395
     assert record.complete is False
     assert [slot.step_calls for slot in slots] == [395, 395]
-    assert beyond(record.rows[-1])
-    assert not any(beyond(row) for row in record.rows[:-1])
+    assert record.probe_names == ("z_c", "v_c", "z_w", "v_w")
+    steps = list(zip(*(record.column(name) for name in record.probe_names)))
+    assert steps[-1] == tuple(record.last_probes())
+    assert any(abs(v) > 1e6 for v in steps[-1])
+    assert not any(abs(v) > 1e6 for step in steps[:-1] for v in step)
 
 
 def test_adaptive_run_respects_step_bounds_and_rate_limits():
@@ -217,7 +226,7 @@ def test_adaptive_run_respects_step_bounds_and_rate_limits():
     cfg = PIConfig()
     policy = PIController(ResidualEnergyIndicator(rel_tol=3.1e-5), cfg)
     record = run_cosimulation(slots, graph, policy, 4.0)
-    dts = [row.dt for row in record.rows]
+    dts = record.column("dt")
     # the final step may be truncated onto t_end; all others obey the clamps
     for dt in dts[:-1]:
         assert cfg.dt_min <= dt <= cfg.dt_max * (1 + 1e-12)
@@ -248,6 +257,121 @@ def test_chassis_settles_at_static_equilibrium():
     assert z_c == pytest.approx(0.1, abs=2e-3)
     slots, graph = build_reticulation("A", LINEAR_PARAMS)
     record = run_cosimulation(slots, graph, ConstantStep(1e-3), 4.0)
-    final = record.rows[-1].probes
-    assert final["z_c"] == pytest.approx(z_c, abs=2e-3)
-    assert final["z_w"] == pytest.approx(z_w, abs=2e-3)
+    assert record.column("z_c")[-1] == pytest.approx(z_c, abs=2e-3)
+    assert record.column("z_w")[-1] == pytest.approx(z_w, abs=2e-3)
+
+
+def test_clock_is_the_compensated_sum_of_the_step_sizes():
+    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    policy = PIController(ResidualEnergyIndicator(rel_tol=2.8e-6))
+    record = run_cosimulation(slots, graph, policy, 1.0)
+    clock = CompensatedSum()
+    for t, dt in zip(record.column("t"), record.column("dt")):
+        clock.add(dt)
+        assert t == clock.value
+
+
+def test_record_columns_follow_the_ledger_and_the_probes():
+    slots, graph = build_reticulation("B", LINEAR_PARAMS)
+    record = run_cosimulation(slots, graph, ConstantStep(1e-3), 0.05)
+    assert record.probe_names == ("z_c", "v_c", "z_w", "v_w")
+    assert record.column("z_w")[-1] == slots[1].z_w
+    assert record.column("v_c")[-1] == slots[0].v_c
+    assert record.total_residual() == record.column("E_res_accum")[-1]
+    for name in ("t", "dt", "eps", "E_step", "z_c"):
+        assert len(record.column(name)) == record.step_count == 50
+    with pytest.raises(IndexError):
+        record.column("P_12", bond=1)
+    with pytest.raises(KeyError):
+        record.column("x_c")
+
+
+class _KeepsEntries(ConstantStep):
+    """Constant steps; keeps every ledger entry the master hands the policy."""
+
+    def __init__(self, dt: float):
+        super().__init__(dt)
+        self.entries = []
+
+    def next_step(self, t_next, dt_used, bond_steps, outputs):
+        self.entries.append(bond_steps[0])
+        return super().next_step(t_next, dt_used, bond_steps, outputs)
+
+
+def test_ledger_columns_hold_the_entries_the_policy_saw():
+    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    policy = _KeepsEntries(1e-3)
+    record = run_cosimulation(slots, graph, policy, 0.05)
+    for name in master.BOND_FIELDS:
+        assert list(record.column(name)) == [getattr(e, name) for e in policy.entries]
+    assert list(record.column("t")) == [e.t_next for e in policy.entries]
+    assert list(record.column("dt")) == [e.dt for e in policy.entries]
+
+
+class _ChangingProbes(SimulatorSlot):
+    """A slot without ports whose probe names change from its third step on."""
+
+    def __init__(self, later: dict[str, float], first=None):
+        self.first = {"x": 1.0, "y": 2.0} if first is None else first
+        self.later = later
+        self.steps = 0
+
+    def set_inputs(self, u):
+        pass
+
+    def do_step(self, t, dt):
+        self.steps += 1
+
+    def get_outputs(self):
+        return ()
+
+    def probes(self):
+        return self.first if self.steps < 3 else self.later
+
+
+@pytest.mark.parametrize(
+    "later", [{"x": 1.0, "q": 2.0}, {"x": 1.0}, {"x": 1.0, "y": 2.0, "q": 3.0}, {}]
+)
+def test_probe_names_that_change_mid_run_fail_naming_the_slot(later):
+    slots = [MonolithicQuarterCar(LINEAR_PARAMS), _ChangingProbes(later)]
+    with pytest.raises(SimulatorFailure, match="slot 1 changed its probe names") as info:
+        run_cosimulation(slots, ConnectionGraph(), ConstantStep(1e-3), 0.01)
+    assert info.value.record.step_count == 2
+    assert info.value.record.complete is False
+
+
+def test_probe_order_may_change_without_moving_the_columns():
+    slot = _ChangingProbes({"y": 2.0, "x": 1.0})
+    record = run_cosimulation([slot], ConnectionGraph(), ConstantStep(1e-3), 0.01)
+    assert record.probe_names == ("x", "y")
+    assert list(record.column("x")) == [1.0] * 10
+    assert list(record.column("y")) == [2.0] * 10
+
+
+def test_probe_names_that_clash_are_rejected_before_the_first_step():
+    slots = [MonolithicQuarterCar(LINEAR_PARAMS), MonolithicQuarterCar(LINEAR_PARAMS)]
+    with pytest.raises(ValueError, match="slot 1 probe 'z_c' is also a column of slot 0"):
+        run_cosimulation(slots, ConnectionGraph(), ConstantStep(1e-3), 0.01)
+    assert [slot.step_calls for slot in slots] == [0, 0]
+    slot = _ChangingProbes({}, first={"dt": 0.0})
+    with pytest.raises(ValueError, match="slot 0 probe 'dt' is also a column of the record"):
+        run_cosimulation([slot], ConnectionGraph(), ConstantStep(1e-3), 0.01)
+    assert slot.steps == 0
+
+
+def test_run_record_keeps_at_most_160_bytes_per_step():
+    # each step is one row of 14 doubles (112 bytes); one object per step
+    # would cost several hundred bytes more
+    cfg = ExperimentConfig(controller="constant", dt0=1e-4, t_end=1.0)
+    run_experiment(ExperimentConfig(t_end=1e-2))  # first-use caches are not the record's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        record = run_experiment(cfg)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert record.step_count >= 10_000
+    assert retained / record.step_count <= 160

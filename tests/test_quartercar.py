@@ -130,6 +130,25 @@ def test_wheel_assembly_quiescent_before_step():
     assert s2.get_outputs() == (0.0,)
 
 
+@pytest.mark.parametrize("cls", [WheelAssembly, WheelOnly, MonolithicQuarterCar])
+def test_macro_step_across_the_road_step(cls):
+    # the road height is read once per macro step: a step with micro steps
+    # starting on both sides of t = 0 is refused and leaves the state alone
+    slot = cls(LINEAR_PARAMS, micro_steps=4)
+    slot.set_inputs([0.0] * slot.n_inputs)
+    before = slot.probes()
+    with pytest.raises(ValueError, match="road step"):
+        slot.do_step(-0.1, 0.5)  # micro steps start at -0.1, 0.025, 0.15, 0.275
+    assert slot.probes() == before
+    slot.do_step(-0.5, 0.5)  # ends on t = 0: every micro step starts before it
+    assert slot.probes() == before
+    # one micro step starting before t = 0 sees the road at 0 for the whole step
+    single = cls(LINEAR_PARAMS, micro_steps=1)
+    single.set_inputs([0.0] * single.n_inputs)
+    single.do_step(-0.1, 0.5)
+    assert single.probes() == before
+
+
 def test_wheel_only_low_accuracy_variant():
     s2 = WheelOnly(LINEAR_PARAMS, micro_steps=1)
     assert s2.micro_step_ratio == 1

@@ -189,8 +189,8 @@ def test_summarize_run_against_itself_is_error_free():
     # there its dense output is the state (P_12, 1, 0, 1), whose bond power
     # under a unit spring stiffness is the run's own P_12
     steps = array("d")
-    for row in record.rows:
-        steps.extend([row.t, 1.0, row.bonds[0].P_12, 1.0, 0.0, 1.0] + [0.0] * 16)
+    for t, p12 in zip(record.column("t"), record.column("P_12")):
+        steps.extend([t, 1.0, p12, 1.0, 0.0, 1.0] + [0.0] * 16)
     params = QuarterCarParams(k_c=1.0)
     fake = ReferenceTrajectory(params, "A", record.duration, steps[::_STEP_WIDTH], steps)
     summary = summarize(record, fake)
@@ -223,7 +223,8 @@ def test_summarize_accepts_longer_reference():
     summary = summarize(record, long_ref)
     assert summary.step_count == 200
     assert summary.mean_abs_dP > 0.0
-    mean_p12 = math.fsum(row.bonds[0].P_12 * row.dt for row in record.rows) / record.duration
+    weighted = zip(record.column("P_12"), record.column("dt"))
+    mean_p12 = math.fsum(p12 * dt for p12, dt in weighted) / record.duration
     assert summary.mean_P12 == pytest.approx(mean_p12, rel=1e-12)
     assert summary.mean_dt == record.mean_dt()
 
@@ -257,4 +258,4 @@ def test_working_point_is_stable():
         slots, graph = build_reticulation(kind, LINEAR_PARAMS)
         record = run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
         assert record.complete
-        assert all(abs(v) < 1.0 for v in record.rows[-1].probes.values())
+        assert all(abs(v) < 1.0 for v in record.last_probes())
