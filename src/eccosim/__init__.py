@@ -15,17 +15,7 @@ from .control import (
     predict_outputs,
 )
 from .bench import NoOnsetInRange, stability_scan, step_size_sweep
-from .energy import (
-    BondLedger,
-    BondLedgerEntry,
-    CompensatedSum,
-    average_local_power_error,
-    port_power,
-    residual_energy_step,
-    residual_power,
-    total_residual_power,
-    transmitted_power,
-)
+from .energy import BondLedger, CompensatedSum
 from .master import RunRecord, SimulatorFailure, run_cosimulation
 from .model import (
     ConnectionGraph,
@@ -48,13 +38,11 @@ from .quartercar import (
     excitation,
     preset_params,
     spring_damper_force,
-    tyre_force,
 )
 from .reference import (
     ErrorSummary,
     ReferenceTrajectory,
     TimeRangeMismatch,
-    local_power_error,
     reference_solve,
     summarize,
 )

@@ -204,7 +204,8 @@ def run_experiment(
 
     ``stop`` is passed on to :func:`run_cosimulation`, which calls it with the
     record after each step and ends the run at the first step it returns
-    true for.
+    true for.  Raises ``ValueError`` when the horizon leaves no macro step
+    to take: every result of a run is an average or a sum over its steps.
     """
     slots, graph = build_reticulation(
         cfg.reticulation,
@@ -213,15 +214,15 @@ def run_experiment(
         micro_s2=cfg.micro_ratio_s2,
     )
     policy = build_policy(cfg)
-    return run_cosimulation(
-        slots, graph, policy, cfg.resolved_t_end, dt0=cfg.resolved_dt0, stop=stop
-    )
+    t_end = cfg.resolved_t_end
+    record = run_cosimulation(slots, graph, policy, t_end, dt0=cfg.resolved_dt0, stop=stop)
+    if not record.step_count:
+        raise ValueError(f"t_end={t_end} is too short for one macro step; the run took none")
+    return record
 
 
 def summarize_experiment(cfg: ExperimentConfig, record: RunRecord) -> ErrorSummary:
-    """Error summary against the matching reference; degenerate runs are all-zero."""
-    if record.step_count == 0:
-        return ErrorSummary(0.0, 0.0, 0.0, 0.0, 0)
+    """Error summary against the matching reference."""
     ref = reference_solve(preset_params(cfg.preset), cfg.resolved_t_end, cfg.reticulation)
     return summarize(record, ref)
 
@@ -239,12 +240,8 @@ def step_size_sweep(cfg: ExperimentConfig, dt_values: Sequence[float]) -> list[S
     """Constant-step runs of ``cfg`` over ``dt_values``, recording both error curves.
 
     All runs execute before the reference is solved, so a divergent step size
-    fails fast without paying for the reference solution.  The horizon must
-    be positive: both curves are averages over it.
+    fails fast without paying for the reference solution.
     """
-    t_end = cfg.resolved_t_end
-    if not t_end > 0.0:
-        raise ValueError(f"t_end must be finite and positive, got {t_end}")
     runs = [replace(cfg, controller="constant", dt0=dt) for dt in dt_values]
     records = [run_experiment(run) for run in runs]
     points = []
@@ -271,15 +268,11 @@ def stability_scan(
 
     A run diverges when it fails or any probed state exceeds ``threshold``
     before the config's horizon; it stops at the first step beyond the
-    threshold, since later steps cannot change the verdict.  The horizon must
-    be positive, or no run could diverge.  The initial range must bracket the
-    onset: ``dt_lo`` stable, ``dt_hi`` divergent.  The bisection also ends
-    when the two ends are adjacent floats, so any positive ``resolution``
-    terminates.
+    threshold, since later steps cannot change the verdict.  The initial
+    range must bracket the onset: ``dt_lo`` stable, ``dt_hi`` divergent.  The
+    bisection also ends when the two ends are adjacent floats, so any
+    positive ``resolution`` terminates.
     """
-    t_end = cfg.resolved_t_end
-    if not t_end > 0.0:
-        raise ValueError(f"t_end must be finite and positive, got {t_end}")
     if not 0.0 < dt_lo < dt_hi:
         raise ValueError("require 0 < dt_lo < dt_hi")
     if not resolution > 0.0:

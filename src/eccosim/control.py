@@ -15,7 +15,10 @@ from dataclasses import dataclass
 from math import isfinite, sqrt
 from typing import Sequence
 
-from .energy import BondLedgerEntry
+from .energy import BOND_FIELDS
+
+# Where the residual-energy indicator finds its values in a ledger step.
+_DE_RES, _E_STEP = BOND_FIELDS.index("dE_res"), BOND_FIELDS.index("E_step")
 
 # Indicators are clamped below this before exponentiation so a vanishing
 # residual cannot divide by zero; growth is then limited by theta_max anyway.
@@ -164,10 +167,13 @@ class StepPolicy(ABC):
         self,
         t_next: float,
         dt_used: float,
-        bond_steps: Sequence[BondLedgerEntry],
+        bond_steps: Sequence[Sequence[float]],
         outputs: Sequence[float],
     ) -> tuple[float, float]:
-        """Consume one completed step; return (next step size, logged indicator)."""
+        """Consume one completed step; return (next step size, logged indicator).
+
+        ``bond_steps`` holds each bond's ledger values in ``BOND_FIELDS`` order.
+        """
 
 
 class ConstantStep(StepPolicy):
@@ -226,8 +232,8 @@ class ResidualEnergyIndicator:
 
     def __call__(self, t_next, bond_steps, outputs) -> float:
         return ecco_indicator(
-            [b.dE_res for b in bond_steps],
-            [b.E_step for b in bond_steps],
+            [b[_DE_RES] for b in bond_steps],
+            [b[_E_STEP] for b in bond_steps],
             self.bond_rel_tol,
             self.bond_energy_scale,
         )

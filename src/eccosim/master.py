@@ -13,12 +13,11 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 from math import inf, isfinite
-from operator import itemgetter
 from struct import Struct
 from typing import Callable, Sequence
 
 from .control import StepPolicy
-from .energy import BondLedger
+from .energy import BOND_FIELDS, BondLedger
 from .model import ConnectionGraph, SimulatorSlot, Wiring, apply_connections, validate_graph
 
 
@@ -30,8 +29,8 @@ MAX_MACRO_STEPS = 1_000_000
 
 #: Leading fields of every row.
 STEP_FIELDS = ("t", "dt", "eps")
-#: Ledger fields each bond adds to a row, in row order.
-BOND_FIELDS = ("P_port1", "P_port2", "P_12", "dP_res", "dE_res", "E_step", "E_res_accum")
+#: Where the bond-power check finds its values in a ledger step.
+_P_12, _DP_RES = BOND_FIELDS.index("P_12"), BOND_FIELDS.index("dP_res")
 
 
 class SimulatorFailure(RuntimeError):
@@ -124,12 +123,12 @@ def _non_finite_signal(outputs, probe_names: list[tuple[str, ...]], probes) -> s
 
 
 def _probe_layout(slots: Sequence[SimulatorSlot]) -> list[tuple[str, ...]]:
-    """Each slot's probe names, in the order its ``probes`` returns them.
+    """Each slot's ``probe_names``.
 
     Raises ``ValueError`` for a name that two slots share or that names a
     step or ledger field, since :meth:`RunRecord.column` could not tell them apart.
     """
-    names = [tuple(slot.probes()) for slot in slots]
+    names = [tuple(slot.probe_names) for slot in slots]
     owner = dict.fromkeys(STEP_FIELDS + BOND_FIELDS, "the record")
     for i, keys in enumerate(names):
         for name in keys:
@@ -137,14 +136,6 @@ def _probe_layout(slots: Sequence[SimulatorSlot]) -> list[tuple[str, ...]]:
                 raise ValueError(f"slot {i} probe {name!r} is also a column of {owner[name]}")
             owner[name] = f"slot {i}"
     return names
-
-
-def _values_in_order(names: tuple[str, ...]) -> Callable[[dict[str, float]], tuple]:
-    """A reader of a probe dict's values in ``names`` order, whatever the dict's
-    order; it raises ``KeyError`` when a name is missing."""
-    if len(names) > 1:
-        return itemgetter(*names)
-    return lambda named: tuple(named[name] for name in names)
 
 
 def run_cosimulation(
@@ -164,18 +155,20 @@ def run_cosimulation(
     called after each row is appended; if it returns true the run ends there
     with ``record.complete`` set to False.
 
-    The probe names are read once, from each slot's ``probes()`` at t = 0,
-    and fix the row layout for the run.
+    The probe names are read once, from each slot's ``probe_names``, and
+    fix the row layout for the run; each step, each slot's ``probes()``
+    must return one value per name.
 
     Raises :class:`ValueError` before any step when ``t_end`` is negative or
     not finite or a probe name is not unique among the record's columns,
     and before the next step when the policy proposes a step size that is
     not finite and positive or the run has already taken ``MAX_MACRO_STEPS``
+    steps.  A ``t_end`` within the end tolerance of 0 gives a record without
     steps.  Raises :class:`SimulatorFailure` (with the partial record
     attached) when a slot produces a non-finite output or probe value or
-    returns other probe names than at t = 0, or when a bond power
-    overflows; the message names the slot and signal, or the bond, that
-    failed first.
+    returns more or fewer probe values than it has names, or when a bond
+    power overflows; the message names the slot and signal, or the bond,
+    that failed first.
     """
     if not (isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
@@ -196,8 +189,7 @@ def run_cosimulation(
     do_steps = [slot.do_step for slot in slots]
     get_outputs = [slot.get_outputs for slot in slots]
     read_probes = [
-        (i, slot.probes, len(names), _values_in_order(names))
-        for i, (slot, names) in enumerate(zip(slots, probe_names))
+        (i, slot.probes, len(names)) for i, (slot, names) in enumerate(zip(slots, probe_names))
     ]
     taps = [
         (j, ledger.record, o1, i1, k1, o2, i2, k2)
@@ -251,20 +243,16 @@ def run_cosimulation(
 
         outputs = [get() for get in get_outputs]
         probes = []
-        for i, read, count, values_of in read_probes:
-            named = read()
-            if len(named) == count:
-                try:
-                    probes += values_of(named)
-                    continue
-                except KeyError:
-                    pass
-            record.complete = False
-            raise SimulatorFailure(
-                f"slot {i} changed its probe names at t={t_next}: "
-                f"{tuple(named)} instead of {probe_names[i]}",
-                record,
-            )
+        for i, read, count in read_probes:
+            values = read()
+            if len(values) != count:
+                record.complete = False
+                raise SimulatorFailure(
+                    f"slot {i} returned {len(values)} probe values at t={t_next} "
+                    f"for its {count} probe names {probe_names[i]}",
+                    record,
+                )
+            probes += values
 
         if not all(map(isfinite, chain(*outputs, probes))):
             record.complete = False
@@ -274,14 +262,14 @@ def run_cosimulation(
                 record,
             )
 
-        entries = []
+        bond_steps = []
         stacked = []
         ledger_fields = []
         for j, record_step, o1, i1, k1, o2, i2, k2 in taps:
             y1 = outputs[o1][k1]
             y2 = outputs[o2][k2]
-            entry = record_step(t_next, dt, inputs[o1][i1], inputs[o2][i2], y1, y2)
-            if not (isfinite(entry.P_12) and isfinite(entry.dP_res)):
+            step = record_step(dt, inputs[o1][i1], inputs[o2][i2], y1, y2)
+            if not (isfinite(step[_P_12]) and isfinite(step[_DP_RES])):
                 # finite signals whose products overflow: the run has blown up
                 record.complete = False
                 raise SimulatorFailure(
@@ -289,13 +277,10 @@ def run_cosimulation(
                     f"(slot {o1} output {k1}, slot {o2} output {k2})",
                     record,
                 )
-            entries.append(entry)
+            bond_steps.append(step)
             stacked += (y1, y2)
-            ledger_fields += (  # in BOND_FIELDS order
-                entry.P_port1, entry.P_port2, entry.P_12, entry.dP_res,
-                entry.dE_res, entry.E_step, entry.E_res_accum,
-            )
-        dt_next, eps = next_step(t_next, dt, tuple(entries), stacked)
+            ledger_fields += step
+        dt_next, eps = next_step(t_next, dt, bond_steps, stacked)
         append_row(pack_row(t_next, dt, eps, *ledger_fields, *probes))
         steps += 1
         if stop is not None and stop(record):

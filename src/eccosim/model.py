@@ -91,11 +91,15 @@ class SimulatorSlot(ABC):
     Inputs are held constant for the whole step (constant extrapolation) and
     ``get_outputs`` reads the post-step state without side effects.  Identical
     state and inputs must reproduce bitwise-identical outputs.
+
+    ``probe_names`` names the diagnostic values ``probes`` returns, in order;
+    they fix the trajectory record's probe columns for a whole run.
     """
 
     n_inputs: int = 0
     n_outputs: int = 0
     micro_step_ratio: int = 1
+    probe_names: tuple[str, ...] = ()
 
     @abstractmethod
     def set_inputs(self, u: Sequence[float]) -> None:
@@ -109,9 +113,9 @@ class SimulatorSlot(ABC):
     def get_outputs(self) -> tuple[float, ...]:
         """Output vector at the current state (post-step when called after do_step)."""
 
-    def probes(self) -> dict[str, float]:
-        """Named diagnostic state values for trajectory records; optional."""
-        return {}
+    def probes(self) -> tuple[float, ...]:
+        """Diagnostic state values in ``probe_names`` order; optional."""
+        return ()
 
 
 @dataclass(frozen=True)

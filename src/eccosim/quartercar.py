@@ -90,11 +90,6 @@ def spring_damper_force(
     return params.k_c * (z_c - z_w) + damping
 
 
-def tyre_force(z_w: float, t: float, params: QuarterCarParams) -> float:
-    """Tyre spring force k_w*(z_w - road height)."""
-    return params.k_w * (z_w - excitation(t))
-
-
 class QuarterCarSlot(SimulatorSlot):
     """State every quarter-car slot shares: the parameters, the micro step
     count, the input held over a macro step, and a count of ``do_step`` calls."""
@@ -121,6 +116,8 @@ class ChassisExact(QuarterCarSlot):
     is solved exactly.  Output is the chassis velocity.
     """
 
+    probe_names = ("z_c", "v_c")
+
     def __init__(self, params: QuarterCarParams = LINEAR_PARAMS):
         super().__init__(params, micro_steps=1)
         self.z_c = 0.0
@@ -136,7 +133,7 @@ class ChassisExact(QuarterCarSlot):
         return (self.v_c,)
 
     def probes(self):
-        return {"z_c": self.z_c, "v_c": self.v_c}
+        return (self.z_c, self.v_c)
 
 
 class WheelAssembly(QuarterCarSlot):
@@ -147,6 +144,8 @@ class WheelAssembly(QuarterCarSlot):
     force at the end of the step.  Forward Euler micro stepping with all
     derivatives taken at the start of each substep.
     """
+
+    probe_names = ("z_w", "v_w")
 
     def __init__(self, params: QuarterCarParams = LINEAR_PARAMS, micro_steps: int = 10):
         super().__init__(params, micro_steps)
@@ -177,7 +176,7 @@ class WheelAssembly(QuarterCarSlot):
         )
 
     def probes(self):
-        return {"z_w": self.z_w, "v_w": self.v_w}
+        return (self.z_w, self.v_w)
 
 
 class ChassisSpringDamper(QuarterCarSlot):
@@ -186,6 +185,8 @@ class ChassisSpringDamper(QuarterCarSlot):
     Input is the wheel velocity (integrated to a wheel displacement shadow),
     output is the suspension force at the end of the step.
     """
+
+    probe_names = ("z_c", "v_c")
 
     def __init__(self, params: QuarterCarParams = LINEAR_PARAMS, micro_steps: int = 10):
         super().__init__(params, micro_steps)
@@ -214,7 +215,7 @@ class ChassisSpringDamper(QuarterCarSlot):
         )
 
     def probes(self):
-        return {"z_c": self.z_c, "v_c": self.v_c}
+        return (self.z_c, self.v_c)
 
 
 class WheelOnly(QuarterCarSlot):
@@ -223,6 +224,8 @@ class WheelOnly(QuarterCarSlot):
     Input is the negated suspension force, output the wheel velocity.  The
     micro step count can be dropped to 1 for the low-accuracy variant.
     """
+
+    probe_names = ("z_w", "v_w")
 
     def __init__(self, params: QuarterCarParams = LINEAR_PARAMS, micro_steps: int = 10):
         super().__init__(params, micro_steps)
@@ -248,7 +251,7 @@ class WheelOnly(QuarterCarSlot):
         return (self.v_w,)
 
     def probes(self):
-        return {"z_w": self.z_w, "v_w": self.v_w}
+        return (self.z_w, self.v_w)
 
 
 class MonolithicQuarterCar(QuarterCarSlot):
@@ -261,6 +264,7 @@ class MonolithicQuarterCar(QuarterCarSlot):
 
     n_inputs = 0
     n_outputs = 0
+    probe_names = ("z_c", "v_c", "z_w", "v_w")
 
     def __init__(self, params: QuarterCarParams = LINEAR_PARAMS, micro_steps: int = 10):
         super().__init__(params, micro_steps)
@@ -295,7 +299,7 @@ class MonolithicQuarterCar(QuarterCarSlot):
         return ()
 
     def probes(self):
-        return {"z_c": self.z_c, "v_c": self.v_c, "z_w": self.z_w, "v_w": self.v_w}
+        return (self.z_c, self.v_c, self.z_w, self.v_w)
 
 
 def build_reticulation(

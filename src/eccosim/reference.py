@@ -291,11 +291,6 @@ def pairwise_sum(values: Sequence[float]) -> float:
     return 0.0 + block(0, len(values))  # numpy starts from 0.0, so -0.0 sums to 0.0
 
 
-def local_power_error(p_cosim: float, p_ref: float) -> float:
-    """Local error of a co-simulation power against the reference, P - P0."""
-    return p_cosim - p_ref
-
-
 @dataclass(frozen=True)
 class ErrorSummary:
     """Run-level metrics: bond power mean, mean absolute power error, residual."""

@@ -271,6 +271,7 @@ class _RecordingSlot(SimulatorSlot):
         self.n_inputs = inner.n_inputs
         self.n_outputs = inner.n_outputs
         self.micro_step_ratio = inner.micro_step_ratio
+        self.probe_names = inner.probe_names
         self.inputs_log: list[tuple[float, ...]] = []
         self.outputs_log: list[tuple[float, ...]] = []
 

@@ -193,11 +193,14 @@ def test_cli_run_exit_zero(tmp_path):
     assert (tmp_path / "traj.summary.csv").exists()
 
 
-def test_cli_run_degenerate_horizon(tmp_path):
+def test_cli_run_degenerate_horizon(tmp_path, capsys):
+    # a run without a macro step has nothing to summarize: a config error
     out = tmp_path / "empty.csv"
     code = main(["run", "--t-end", "0", "--out", str(out)])
-    assert code == 0
-    assert out.read_text() == TRAJECTORY_HEADER + "\n"
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_end=0.0 ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_run_config_file(tmp_path):
@@ -285,6 +288,8 @@ def test_cli_check_passing_row(tmp_path):
     ["scan", "--reticulation", "A", "--threshold", "inf"],
     ["scan", "--reticulation", "A", "--threshold", "0"],
     ["sweep", "--t-end", "0"],
+    ["run", "--t-end", "0"],
+    ["run", "--t-end", "1e-13"],
 ])
 def test_cli_bad_horizon_or_value_exits_one(argv, tmp_path, capsys):
     # each of these once hung or exited 0 or 2; now all are config errors
@@ -296,6 +301,13 @@ def test_cli_bad_horizon_or_value_exits_one(argv, tmp_path, capsys):
 def test_cli_scan_rejects_an_empty_horizon(capsys):
     # every run of an empty horizon completes, so the scan used to blame the bracket
     assert main(["scan", "--reticulation", "A", "--t-scan", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "t_end" in err
+
+
+def test_cli_sweep_rejects_an_empty_horizon(capsys):
+    assert main(["sweep", "--t-end", "0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "t_end" in err
@@ -488,13 +500,15 @@ def test_module_entry_point(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     out = tmp_path / "m.csv"
     proc = subprocess.run(
-        [sys.executable, "-m", "eccosim", "run", "--t-end", "0", "--out", str(out)],
+        [sys.executable, "-m", "eccosim", "run", "--t-end", "0.01", "--out", str(out)],
         capture_output=True,
         text=True,
         env=env,
     )
-    assert proc.returncode == 0
-    assert out.read_text() == TRAJECTORY_HEADER + "\n"
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text().splitlines()
+    assert lines[0] == TRAJECTORY_HEADER
+    assert len(lines) == 11
 
 
 def test_package_runs_without_numpy(tmp_path):

@@ -18,14 +18,16 @@ from eccosim.control import (
     pi_step_size,
     predict_outputs,
 )
-from eccosim.energy import BondLedgerEntry
+from eccosim.energy import BOND_FIELDS
 
 
 def entry(dE_res, E_step, dt=1e-3):
-    return BondLedgerEntry(
-        t_next=dt, dt=dt, P_port1=0.0, P_port2=0.0, P_12=E_step / dt,
+    """One bond's ledger values for one step, in ``BOND_FIELDS`` order."""
+    values = dict(
+        P_port1=0.0, P_port2=0.0, P_12=E_step / dt,
         dP_res=dE_res / dt, dE_res=dE_res, E_step=E_step, E_res_accum=dE_res,
     )
+    return tuple(values[name] for name in BOND_FIELDS)
 
 
 def test_config_validation():

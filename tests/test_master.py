@@ -16,7 +16,7 @@ from eccosim.control import (
 )
 from eccosim import master
 from eccosim.master import RunRecord, SimulatorFailure, run_cosimulation
-from eccosim.energy import CompensatedSum
+from eccosim.energy import BOND_FIELDS, CompensatedSum
 from eccosim.model import ConnectionGraph, SimulatorSlot
 from eccosim.quartercar import (
     LINEAR_PARAMS,
@@ -60,9 +60,8 @@ def test_free_simulator_without_bonds_matches_standalone():
 
 def test_initial_probes_are_zero():
     slots, _ = build_reticulation("A", LINEAR_PARAMS)
-    assert {**slots[0].probes(), **slots[1].probes()} == {
-        "z_c": 0.0, "v_c": 0.0, "z_w": 0.0, "v_w": 0.0
-    }
+    assert slots[0].probe_names + slots[1].probe_names == ("z_c", "v_c", "z_w", "v_w")
+    assert slots[0].probes() + slots[1].probes() == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_no_rollback_every_step_executed_once():
@@ -286,33 +285,37 @@ def test_record_columns_follow_the_ledger_and_the_probes():
         record.column("x_c")
 
 
-class _KeepsEntries(ConstantStep):
-    """Constant steps; keeps every ledger entry the master hands the policy."""
+class _KeepsSteps(ConstantStep):
+    """Constant steps; keeps the time, step size and first bond's ledger
+    values the master hands the policy after every step."""
 
     def __init__(self, dt: float):
         super().__init__(dt)
-        self.entries = []
+        self.steps = []
 
     def next_step(self, t_next, dt_used, bond_steps, outputs):
-        self.entries.append(bond_steps[0])
+        self.steps.append((t_next, dt_used, bond_steps[0]))
         return super().next_step(t_next, dt_used, bond_steps, outputs)
 
 
 def test_ledger_columns_hold_the_entries_the_policy_saw():
     slots, graph = build_reticulation("A", LINEAR_PARAMS)
-    policy = _KeepsEntries(1e-3)
+    policy = _KeepsSteps(1e-3)
     record = run_cosimulation(slots, graph, policy, 0.05)
-    for name in master.BOND_FIELDS:
-        assert list(record.column(name)) == [getattr(e, name) for e in policy.entries]
-    assert list(record.column("t")) == [e.t_next for e in policy.entries]
-    assert list(record.column("dt")) == [e.dt for e in policy.entries]
+    assert [len(bond) for _, _, bond in policy.steps] == [len(BOND_FIELDS)] * 50
+    for k, name in enumerate(BOND_FIELDS):
+        assert list(record.column(name)) == [bond[k] for _, _, bond in policy.steps]
+    assert list(record.column("t")) == [t for t, _, _ in policy.steps]
+    assert list(record.column("dt")) == [dt for _, dt, _ in policy.steps]
 
 
-class _ChangingProbes(SimulatorSlot):
-    """A slot without ports whose probe names change from its third step on."""
+class _Probed(SimulatorSlot):
+    """A slot without ports probing ``x`` and ``y``; from its third step on
+    ``probes`` returns ``later`` instead."""
 
-    def __init__(self, later: dict[str, float], first=None):
-        self.first = {"x": 1.0, "y": 2.0} if first is None else first
+    probe_names = ("x", "y")
+
+    def __init__(self, later=(1.0, 2.0)):
         self.later = later
         self.steps = 0
 
@@ -326,26 +329,38 @@ class _ChangingProbes(SimulatorSlot):
         return ()
 
     def probes(self):
-        return self.first if self.steps < 3 else self.later
+        return (1.0, 2.0) if self.steps < 3 else self.later
 
 
-@pytest.mark.parametrize(
-    "later", [{"x": 1.0, "q": 2.0}, {"x": 1.0}, {"x": 1.0, "y": 2.0, "q": 3.0}, {}]
-)
-def test_probe_names_that_change_mid_run_fail_naming_the_slot(later):
-    slots = [MonolithicQuarterCar(LINEAR_PARAMS), _ChangingProbes(later)]
-    with pytest.raises(SimulatorFailure, match="slot 1 changed its probe names") as info:
+@pytest.mark.parametrize("later", [(1.0,), (1.0, 2.0, 3.0), ()], ids=["short", "long", "empty"])
+def test_probe_values_of_the_wrong_count_fail_naming_the_slot(later):
+    slots = [MonolithicQuarterCar(LINEAR_PARAMS), _Probed(later)]
+    with pytest.raises(SimulatorFailure) as info:
         run_cosimulation(slots, ConnectionGraph(), ConstantStep(1e-3), 0.01)
+    assert str(info.value) == (
+        f"slot 1 returned {len(later)} probe values at t=0.003 for its 2 probe names ('x', 'y')"
+    )
     assert info.value.record.step_count == 2
     assert info.value.record.complete is False
 
 
-def test_probe_order_may_change_without_moving_the_columns():
-    slot = _ChangingProbes({"y": 2.0, "x": 1.0})
-    record = run_cosimulation([slot], ConnectionGraph(), ConstantStep(1e-3), 0.01)
-    assert record.probe_names == ("x", "y")
-    assert list(record.column("x")) == [1.0] * 10
-    assert list(record.column("y")) == [2.0] * 10
+class _NamesOnly(_Probed):
+    """Declares probe names but keeps the default, empty ``probes``."""
+
+    probes = SimulatorSlot.probes
+
+
+def test_declared_probes_need_a_probes_method():
+    slot = _NamesOnly()
+    with pytest.raises(SimulatorFailure, match="slot 0 returned 0 probe values") as info:
+        run_cosimulation([slot], ConnectionGraph(), ConstantStep(1e-3), 0.01)
+    assert slot.steps == 1
+    assert info.value.record.step_count == 0
+    assert info.value.record.complete is False
+
+
+class _ProbesDt(_Probed):
+    probe_names = ("dt",)
 
 
 def test_probe_names_that_clash_are_rejected_before_the_first_step():
@@ -353,7 +368,7 @@ def test_probe_names_that_clash_are_rejected_before_the_first_step():
     with pytest.raises(ValueError, match="slot 1 probe 'z_c' is also a column of slot 0"):
         run_cosimulation(slots, ConnectionGraph(), ConstantStep(1e-3), 0.01)
     assert [slot.step_calls for slot in slots] == [0, 0]
-    slot = _ChangingProbes({}, first={"dt": 0.0})
+    slot = _ProbesDt()
     with pytest.raises(ValueError, match="slot 0 probe 'dt' is also a column of the record"):
         run_cosimulation([slot], ConnectionGraph(), ConstantStep(1e-3), 0.01)
     assert slot.steps == 0

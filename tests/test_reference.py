@@ -31,7 +31,6 @@ from eccosim.reference import (
     ReferenceTrajectory,
     TimeRangeMismatch,
     _solve,
-    local_power_error,
     pairwise_sum,
     reference_solve,
     summarize,
@@ -65,11 +64,6 @@ def test_pairwise_sum_matches_numpy_on_a_long_run():
     xs = (rng.standard_normal(40_000) * 10.0 ** rng.uniform(-8, 8, 40_000)).tolist()
     assert _bits(pairwise_sum(xs)) == _bits(float(np.sum(np.array(xs))))
     assert _bits(pairwise_sum([-0.0] * 9)) == _bits(float(np.sum(np.array([-0.0] * 9))))
-
-
-def test_local_power_error_examples():
-    assert local_power_error(-100.0, -100.0) == 0.0
-    assert local_power_error(-90.0, -100.0) == 10.0
 
 
 def test_static_equilibrium():
