@@ -57,37 +57,27 @@ class PIConfig:
             raise ValueError("require 0 < alpha_s <= 1")
 
 
-def _validate_positive(value, name: str) -> None:
+def _validate_sign(value, name: str, zero_ok: bool = False) -> None:
     values = (value,) if isinstance(value, (int, float)) else tuple(value)
-    if not all(v > 0.0 for v in values):
-        raise ValueError(f"{name} must be strictly positive")
-
-
-def _validate_nonnegative(value, name: str) -> None:
-    values = (value,) if isinstance(value, (int, float)) else tuple(value)
-    if not all(v >= 0.0 for v in values):
-        raise ValueError(f"{name} must be non-negative")
+    if not all(v >= 0.0 if zero_ok else v > 0.0 for v in values):
+        raise ValueError(f"{name} must be {'non-negative' if zero_ok else 'strictly positive'}")
 
 
 def ecco_indicator(
-    dE_res: Sequence[float],
-    E_step: Sequence[float],
+    bond_steps: Sequence[Sequence[float]],
     rel_tol: Sequence[float],
     energy_scale: Sequence[float],
 ) -> float:
-    """Scalar error indicator from per-bond residual and transmitted energies.
+    """Scalar error indicator from each bond's ledger values in ``BOND_FIELDS`` order.
 
-    RMS over bonds of dE_k / (r_k * (E0_k + |E_k|)); values <= 1 mean the
-    residual energies are within tolerance.
+    RMS over bonds of dE_res_k / (r_k * (E0_k + |E_step_k|)); values <= 1
+    mean the residual energies are within tolerance.
     """
-    n = len(dE_res)
-    if not n == len(E_step) == len(rel_tol) == len(energy_scale):
-        raise ValueError("per-bond energy and tolerance vectors must match")
     acc = 0.0
-    for de, e, r, e0 in zip(dE_res, E_step, rel_tol, energy_scale):
-        term = de / (r * (e0 + abs(e)))
+    for step, r, e0 in zip(bond_steps, rel_tol, energy_scale, strict=True):
+        term = step[_DE_RES] / (r * (e0 + abs(step[_E_STEP])))
         acc += term * term
-    return sqrt(acc / n)
+    return sqrt(acc / len(bond_steps))
 
 
 def pi_step_size(
@@ -140,10 +130,8 @@ def pc_indicator(
     Worst output of |y - y_pred| / (TOL * (1 + rho * max(|y|, |y_pred|))).
     Unlike the residual-energy indicator this is sensitive to output scaling.
     """
-    if not len(y) == len(y_pred) == len(tol) == len(rho):
-        raise ValueError("output, prediction, and tolerance vectors must match")
     worst = 0.0
-    for ya, pa, t, r in zip(y, y_pred, tol, rho):
+    for ya, pa, t, r in zip(y, y_pred, tol, rho, strict=True):
         err = abs(ya - pa) / (t * (1.0 + r * max(abs(ya), abs(pa))))
         if err > worst:
             worst = err
@@ -151,13 +139,14 @@ def pc_indicator(
 
 
 class StepPolicy(ABC):
-    """Interface the master loop drives once per accepted macro step."""
+    """Interface the master loop drives: :meth:`start` once per run, then
+    :meth:`next_step` once per accepted macro step."""
 
     name: str = "policy"
 
     @abstractmethod
-    def start(self, dt0: float | None, t0: float, outputs: Sequence[float]) -> float:
-        """Reset per-run state and return the first macro step size.
+    def start(self, dt0: float | None, outputs: Sequence[float]) -> float:
+        """Reset per-run state for a run from t = 0; return the first macro step size.
 
         ``outputs`` are the initial coupling outputs stacked two per bond.
         """
@@ -186,7 +175,7 @@ class ConstantStep(StepPolicy):
             raise ValueError(f"constant step size must be finite and positive, got {dt}")
         self.dt = dt
 
-    def start(self, dt0, t0, outputs):
+    def start(self, dt0, outputs):
         if dt0 is not None:
             if not (isfinite(dt0) and dt0 > 0.0):
                 raise ValueError(f"dt0 must be finite and positive, got {dt0}")
@@ -214,12 +203,12 @@ class ResidualEnergyIndicator:
         rel_tol: float | Sequence[float] = 1e-5,
         energy_scale: float | Sequence[float] = 750.0,
     ):
-        _validate_positive(rel_tol, "rel_tol")
-        _validate_positive(energy_scale, "energy_scale")
+        _validate_sign(rel_tol, "rel_tol")
+        _validate_sign(energy_scale, "energy_scale")
         self.rel_tol = rel_tol
         self.energy_scale = energy_scale
 
-    def start(self, t0: float, outputs: Sequence[float]) -> None:
+    def start(self, outputs: Sequence[float]) -> None:
         n_bonds = len(outputs) // 2
         if n_bonds < 1:
             raise ValueError("residual-energy control needs at least one bond")
@@ -231,12 +220,7 @@ class ResidualEnergyIndicator:
             raise ValueError("rel_tol * energy_scale underflows to 0")
 
     def __call__(self, t_next, bond_steps, outputs) -> float:
-        return ecco_indicator(
-            [b[_DE_RES] for b in bond_steps],
-            [b[_E_STEP] for b in bond_steps],
-            self.bond_rel_tol,
-            self.bond_energy_scale,
-        )
+        return ecco_indicator(bond_steps, self.bond_rel_tol, self.bond_energy_scale)
 
 
 class OutputExtrapolationIndicator:
@@ -257,17 +241,17 @@ class OutputExtrapolationIndicator:
         tol: float | Sequence[float] = 1.0,
         rho: float | Sequence[float] = 1e-4,
     ):
-        _validate_positive(tol, "tol")
-        _validate_nonnegative(rho, "rho")
+        _validate_sign(tol, "tol")
+        _validate_sign(rho, "rho", zero_ok=True)
         self.tol = tol
         self.rho = rho
 
-    def start(self, t0: float, outputs: Sequence[float]) -> None:
+    def start(self, outputs: Sequence[float]) -> None:
         if not outputs:
             raise ValueError("predictor/corrector control needs coupling outputs")
         self.output_tol = _broadcast(self.tol, len(outputs), "tol")
         self.output_rho = _broadcast(self.rho, len(outputs), "rho")
-        self.history = deque([(t0, tuple(outputs))], maxlen=2)
+        self.history = deque([(0.0, tuple(outputs))], maxlen=2)
 
     def __call__(self, t_next, bond_steps, outputs) -> float | None:
         eps = None
@@ -281,38 +265,38 @@ class OutputExtrapolationIndicator:
 class PIController(StepPolicy):
     """PI step controller driven by an error indicator; never re-steps.
 
-    The indicator supplies ``name``, the gains ``k_i``/``k_p``, ``start(t0,
-    outputs)`` and a call ``(t_next, bond_steps, outputs)`` returning the
-    step's error, or ``None`` while it cannot judge yet; the step size is
-    then kept and 0 is logged.
+    The indicator supplies ``name``, the gains ``k_i``/``k_p``,
+    ``start(outputs)`` and a call ``(t_next, bond_steps, outputs)`` returning
+    the step's error, or ``None`` while it cannot judge yet; the step size is
+    then kept and 0 is logged.  :meth:`start` binds the indicator's call,
+    and the gains and ``PIConfig`` bounds in ``pi_step_size``'s argument
+    order, once per run, and resets the previous error to 1.
     """
 
     def __init__(self, indicator, config: PIConfig = PIConfig()):
         self.indicator = indicator
         self.config = config
         self.name = indicator.name
-        self.eps_prev = 1.0
 
-    def start(self, dt0, t0, outputs):
-        cfg = self.config
+    def start(self, dt0, outputs):
+        cfg, ind = self.config, self.indicator
         dt0 = cfg.dt_min if dt0 is None else dt0
         if not cfg.dt_min <= dt0 <= cfg.dt_max:
             raise ValueError(f"dt0={dt0} outside [{cfg.dt_min}, {cfg.dt_max}]")
-        self.indicator.start(t0, outputs)
+        ind.start(outputs)
+        self.measure = ind.__call__  # a bound method is called faster than an instance
+        self.bound = (
+            ind.k_i, ind.k_p, cfg.alpha_s, cfg.dt_min, cfg.dt_max, cfg.theta_min, cfg.theta_max
+        )
         self.eps_prev = 1.0
         return dt0
 
     def next_step(self, t_next, dt_used, bond_steps, outputs):
-        eps = self.indicator(t_next, bond_steps, outputs)
+        eps = self.measure(t_next, bond_steps, outputs)
         if eps is None:
             return dt_used, 0.0
         if not isfinite(eps):
             raise NonFiniteIndicator(f"{self.name} indicator is {eps} at t={t_next}")
-        cfg, ind = self.config, self.indicator
-        dt_next = pi_step_size(
-            eps, self.eps_prev, dt_used,
-            ind.k_i, ind.k_p, cfg.alpha_s,
-            cfg.dt_min, cfg.dt_max, cfg.theta_min, cfg.theta_max,
-        )
-        self.eps_prev = max(eps, EPS_FLOOR)
+        dt_next = pi_step_size(eps, self.eps_prev, dt_used, *self.bound)
+        self.eps_prev = eps if eps > EPS_FLOOR else EPS_FLOOR
         return dt_next, eps

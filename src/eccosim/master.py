@@ -51,8 +51,6 @@ class RunRecord:
     :meth:`last_probes` and the summaries; only this module knows the layout.
     """
 
-    t_end: float = 0.0
-    policy: str = ""
     bond_count: int = 0
     probe_names: tuple[str, ...] = ()
     complete: bool = True
@@ -109,16 +107,15 @@ def _stacked_outputs(wiring: Wiring, outputs) -> list[float]:
 
 
 def _non_finite_signal(outputs, probe_names: list[tuple[str, ...]], probes) -> str:
-    """Name the first non-finite output, then probe, as the step check reads them."""
-    for i, out in enumerate(outputs):
-        for k, v in enumerate(out):
+    """Name the first output, then probe, that is not a finite number."""
+    outs = ((f"slot {i} output {k}", v) for i, out in enumerate(outputs) for k, v in enumerate(out))
+    names = (f"slot {i} probe {name!r}" for i, keys in enumerate(probe_names) for name in keys)
+    for signal, v in chain(outs, zip(names, probes)):
+        try:
             if not isfinite(v):
-                return f"slot {i} output {k}"
-    values = iter(probes)
-    for i, names in enumerate(probe_names):
-        for name, v in zip(names, values):
-            if not isfinite(v):
-                return f"slot {i} probe {name!r}"
+                return signal
+        except TypeError:
+            return f"{signal} is {v!r}, not a number"
     return "unknown signal"
 
 
@@ -165,22 +162,17 @@ def run_cosimulation(
     not finite and positive or the run has already taken ``MAX_MACRO_STEPS``
     steps.  A ``t_end`` within the end tolerance of 0 gives a record without
     steps.  Raises :class:`SimulatorFailure` (with the partial record
-    attached) when a slot produces a non-finite output or probe value or
-    returns more or fewer probe values than it has names, or when a bond
-    power overflows; the message names the slot and signal, or the bond,
-    that failed first.
+    attached) when a slot produces an output or probe value that is not a
+    finite number or returns more or fewer probe values than it has names,
+    or when a bond power overflows; the message names the slot and signal,
+    or the bond, that failed first.
     """
     if not (isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
     wiring = validate_graph(graph, slots)
     ledgers = [BondLedger(bond) for bond in wiring.bonds]
     probe_names = _probe_layout(slots)
-    record = RunRecord(
-        t_end=t_end,
-        policy=policy.name,
-        bond_count=len(ledgers),
-        probe_names=tuple(chain(*probe_names)),
-    )
+    record = RunRecord(bond_count=len(ledgers), probe_names=tuple(chain(*probe_names)))
     append_row = record.data.frombytes
     pack_row = Struct(f"{record.width}d").pack
 
@@ -201,7 +193,7 @@ def run_cosimulation(
     max_steps = MAX_MACRO_STEPS
 
     outputs = [get() for get in get_outputs]
-    dt_next = policy.start(dt0, 0.0, _stacked_outputs(wiring, outputs))
+    dt_next = policy.start(dt0, _stacked_outputs(wiring, outputs))
 
     # The clock is a CompensatedSum of the step sizes, kept in two locals.
     clock = 0.0
@@ -254,7 +246,11 @@ def run_cosimulation(
                 )
             probes += values
 
-        if not all(map(isfinite, chain(*outputs, probes))):
+        try:
+            finite = all(map(isfinite, chain(*outputs, probes)))
+        except TypeError:  # a value that is not a number
+            finite = False
+        if not finite:
             record.complete = False
             raise SimulatorFailure(
                 f"non-finite simulator output at t={t_next}: "

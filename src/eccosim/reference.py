@@ -65,14 +65,6 @@ class ReferenceTrajectory:
         )
         return z_c, v_c, z_w, v_w
 
-    def port_powers_at(self, time: float) -> tuple[float, float]:
-        """Exact per-port powers (P0_k1, P0_k2) at ``time``; they cancel exactly.
-
-        Port 1 is the flow-receiving side, so its power is +force*velocity.
-        """
-        p = self.bond_powers([time])[0]
-        return p, -p
-
     def bond_powers(self, times: Sequence[float]) -> list[float]:
         """Exact bond power ``P0_12`` at each of the ascending ``times``.
 
@@ -307,10 +299,11 @@ def summarize(record: RunRecord, ref: ReferenceTrajectory, bond: int = 0) -> Err
 
     Averages weight each communication point with its step size, so adaptive
     and constant runs are compared on equal footing.  The reference is read
-    at each row's own time and must cover the whole run.
+    at each row's own time and must cover the whole run.  Raises
+    ``ValueError`` for a run without steps.
     """
     if not record.step_count:
-        return ErrorSummary(0.0, 0.0, 0.0, 0.0, 0)
+        raise ValueError("the run has no steps to summarize")
     p12, dt = record.column("P_12", bond), record.column("dt")
     p0 = ref.bond_powers(record.column("t"))
     weighted = [p * h for p, h in zip(p12, dt)]

@@ -31,6 +31,7 @@ from eccosim.control import (
     pi_step_size,
     predict_outputs,
 )
+from eccosim.energy import BOND_FIELDS
 from eccosim.master import run_cosimulation
 from eccosim.model import PortRole, SimulatorSlot
 from eccosim.quartercar import LINEAR_PARAMS, build_reticulation
@@ -253,9 +254,9 @@ def test_c11_residual_equals_summed_local_power_errors():
     record = run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
     ref = reference_solve(LINEAR_PARAMS, 1.0, reticulation="A")
     worst = 0.0
-    columns = zip(*(record.column(name) for name in ("t", "P_port1", "P_port2", "dP_res")))
-    for t, p_port1, p_port2, dp_res in columns:
-        p0_1, p0_2 = ref.port_powers_at(t)
+    columns = zip(*(record.column(name) for name in ("P_port1", "P_port2", "dP_res")))
+    for p0, (p_port1, p_port2, dp_res) in zip(ref.bond_powers(record.column("t")), columns):
+        p0_1, p0_2 = p0, -p0
         dp1 = p_port1 - p0_1
         dp2 = p_port2 - p0_2
         worst = max(worst, abs(dp1 + dp2 + dp_res))
@@ -321,7 +322,8 @@ def test_c12_scale_invariance_of_indicators():
             y2 *= _role_factor(p2.output_role, lam)
             de = -(u1 * y1 + u2 * y2) * dt
             e_step = bond.sigma * (y1 * y2) * dt
-            seq.append(ecco_indicator([de], [e_step], [r], [e0]))
+            step = dict.fromkeys(BOND_FIELDS, 0.0) | {"dE_res": de, "E_step": e_step}
+            seq.append(ecco_indicator([tuple(step.values())], [r], [e0]))
         return seq
 
     def pc_sequence(lam):

@@ -1,6 +1,7 @@
 """Step-size policies: indicators, PI update, clamps, extrapolation."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,24 +62,47 @@ def test_derived_gains():
 def test_ecco_indicator_normalization_point():
     r, e0, e = 2.5e-6, 750.0, -0.3
     de = r * (e0 + abs(e))
-    assert ecco_indicator([de], [e], [r], [e0]) == 1.0
+    assert ecco_indicator([entry(de, e)], [r], [e0]) == 1.0
 
 
 def test_ecco_indicator_zero_and_rms():
-    assert ecco_indicator([0.0, 0.0], [1.0, -1.0], [1.0, 1.0], [1.0, 1.0]) == 0.0
+    assert ecco_indicator([entry(0.0, 1.0), entry(0.0, -1.0)], [1.0, 1.0], [1.0, 1.0]) == 0.0
     # terms 0.6 and 0.8 with unit scales
-    eps = ecco_indicator([0.6, 0.8], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
+    eps = ecco_indicator([entry(0.6, 0.0), entry(0.8, 0.0)], [1.0, 1.0], [1.0, 1.0])
     assert eps == pytest.approx(math.sqrt(0.5), rel=1e-15)
     assert eps == pytest.approx(0.7071, rel=1e-4)
 
 
 def test_ecco_indicator_tolerance_scaling():
-    de, e, r, e0 = [0.37, -0.11], [5.0, -3.0], [1e-5, 2e-5], [750.0, 10.0]
-    base = ecco_indicator(de, e, r, e0)
-    assert ecco_indicator(de, e, [2.0 * x for x in r], e0) == base / 2.0
-    assert ecco_indicator(de, e, [3.0 * x for x in r], e0) == pytest.approx(
+    bonds, r, e0 = [entry(0.37, 5.0), entry(-0.11, -3.0)], [1e-5, 2e-5], [750.0, 10.0]
+    base = ecco_indicator(bonds, r, e0)
+    assert ecco_indicator(bonds, [2.0 * x for x in r], e0) == base / 2.0
+    assert ecco_indicator(bonds, [3.0 * x for x in r], e0) == pytest.approx(
         base / 3.0, rel=1e-14
     )
+
+
+_bond = st.tuples(
+    st.floats(min_value=-1e3, max_value=1e3),  # dE_res
+    st.floats(min_value=-1e6, max_value=1e6),  # E_step
+    st.floats(min_value=1e-9, max_value=1e-2),  # rel_tol
+    st.floats(min_value=1e-3, max_value=1e4),  # energy_scale
+)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(bonds=st.lists(_bond, min_size=1, max_size=5))
+def test_ecco_indicator_matches_hand_formula(bonds):
+    steps = [entry(de, e) for de, e, _, _ in bonds]
+    r = [b[2] for b in bonds]
+    e0 = [b[3] for b in bonds]
+    k = len(bonds)
+    hand = math.sqrt(math.fsum((de / (rk * (ek + abs(e)))) ** 2 for de, e, rk, ek in bonds) / k)
+    assert ecco_indicator(steps, r, e0) == pytest.approx(hand, rel=1e-15)
+    with pytest.raises(ValueError):
+        ecco_indicator(steps, r[:-1], e0)
+    with pytest.raises(ValueError):
+        ecco_indicator(steps, r, e0 + [750.0])
 
 
 BOUNDS = dict(alpha_s=0.8, dt_min=1e-4, dt_max=1e-2, theta_min=0.2, theta_max=1.5)
@@ -183,7 +207,7 @@ def test_pc_indicator_per_output_tolerances():
 
 def test_indicators_reject_mismatched_vectors():
     with pytest.raises(ValueError):
-        ecco_indicator([0.1, 0.2], [1.0], [1e-5, 1e-5], [750.0, 750.0])
+        ecco_indicator([entry(0.1, 1.0), entry(0.2, 1.0)], [1e-5], [750.0, 750.0])
     with pytest.raises(ValueError):
         pc_indicator([1.0, 2.0, 3.0], [1.0, 2.0], [1.0, 1.0], [0.0, 0.0])
 
@@ -191,18 +215,18 @@ def test_indicators_reject_mismatched_vectors():
 def test_broadcast_rejects_wrong_length():
     # widths come from the stacked outputs at start: two per bond
     with pytest.raises(ValueError):
-        PIController(OutputExtrapolationIndicator(tol=[1.0, 2.0, 3.0])).start(None, 0.0, [0.0] * 2)
+        PIController(OutputExtrapolationIndicator(tol=[1.0, 2.0, 3.0])).start(None, [0.0] * 2)
     with pytest.raises(ValueError):
-        PIController(ResidualEnergyIndicator(rel_tol=[1e-5, 1e-6])).start(None, 0.0, [0.0] * 2)
+        PIController(ResidualEnergyIndicator(rel_tol=[1e-5, 1e-6])).start(None, [0.0] * 2)
     pol = PIController(OutputExtrapolationIndicator(tol=[0.5, 2.0], rho=1e-4))
-    pol.start(None, 0.0, [0.0, 0.0])
+    pol.start(None, [0.0, 0.0])
     assert pol.indicator.output_tol == (0.5, 2.0)
     assert pol.indicator.output_rho == (1e-4, 1e-4)
 
 
 def test_constant_policy_keeps_dt():
     pol = ConstantStep(1e-3)
-    assert pol.start(None, 0.0, []) == 1e-3
+    assert pol.start(None, []) == 1e-3
     dt, eps = pol.next_step(1e-3, 1e-3, (entry(0.1, 0.2),), [0.0])
     assert (dt, eps) == (1e-3, 0.0)
 
@@ -213,13 +237,13 @@ def test_constant_policy_rejects_non_finite_or_non_positive_step(bad):
         ConstantStep(bad)
     pol = ConstantStep(1e-3)
     with pytest.raises(ValueError, match="finite and positive"):
-        pol.start(bad, 0.0, [])
+        pol.start(bad, [])
     assert pol.dt == 1e-3
 
 
 def test_ecco_controller_defaults_and_floor():
     pol = PIController(ResidualEnergyIndicator(rel_tol=1e-5), PIConfig())
-    dt0 = pol.start(None, 0.0, [0.0, 0.0])
+    dt0 = pol.start(None, [0.0, 0.0])
     assert dt0 == pol.config.dt_min
     assert pol.eps_prev == 1.0
     dt1, eps = pol.next_step(dt0, dt0, (entry(0.0, 0.0, dt=dt0),), [0.0, 0.0])
@@ -231,28 +255,28 @@ def test_ecco_controller_defaults_and_floor():
 def test_ecco_controller_rejects_out_of_band_dt0():
     pol = PIController(ResidualEnergyIndicator(), PIConfig())
     with pytest.raises(ValueError):
-        pol.start(1.0, 0.0, [0.0, 0.0])
+        pol.start(1.0, [0.0, 0.0])
 
 
 def test_ecco_tolerance_product_underflow_rejected_at_start():
     # r * E0 == 0.0 would divide by zero in the first indicator evaluation
     with pytest.raises(ValueError, match="underflows"):
-        ResidualEnergyIndicator(rel_tol=1e-200, energy_scale=1e-200).start(0.0, [0.0, 0.0])
+        ResidualEnergyIndicator(rel_tol=1e-200, energy_scale=1e-200).start([0.0, 0.0])
     tiny = ResidualEnergyIndicator(rel_tol=1e-160, energy_scale=1e-160)
-    tiny.start(0.0, [0.0, 0.0])  # subnormal but nonzero: accepted
+    tiny.start([0.0, 0.0])  # subnormal but nonzero: accepted
     assert tiny(1e-4, (entry(0.0, 0.0),), [0.0, 0.0]) == 0.0
 
 
 def test_ecco_controller_nonfinite_indicator():
     pol = PIController(ResidualEnergyIndicator(), PIConfig())
-    pol.start(None, 0.0, [0.0, 0.0])
+    pol.start(None, [0.0, 0.0])
     with pytest.raises(NonFiniteIndicator):
         pol.next_step(1e-4, 1e-4, (entry(float("nan"), 0.0),), [0.0, 0.0])
 
 
 def test_predictor_corrector_startup_skips_indicator():
     pol = PIController(OutputExtrapolationIndicator(tol=0.5), PIConfig())
-    dt0 = pol.start(None, 0.0, [0.0])
+    dt0 = pol.start(None, [0.0])
     assert dt0 == pol.config.dt_min
     dt1, eps1 = pol.next_step(dt0, dt0, (), [1.0])
     assert (dt1, eps1) == (dt0, 0.0)  # history too short: keep dt, skip indicator
@@ -266,7 +290,7 @@ def test_predictor_corrector_startup_skips_indicator():
 def test_predictor_corrector_tracks_prediction_miss():
     cfg = PIConfig()
     pol = PIController(OutputExtrapolationIndicator(tol=1.0, rho=0.0), cfg)
-    dt0 = pol.start(1e-3, 0.0, [0.0])
+    dt0 = pol.start(1e-3, [0.0])
     pol.next_step(1e-3, 1e-3, (), [1.0])  # startup
     # affine continuation: miss is zero, step grows by theta_max
     dt, eps = pol.next_step(2e-3, 1e-3, (), [2.0])
@@ -275,3 +299,43 @@ def test_predictor_corrector_tracks_prediction_miss():
     # now a deviation of 0.5 from the affine prediction of 3.5 at t=3.5e-3
     dt2, eps2 = pol.next_step(3.5e-3, 1.5e-3, (), [4.0])
     assert eps2 == pytest.approx(0.5, rel=1e-12)
+
+
+class _Scripted:
+    """Indicator returning the errors in ``eps``, one per step."""
+
+    name = "scripted"
+    k_i = 0.11
+    k_p = 0.07
+
+    def __init__(self, eps):
+        self.eps = eps
+
+    def start(self, outputs):
+        self.left = iter(self.eps)
+
+    def __call__(self, t_next, bond_steps, outputs):
+        return next(self.left)
+
+
+def test_pi_controller_steps_exactly_as_pi_step_size():
+    # distinct values in every slot, so a misordered bound tuple shows
+    cfg = PIConfig(alpha_s=0.9, dt_min=2e-5, dt_max=5e-2, theta_min=0.3, theta_max=1.7)
+    eps_seq = [None, 0.5, 2.0, 0.0, EPS_FLOOR, 1e-14, 37.0, 1.0, 1e4, 0.03, 0.8]
+    pol = PIController(_Scripted(eps_seq), cfg)
+    dt = pol.start(1e-3, [0.0, 0.0])
+    eps_prev, t = 1.0, 0.0
+    for eps in eps_seq:
+        t += dt
+        dt_next, logged = pol.next_step(t, dt, (), [0.0, 0.0])
+        if eps is None:
+            assert (dt_next, logged) == (dt, 0.0)
+            continue
+        want = pi_step_size(
+            eps, eps_prev, dt, _Scripted.k_i, _Scripted.k_p,
+            cfg.alpha_s, cfg.dt_min, cfg.dt_max, cfg.theta_min, cfg.theta_max,
+        )
+        assert struct.pack("<dd", dt_next, logged) == struct.pack("<dd", want, eps)
+        eps_prev = max(eps, EPS_FLOOR)
+        assert pol.eps_prev == eps_prev
+        dt = dt_next

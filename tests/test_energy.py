@@ -152,9 +152,9 @@ def test_average_local_error_matches_reference_port_errors():
     slots, graph = build_reticulation("A", LINEAR_PARAMS)
     record = run_cosimulation(slots, graph, ConstantStep(1e-3), 0.2)
     ref = reference_solve(LINEAR_PARAMS, 1.0, reticulation="A")
-    columns = zip(*(record.column(name) for name in ("t", "P_port1", "P_port2", "dP_res")))
-    for t, p_port1, p_port2, dp_res in columns:
-        p0_1, p0_2 = ref.port_powers_at(t)
+    columns = zip(*(record.column(name) for name in ("P_port1", "P_port2", "dP_res")))
+    for p0, (p_port1, p_port2, dp_res) in zip(ref.bond_powers(record.column("t")), columns):
+        p0_1, p0_2 = p0, -p0
         mean_local = 0.5 * ((p_port1 - p0_1) + (p_port2 - p0_2))
         tol = 1e-12 * max(1.0, abs(p0_1))
         assert -0.5 * dp_res == pytest.approx(mean_local, abs=tol)

@@ -183,7 +183,7 @@ class _Proposes(StepPolicy):
     def __init__(self, first, then):
         self.first, self.then = first, then
 
-    def start(self, dt0, t0, outputs):
+    def start(self, dt0, outputs):
         return self.first
 
     def next_step(self, t_next, dt_used, bond_steps, outputs):
@@ -339,6 +339,44 @@ def test_probe_values_of_the_wrong_count_fail_naming_the_slot(later):
         run_cosimulation(slots, ConnectionGraph(), ConstantStep(1e-3), 0.01)
     assert str(info.value) == (
         f"slot 1 returned {len(later)} probe values at t=0.003 for its 2 probe names ('x', 'y')"
+    )
+    assert info.value.record.step_count == 2
+    assert info.value.record.complete is False
+
+
+class _DictProbes(MonolithicQuarterCar):
+    """Still written to the old contract: ``probes()`` returns a dict."""
+
+    def probes(self):
+        return dict(zip(self.probe_names, super().probes()))
+
+
+def test_probes_that_are_not_numbers_fail_naming_the_slot():
+    # a dict of the right length: its keys are read as the values
+    with pytest.raises(SimulatorFailure) as info:
+        run_cosimulation([_DictProbes(LINEAR_PARAMS)], ConnectionGraph(), ConstantStep(1e-3), 0.01)
+    assert str(info.value) == (
+        "non-finite simulator output at t=0.001: slot 0 probe 'z_c' is 'z_c', not a number"
+    )
+    assert info.value.record.step_count == 0
+    assert info.value.record.complete is False
+
+
+def test_outputs_that_are_not_numbers_fail_naming_the_slot():
+    slots, graph = build_reticulation("B", LINEAR_PARAMS)
+    wheel = slots[1]
+    wheel_step = wheel.do_step
+
+    def do_step(t, dt):  # the wheel's velocity turns into text during its third step
+        wheel_step(t, dt)
+        if wheel.step_calls == 3:
+            wheel.v_w = "fast"
+
+    wheel.do_step = do_step
+    with pytest.raises(SimulatorFailure) as info:
+        run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
+    assert str(info.value) == (
+        "non-finite simulator output at t=0.003: slot 1 output 0 is 'fast', not a number"
     )
     assert info.value.record.step_count == 2
     assert info.value.record.complete is False

@@ -146,10 +146,14 @@ def test_reference_raises_on_non_finite_model(n_d):
 @pytest.mark.parametrize("reticulation", ["A", "B"])
 def test_reference_port_powers_balance_exactly(reticulation):
     ref = reference_solve(LINEAR_PARAMS, 1.0, reticulation=reticulation)
+    # both ports see the coupling force and the same velocity, so the port
+    # powers are +P0 and -P0 of the force times that velocity
     for t in (0.0, 1e-5, 0.1, 1.0):
-        p1, p2 = ref.port_powers_at(t)
-        assert p1 + p2 == 0.0
-        assert p1 == ref.bond_powers([t])[0]
+        z_c, v_c, z_w, v_w = ref.states_at(t)
+        p0 = ref.bond_powers([t])[0]
+        assert p0 == spring_damper_force(z_c, z_w, v_c, v_w, LINEAR_PARAMS) * (
+            v_c if reticulation == "A" else v_w
+        )
 
 
 def test_index_lookup_and_bounds():
@@ -173,7 +177,7 @@ def test_bond_powers_walk_matches_single_lookups():
     times = [0.0, 0.0, 3e-6, 0.25, 0.25, 0.7, 1.3, 2.0]
     times += list(ref.t[100:110])  # the start of a step belongs to that step
     times.sort()
-    assert ref.bond_powers(times) == [ref.port_powers_at(t)[0] for t in times]
+    assert ref.bond_powers(times) == [ref.bond_powers([t])[0] for t in times]
 
 
 def test_summarize_run_against_itself_is_error_free():
@@ -192,14 +196,13 @@ def test_summarize_run_against_itself_is_error_free():
     assert summary.step_count == 200
 
 
-def test_summarize_is_policy_agnostic():
+def test_summarize_rejects_a_run_without_steps():
+    # every summary field is an average or a sum over the steps
     slots, graph = build_reticulation("A", LINEAR_PARAMS)
-    record = run_cosimulation(slots, graph, ConstantStep(1e-3), 0.2)
-    ref = reference_solve(LINEAR_PARAMS, 0.2)
-    summary_a = summarize(record, ref)
-    record.policy = "renamed-controller"
-    summary_b = summarize(record, ref)
-    assert summary_a == summary_b
+    record = run_cosimulation(slots, graph, ConstantStep(1e-3), 0.0)
+    assert record.step_count == 0
+    with pytest.raises(ValueError, match="no steps"):
+        summarize(record, reference_solve(LINEAR_PARAMS, 0.2))
 
 
 def test_summarize_rejects_short_reference():
