@@ -15,12 +15,11 @@ bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from itertools import repeat
 from math import isfinite
 from operator import add
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
 from .control import (
     ConstantStep,
@@ -31,6 +30,7 @@ from .control import (
     StepPolicy,
 )
 from .master import RunRecord, SimulatorFailure, run_cosimulation
+from .model import Frozen
 from .quartercar import PRESETS, RETICULATIONS, build_reticulation, preset_params
 from .reference import ErrorSummary, reference_solve, summarize
 
@@ -52,71 +52,74 @@ class NoOnsetInRange(ValueError):
     """The scanned step-size range does not bracket a stability onset."""
 
 
-def _setting(default, key: str, flag: str, parse, help: str, choices=None):
-    """A config field with its config-file key, ``run`` flag, value parser,
-    help text and, if it is an enumeration, its valid values."""
-    metadata = {"key": key, "flag": flag, "parse": parse, "help": help, "choices": choices}
-    return field(default=default, metadata=metadata)
+class Setting(NamedTuple):
+    """An ExperimentConfig field: name, default, config-file key, ``run`` flag,
+    value parser, help text and, for an enumeration, the valid values."""
+
+    name: str
+    default: object
+    key: str
+    flag: str
+    parse: Callable[[str], object]
+    help: str
+    choices: tuple | None = None
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+#: The one declaration of each ExperimentConfig field, in field order; the
+#: config-file parser and the CLI flags are derived from it.
+SETTINGS = (
+    Setting("preset", "linear", "model.preset", "--preset", str, "damping law", tuple(PRESETS)),
+    Setting("reticulation", "A", "model.reticulation", "--reticulation", str, "splitting",
+            RETICULATIONS),
+    Setting("micro_ratio_s1", 10, "model.micro_ratio_s1", "--micro-s1", int,
+            "micro steps per macro step in S1"),
+    Setting("micro_ratio_s2", 10, "model.micro_ratio_s2", "--micro-s2", int,
+            "micro steps per macro step in S2"),
+    Setting("controller", "constant", "controller.type", "--controller", str, "step policy",
+            CONTROLLERS),
+    Setting("r", 1e-5, "controller.r", "--r", float, "residual-energy relative tolerance"),
+    Setting("e0", 750.0, "controller.E0", "--e0", float, "residual-energy scale [J]"),
+    Setting("tol", 1.0, "controller.TOL", "--tol", float, "predictor/corrector tolerance"),
+    Setting("rho", 1e-4, "controller.rho", "--rho", float,
+            "predictor/corrector relative-error weight"),
+    Setting("alpha_s", 0.8, "controller.alpha_s", "--alpha-s", float, "safety factor"),
+    Setting("dt_min", 1e-4, "controller.dt_min", "--dt-min", float, "min step [s]"),
+    Setting("dt_max", 1e-2, "controller.dt_max", "--dt-max", float, "max step [s]"),
+    Setting("theta_min", 0.2, "controller.theta_min", "--theta-min", float, "min step ratio"),
+    Setting("theta_max", 1.5, "controller.theta_max", "--theta-max", float, "max step ratio"),
+    Setting("t_end", None, "sim.t_end", "--t-end", float, "horizon [s] (default: the preset's)"),
+    Setting("dt0", None, "sim.dt0", "--dt0", float,
+            "first step [s] (default: 1 ms constant, dt_min adaptive)"),
+    Setting("out_path", "run.csv", "output.path", "--out", str,
+            "trajectory CSV path (default run.csv)"),
+    Setting("summary_path", None, "output.summary_path", "--summary-out", str,
+            "summary CSV path (default: the trajectory path with .summary.csv)"),
+)
+
+
+class ExperimentConfig(Frozen):
     """One benchmark run: model, controller, horizon, output paths.
 
-    Each field's metadata is the one declaration of its config-file key and
-    its ``run`` flag; the file parser and the CLI are derived from it.
+    Its fields and defaults are those of :data:`SETTINGS`; every instance is validated.
     """
 
-    preset: str = _setting("linear", "model.preset", "--preset", str, "damping law", tuple(PRESETS))
-    reticulation: str = _setting(
-        "A", "model.reticulation", "--reticulation", str, "splitting", RETICULATIONS
-    )
-    micro_ratio_s1: int = _setting(
-        10, "model.micro_ratio_s1", "--micro-s1", int, "micro steps per macro step in S1"
-    )
-    micro_ratio_s2: int = _setting(
-        10, "model.micro_ratio_s2", "--micro-s2", int, "micro steps per macro step in S2"
-    )
-    controller: str = _setting(
-        "constant", "controller.type", "--controller", str, "step policy", CONTROLLERS
-    )
-    r: float = _setting(1e-5, "controller.r", "--r", float, "residual-energy relative tolerance")
-    e0: float = _setting(750.0, "controller.E0", "--e0", float, "residual-energy scale [J]")
-    tol: float = _setting(1.0, "controller.TOL", "--tol", float, "predictor/corrector tolerance")
-    rho: float = _setting(
-        1e-4, "controller.rho", "--rho", float, "predictor/corrector relative-error weight"
-    )
-    alpha_s: float = _setting(0.8, "controller.alpha_s", "--alpha-s", float, "safety factor")
-    dt_min: float = _setting(1e-4, "controller.dt_min", "--dt-min", float, "min step [s]")
-    dt_max: float = _setting(1e-2, "controller.dt_max", "--dt-max", float, "max step [s]")
-    theta_min: float = _setting(0.2, "controller.theta_min", "--theta-min", float, "min step ratio")
-    theta_max: float = _setting(1.5, "controller.theta_max", "--theta-max", float, "max step ratio")
-    t_end: float | None = _setting(
-        None, "sim.t_end", "--t-end", float, "horizon [s] (default: the preset's)"
-    )
-    dt0: float | None = _setting(
-        None, "sim.dt0", "--dt0", float, "first step [s] (default: 1 ms constant, dt_min adaptive)"
-    )
-    out_path: str = _setting(
-        "run.csv", "output.path", "--out", str, "trajectory CSV path (default run.csv)"
-    )
-    summary_path: str | None = _setting(
-        None, "output.summary_path", "--summary-out", str,
-        "summary CSV path (default: the trajectory path with .summary.csv)",
-    )
+    _field_defaults = {s.name: s.default for s in SETTINGS}
+    __slots__ = tuple(_field_defaults)
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            choices = f.metadata["choices"]
-            if choices is not None and value not in choices:
-                raise ConfigError(f"unknown {f.name} {value!r}, expected one of {choices}")
+    def __init__(self, **values):
+        super().__init__(**values)
+        for s in SETTINGS:
+            value = getattr(self, s.name)
+            if s.choices is not None and value not in s.choices:
+                raise ConfigError(f"unknown {s.name} {value!r}, expected one of {s.choices}")
             if isinstance(value, float) and not isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+                raise ConfigError(f"{s.name} must be finite, got {value}")
             if value == "":
-                raise ConfigError(f"{f.name} must not be empty")
+                raise ConfigError(f"{s.name} must not be empty")
         if self.micro_ratio_s1 < 1 or self.micro_ratio_s2 < 1:
             raise ConfigError("micro step ratios must be >= 1")
+        if self.t_end is not None and not self.t_end > 0.0:
+            raise ConfigError(f"t_end must be finite and positive, got {self.t_end}")
 
     @property
     def resolved_t_end(self) -> float:
@@ -147,7 +150,7 @@ class ExperimentConfig:
         return base + ".summary.csv"
 
 
-_FIELDS_BY_KEY = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
+_SETTINGS_BY_KEY = {s.key: s for s in SETTINGS}
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -163,11 +166,11 @@ def parse_config_text(text: str) -> dict[str, object]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'section.key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELDS_BY_KEY:
+        if key not in _SETTINGS_BY_KEY:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        f = _FIELDS_BY_KEY[key]
+        setting = _SETTINGS_BY_KEY[key]
         try:
-            overrides[f.name] = f.metadata["parse"](value)
+            overrides[setting.name] = setting.parse(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
     return overrides
@@ -193,7 +196,7 @@ def build_policy(cfg: ExperimentConfig) -> StepPolicy:
         indicator = ResidualEnergyIndicator(rel_tol=cfg.r, energy_scale=cfg.e0)
     else:
         indicator = OutputExtrapolationIndicator(tol=cfg.tol, rho=cfg.rho)
-    bounds = PIConfig(**{f.name: getattr(cfg, f.name) for f in fields(PIConfig)})
+    bounds = PIConfig(**{name: getattr(cfg, name) for name in PIConfig._field_defaults})
     return PIController(indicator, bounds)
 
 
@@ -227,8 +230,7 @@ def summarize_experiment(cfg: ExperimentConfig, record: RunRecord) -> ErrorSumma
     return summarize(record, ref)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     """One constant-step run: true mean power error vs the residual estimate."""
 
     dt: float
@@ -242,7 +244,7 @@ def step_size_sweep(cfg: ExperimentConfig, dt_values: Sequence[float]) -> list[S
     All runs execute before the reference is solved, so a divergent step size
     fails fast without paying for the reference solution.
     """
-    runs = [replace(cfg, controller="constant", dt0=dt) for dt in dt_values]
+    runs = [cfg.replace(controller="constant", dt0=dt) for dt in dt_values]
     records = [run_experiment(run) for run in runs]
     points = []
     for run, record in zip(runs, records):
@@ -285,7 +287,7 @@ def stability_scan(
 
     def diverges(dt: float) -> bool:
         try:
-            record = run_experiment(replace(cfg, controller="constant", dt0=dt), stop=beyond)
+            record = run_experiment(cfg.replace(controller="constant", dt0=dt), stop=beyond)
         except SimulatorFailure:
             return True
         return not record.complete

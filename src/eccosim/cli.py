@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
 from math import log10
+from typing import NamedTuple
 
 from .bench import (
+    SETTINGS,
     ConfigError,
     ExperimentConfig,
     format_number,
@@ -29,8 +30,7 @@ from .master import SimulatorFailure
 from .quartercar import RETICULATIONS
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One expected table cell: metric name, expected value, tolerance band.
 
     ``rel_tol`` of None marks a display-only cell.  ``total_residual`` cells
@@ -43,159 +43,147 @@ class Cell:
     rel_tol: float | None = None
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     label: str
     config: ExperimentConfig
     cells: tuple[Cell, ...]
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     title: str
     rows: tuple[Row, ...]
     residual_reduction_min: float | None = None  # constant -> adaptive row claim
 
 
 def _cfg(preset, reticulation, controller, **kw) -> ExperimentConfig:
-    return ExperimentConfig(
-        preset=preset, reticulation=reticulation, controller=controller, **kw
-    )
+    return ExperimentConfig(preset=preset, reticulation=reticulation, controller=controller, **kw)
 
 
-def _t3_rows() -> tuple[Row, ...]:
-    return (
-        Row(
-            "constant",
-            _cfg("linear", "A", "constant", dt0=1e-3),
-            (
-                Cell("mean_dt_ms", 1.0),
-                Cell("mean_P12", 0.4, 0.30),
-                Cell("mean_abs_dP", 1.3, 0.30),
-                Cell("total_residual", 6.4, 0.15),
-            ),
+_T3_ROWS = (
+    Row(
+        "constant",
+        _cfg("linear", "A", "constant", dt0=1e-3),
+        (
+            Cell("mean_dt_ms", 1.0),
+            Cell("mean_P12", 0.4, 0.30),
+            Cell("mean_abs_dP", 1.3, 0.30),
+            Cell("total_residual", 6.4, 0.15),
         ),
-        Row(
-            "ecco-2.8e-6",
-            _cfg("linear", "A", "ecco", r=2.8e-6),
-            (
-                Cell("mean_dt_ms", 1.0, 0.20),
-                Cell("mean_P12", 0.0),
-                Cell("mean_abs_dP", 0.4, 0.30),
-                Cell("total_residual", 1.6, 0.25),
-            ),
+    ),
+    Row(
+        "ecco-2.8e-6",
+        _cfg("linear", "A", "ecco", r=2.8e-6),
+        (
+            Cell("mean_dt_ms", 1.0, 0.20),
+            Cell("mean_P12", 0.0),
+            Cell("mean_abs_dP", 0.4, 0.30),
+            Cell("total_residual", 1.6, 0.25),
         ),
-        Row(
-            "ecco-3.1e-5",
-            _cfg("linear", "A", "ecco", r=3.1e-5),
-            (
-                Cell("mean_dt_ms", 2.9, 0.20),
-                Cell("mean_P12", 0.1),
-                Cell("mean_abs_dP", 1.3),
-                Cell("total_residual", 5.0, 0.25),
-            ),
+    ),
+    Row(
+        "ecco-3.1e-5",
+        _cfg("linear", "A", "ecco", r=3.1e-5),
+        (
+            Cell("mean_dt_ms", 2.9, 0.20),
+            Cell("mean_P12", 0.1),
+            Cell("mean_abs_dP", 1.3),
+            Cell("total_residual", 5.0, 0.25),
         ),
-    )
+    ),
+)
 
 
-def _t7_rows() -> tuple[Row, ...]:
-    return (
-        Row(
-            "constant",
-            _cfg("nonlinear", "A", "constant", dt0=1e-3),
-            (
-                Cell("mean_dt_ms", 1.0),
-                Cell("mean_P12", 1.0),
-                Cell("mean_abs_dP", 4.0, 0.30),
-                Cell("total_residual", 5.0, 0.30),
-            ),
+_T7_ROWS = (
+    Row(
+        "constant",
+        _cfg("nonlinear", "A", "constant", dt0=1e-3),
+        (
+            Cell("mean_dt_ms", 1.0),
+            Cell("mean_P12", 1.0),
+            Cell("mean_abs_dP", 4.0, 0.30),
+            Cell("total_residual", 5.0, 0.30),
         ),
-        Row(
-            "ecco-7.5e-6",
-            _cfg("nonlinear", "A", "ecco", r=7.5e-6),
-            (
-                Cell("mean_dt_ms", 1.0),
-                Cell("mean_P12", 0.0),
-                Cell("mean_abs_dP", 1.1, 0.30),
-                Cell("total_residual", 1.6, 0.30),
-            ),
+    ),
+    Row(
+        "ecco-7.5e-6",
+        _cfg("nonlinear", "A", "ecco", r=7.5e-6),
+        (
+            Cell("mean_dt_ms", 1.0),
+            Cell("mean_P12", 0.0),
+            Cell("mean_abs_dP", 1.1, 0.30),
+            Cell("total_residual", 1.6, 0.30),
         ),
-        Row(
-            "ecco-1.0e-4",
-            _cfg("nonlinear", "A", "ecco", r=1.0e-4),
-            (
-                Cell("mean_dt_ms", 3.1, 0.30),
-                Cell("mean_P12", 0.0),
-                Cell("mean_abs_dP", 4.0),
-                Cell("total_residual", 6.0),
-            ),
+    ),
+    Row(
+        "ecco-1.0e-4",
+        _cfg("nonlinear", "A", "ecco", r=1.0e-4),
+        (
+            Cell("mean_dt_ms", 3.1, 0.30),
+            Cell("mean_P12", 0.0),
+            Cell("mean_abs_dP", 4.0),
+            Cell("total_residual", 6.0),
         ),
-    )
+    ),
+)
 
 
-def _t8_rows() -> tuple[Row, ...]:
-    return (
-        Row(
-            "constant",
-            _cfg("linear", "B", "constant", dt0=1e-3),
-            (
-                Cell("mean_dt_ms", 1.0),
-                Cell("mean_P12", -192.0, 0.20),
-                Cell("mean_abs_dP", 12.0, 0.20),
-                Cell("total_residual", 23.0, 0.20),
-            ),
+_T8_ROWS = (
+    Row(
+        "constant",
+        _cfg("linear", "B", "constant", dt0=1e-3),
+        (
+            Cell("mean_dt_ms", 1.0),
+            Cell("mean_P12", -192.0, 0.20),
+            Cell("mean_abs_dP", 12.0, 0.20),
+            Cell("total_residual", 23.0, 0.20),
         ),
-        Row(
-            "ecco-9.1e-7",
-            _cfg("linear", "B", "ecco", r=9.1e-7),
-            (
-                Cell("mean_dt_ms", 1.0),
-                Cell("mean_P12", -187.9, 0.20),
-                Cell("mean_abs_dP", 1.3, 0.20),
-                Cell("total_residual", 1.6, 0.20),
-            ),
+    ),
+    Row(
+        "ecco-9.1e-7",
+        _cfg("linear", "B", "ecco", r=9.1e-7),
+        (
+            Cell("mean_dt_ms", 1.0),
+            Cell("mean_P12", -187.9, 0.20),
+            Cell("mean_abs_dP", 1.3, 0.20),
+            Cell("total_residual", 1.6, 0.20),
         ),
-    )
+    ),
+)
 
 
-def _t9_rows() -> tuple[Row, ...]:
-    return (
-        Row(
-            "constant",
-            _cfg("nonlinear", "B", "constant", dt0=1e-3),
-            (
-                Cell("mean_dt_ms", 1.0),
-                Cell("mean_P12", -390.0, 0.30),
-                Cell("mean_abs_dP", 30.0, 0.30),
-                Cell("total_residual", 50.0, 0.30),
-            ),
+_T9_ROWS = (
+    Row(
+        "constant",
+        _cfg("nonlinear", "B", "constant", dt0=1e-3),
+        (
+            Cell("mean_dt_ms", 1.0),
+            Cell("mean_P12", -390.0, 0.30),
+            Cell("mean_abs_dP", 30.0, 0.30),
+            Cell("total_residual", 50.0, 0.30),
         ),
-        Row(
-            "ecco-2.4e-5",
-            _cfg("nonlinear", "B", "ecco", r=2.4e-5),
-            (
-                Cell("mean_dt_ms", 1.0),
-                Cell("mean_P12", -377.0, 0.30),
-                Cell("mean_abs_dP", 5.0, 0.30),
-                Cell("total_residual", 5.0, 0.30),
-            ),
+    ),
+    Row(
+        "ecco-2.4e-5",
+        _cfg("nonlinear", "B", "ecco", r=2.4e-5),
+        (
+            Cell("mean_dt_ms", 1.0),
+            Cell("mean_P12", -377.0, 0.30),
+            Cell("mean_abs_dP", 5.0, 0.30),
+            Cell("total_residual", 5.0, 0.30),
         ),
-    )
+    ),
+)
 
 
-def _pc_row(label, preset, reticulation, tol, cells, **kw) -> Row:
-    return Row(
-        label,
-        _cfg(preset, reticulation, "predictor_corrector", tol=tol, rho=1e-4, **kw),
-        cells,
-    )
+def _pc_row(label, preset, reticulation, tol, cells) -> Row:
+    return Row(label, _cfg(preset, reticulation, "predictor_corrector", tol=tol, rho=1e-4), cells)
 
 
 EXPECTED_TABLES: dict[str, Table] = {
-    "T3": Table("linear quarter car, reticulation A", _t3_rows()),
-    "T7": Table("nonlinear quarter car, reticulation A", _t7_rows()),
-    "T8": Table("linear quarter car, reticulation B", _t8_rows()),
-    "T9": Table("nonlinear quarter car, reticulation B", _t9_rows()),
+    "T3": Table("linear quarter car, reticulation A", _T3_ROWS),
+    "T7": Table("nonlinear quarter car, reticulation A", _T7_ROWS),
+    "T8": Table("linear quarter car, reticulation B", _T8_ROWS),
+    "T9": Table("nonlinear quarter car, reticulation B", _T9_ROWS),
     "T10": Table(
         "linear quarter car, reticulation B, single micro step in S2",
         (
@@ -225,77 +213,53 @@ EXPECTED_TABLES: dict[str, Table] = {
     "PC-linear": Table(
         "linear quarter car, reticulation A, controller comparison",
         (
-            _t3_rows()[0],
-            _pc_row(
-                "pc-6.7e-1",
-                "linear",
-                "A",
-                6.7e-1,
-                (
-                    Cell("mean_dt_ms", 1.0),
-                    Cell("mean_P12", 0.3),
-                    Cell("mean_abs_dP", 0.7, 0.35),
-                    Cell("total_residual", 2.9, 0.35),
-                ),
-            ),
-            _t3_rows()[1],
+            _T3_ROWS[0],
+            _pc_row("pc-6.7e-1", "linear", "A", 6.7e-1, (
+                Cell("mean_dt_ms", 1.0),
+                Cell("mean_P12", 0.3),
+                Cell("mean_abs_dP", 0.7, 0.35),
+                Cell("total_residual", 2.9, 0.35),
+            )),
+            _T3_ROWS[1],
         ),
     ),
     "PC-nonlinear": Table(
         "nonlinear quarter car, reticulation A, controller comparison",
         (
-            _t7_rows()[0],
-            _pc_row(
-                "pc-2.1",
-                "nonlinear",
-                "A",
-                2.1,
-                (
-                    Cell("mean_dt_ms", 1.0),
-                    Cell("mean_P12", 0.4),
-                    Cell("mean_abs_dP", 1.9, 0.35),
-                    Cell("total_residual", 3.1, 0.35),
-                ),
-            ),
-            _t7_rows()[1],
+            _T7_ROWS[0],
+            _pc_row("pc-2.1", "nonlinear", "A", 2.1, (
+                Cell("mean_dt_ms", 1.0),
+                Cell("mean_P12", 0.4),
+                Cell("mean_abs_dP", 1.9, 0.35),
+                Cell("total_residual", 3.1, 0.35),
+            )),
+            _T7_ROWS[1],
         ),
     ),
     "PC-altA": Table(
         "linear quarter car, reticulation B, controller comparison",
         (
-            _t8_rows()[0],
-            _pc_row(
-                "pc-6.0e-1",
-                "linear",
-                "B",
-                6.0e-1,
-                (
-                    Cell("mean_dt_ms", 1.0),
-                    Cell("mean_P12", -187.7),
-                    Cell("mean_abs_dP", 1.3, 0.35),
-                    Cell("total_residual", 1.7, 0.35),
-                ),
-            ),
-            _t8_rows()[1],
+            _T8_ROWS[0],
+            _pc_row("pc-6.0e-1", "linear", "B", 6.0e-1, (
+                Cell("mean_dt_ms", 1.0),
+                Cell("mean_P12", -187.7),
+                Cell("mean_abs_dP", 1.3, 0.35),
+                Cell("total_residual", 1.7, 0.35),
+            )),
+            _T8_ROWS[1],
         ),
     ),
     "PC-altB": Table(
         "nonlinear quarter car, reticulation B, controller comparison",
         (
-            _t9_rows()[0],
-            _pc_row(
-                "pc-6.5",
-                "nonlinear",
-                "B",
-                6.5,
-                (
-                    Cell("mean_dt_ms", 1.0),
-                    Cell("mean_P12", -392.0),
-                    Cell("mean_abs_dP", 18.0, 0.35),
-                    Cell("total_residual", 21.0, 0.35),
-                ),
-            ),
-            _t9_rows()[1],
+            _T9_ROWS[0],
+            _pc_row("pc-6.5", "nonlinear", "B", 6.5, (
+                Cell("mean_dt_ms", 1.0),
+                Cell("mean_P12", -392.0),
+                Cell("mean_abs_dP", 18.0, 0.35),
+                Cell("total_residual", 21.0, 0.35),
+            )),
+            _T9_ROWS[1],
         ),
     ),
 }
@@ -339,24 +303,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+_SETTINGS = {s.name: s for s in SETTINGS}
 
 
 def _add_field_flag(parser: argparse.ArgumentParser, name: str, **kw) -> None:
     """Add the ``run`` flag declared by an ExperimentConfig field; ``kw`` overrides."""
-    meta = _FIELDS[name].metadata
-    options = {"type": meta["parse"], "choices": meta["choices"], "help": meta["help"]}
-    parser.add_argument(meta["flag"], dest=name, **{**options, **kw})
+    setting = _SETTINGS[name]
+    options = {"type": setting.parse, "choices": setting.choices, "help": setting.help}
+    parser.add_argument(setting.flag, dest=name, **{**options, **kw})
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key-value config file; flags win")
-    for name in _FIELDS:
+    for name in _SETTINGS:
         _add_field_flag(parser, name)
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    return load_config(args.config, {name: getattr(args, name) for name in _FIELDS})
+    return load_config(args.config, {name: getattr(args, name) for name in _SETTINGS})
 
 
 def _print_summary(cfg: ExperimentConfig, summary) -> None:

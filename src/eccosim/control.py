@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass
 from math import isfinite, sqrt
 from typing import Sequence
 
 from .energy import BOND_FIELDS
+from .model import Frozen
 
 # Where the residual-energy indicator finds its values in a ledger step.
 _DE_RES, _E_STEP = BOND_FIELDS.index("dE_res"), BOND_FIELDS.index("E_step")
@@ -38,17 +38,16 @@ def _broadcast(value, n: int, name: str) -> tuple[float, ...]:
     return values
 
 
-@dataclass(frozen=True)
-class PIConfig:
+class PIConfig(Frozen):
     """Safety factor and step clamps of the PI step update, shared by every indicator."""
 
-    alpha_s: float = 0.8
-    dt_min: float = 1e-4
-    dt_max: float = 1e-2
-    theta_min: float = 0.2
-    theta_max: float = 1.5
+    _field_defaults = {
+        "alpha_s": 0.8, "dt_min": 1e-4, "dt_max": 1e-2, "theta_min": 0.2, "theta_max": 1.5
+    }
+    __slots__ = tuple(_field_defaults)
 
-    def __post_init__(self):
+    def __init__(self, **values: float):
+        super().__init__(**values)
         if not 0.0 < self.dt_min <= self.dt_max:
             raise ValueError("require 0 < dt_min <= dt_max")
         if not 0.0 < self.theta_min < 1.0 < self.theta_max:

@@ -10,7 +10,6 @@ next macro step size.  Macro steps are never repeated.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from itertools import chain
 from math import inf, isfinite
 from struct import Struct
@@ -41,7 +40,6 @@ class SimulatorFailure(RuntimeError):
         self.record = record
 
 
-@dataclass
 class RunRecord:
     """Macro-time-stamped trajectory of a co-simulation run.
 
@@ -51,14 +49,15 @@ class RunRecord:
     :meth:`last_probes` and the summaries; only this module knows the layout.
     """
 
-    bond_count: int = 0
-    probe_names: tuple[str, ...] = ()
-    complete: bool = True
-    data: array = field(default_factory=lambda: array("d"), repr=False)
+    __slots__ = ("bond_count", "probe_names", "complete", "data", "_probe_start", "width")
 
-    def __post_init__(self):
-        self._probe_start = len(STEP_FIELDS) + len(BOND_FIELDS) * self.bond_count
-        self.width = self._probe_start + len(self.probe_names)
+    def __init__(self, bond_count=0, probe_names=(), complete=True):
+        self.bond_count = bond_count
+        self.probe_names = probe_names
+        self.complete = complete
+        self.data = array("d")
+        self._probe_start = len(STEP_FIELDS) + len(BOND_FIELDS) * bond_count
+        self.width = self._probe_start + len(probe_names)
 
     def _offset(self, name: str, bond: int) -> int:
         if name in STEP_FIELDS:
@@ -108,6 +107,9 @@ def _stacked_outputs(wiring: Wiring, outputs) -> list[float]:
 
 def _non_finite_signal(outputs, probe_names: list[tuple[str, ...]], probes) -> str:
     """Name the first output, then probe, that is not a finite number."""
+    for i, out in enumerate(outputs):
+        if not hasattr(out, "__iter__"):
+            return f"slot {i} outputs are {out!r}, not a sequence of numbers"
     outs = ((f"slot {i} output {k}", v) for i, out in enumerate(outputs) for k, v in enumerate(out))
     names = (f"slot {i} probe {name!r}" for i, keys in enumerate(probe_names) for name in keys)
     for signal, v in chain(outs, zip(names, probes)):
@@ -163,9 +165,9 @@ def run_cosimulation(
     steps.  A ``t_end`` within the end tolerance of 0 gives a record without
     steps.  Raises :class:`SimulatorFailure` (with the partial record
     attached) when a slot produces an output or probe value that is not a
-    finite number or returns more or fewer probe values than it has names,
-    or when a bond power overflows; the message names the slot and signal,
-    or the bond, that failed first.
+    finite number, outputs or probes that are not a sequence, or more or
+    fewer probe values than it has names, or when a bond power overflows;
+    the message names the slot and signal, or the bond, that failed first.
     """
     if not (isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
@@ -237,14 +239,19 @@ def run_cosimulation(
         probes = []
         for i, read, count in read_probes:
             values = read()
-            if len(values) != count:
-                record.complete = False
-                raise SimulatorFailure(
-                    f"slot {i} returned {len(values)} probe values at t={t_next} "
-                    f"for its {count} probe names {probe_names[i]}",
-                    record,
-                )
-            probes += values
+            try:
+                if len(values) == count:
+                    probes += values
+                    continue
+                got = f"{len(values)} probe values"
+            except TypeError:  # no length, so not a sequence of values
+                got = repr(values)
+            record.complete = False
+            raise SimulatorFailure(
+                f"slot {i} returned {got} at t={t_next} "
+                f"for its {count} probe names {probe_names[i]}",
+                record,
+            )
 
         try:
             finite = all(map(isfinite, chain(*outputs, probes)))

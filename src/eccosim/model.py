@@ -1,5 +1,6 @@
-"""Power-bond domain model: ports, bonds, connection graphs, and the contract
-every attachable subsimulator implements.
+"""Power-bond domain model: ports, bonds, connection graphs, the contract
+every attachable subsimulator implements, and the base of the package's
+keyword-built value classes.
 
 A power bond couples two simulators through a conjugate pair of signals (an
 effort and a flow) whose product is a physical power.  The wiring here is
@@ -10,9 +11,49 @@ plus or minus the other side's output, with opposite signs on the two sides.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+
+class Frozen:
+    """Base of the immutable value classes built from keywords.
+
+    A subclass names its fields, in order, with their defaults in
+    ``_field_defaults`` and in ``__slots__``.  ``==``, hash and repr see those
+    fields alone, and :meth:`replace` copies through ``__init__``, so a
+    subclass that validates there validates every copy.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, **values):
+        for name, default in self._field_defaults.items():
+            object.__setattr__(self, name, values.pop(name, default))
+        if values:
+            raise TypeError(f"{type(self).__name__}() got unexpected fields {sorted(values)}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._field_defaults)
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, built and validated by ``__init__``."""
+        return type(self)(**dict(zip(self._field_defaults, self._values()), **changes))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_defaults)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 class PortRole(Enum):
@@ -34,29 +75,25 @@ class DuplicateConnection(ValueError):
     """A simulator input or output is wired into more than one bond."""
 
 
-@dataclass(frozen=True, slots=True)
-class PowerPort:
+class PowerPort(namedtuple("PowerPort", "owner input_index output_index input_role output_role")):
     """One side of a power bond: receives one power variable, emits the conjugate.
 
     ``input_index``/``output_index`` address the owning simulator's input and
     output vectors.
     """
 
-    owner: int
-    input_index: int
-    output_index: int
-    input_role: PortRole
-    output_role: PortRole
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.input_role == self.output_role:
+    def __new__(cls, *args, **kwargs):
+        port = super().__new__(cls, *args, **kwargs)
+        if port.input_role == port.output_role:
             raise ValueError(
-                f"power port must pair an effort with a flow, got {self.input_role.value} twice"
+                f"power port must pair an effort with a flow, got {port.input_role.value} twice"
             )
+        return port
 
 
-@dataclass(frozen=True, slots=True)
-class PowerBond:
+class PowerBond(NamedTuple):
     """Antisymmetric connection of two ports: u1 = c1*y2 and u2 = c2*y1.
 
     Valid bonds have c1, c2 in {-1, +1} with c1*c2 == -1, which makes ``sigma``
@@ -74,14 +111,10 @@ class PowerBond:
         return (self.c1 - self.c2) // 2
 
 
-@dataclass(frozen=True)
-class ConnectionGraph:
+class ConnectionGraph(NamedTuple):
     """Ordered collection of power bonds wiring simulator outputs to inputs."""
 
     bonds: tuple[PowerBond, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "bonds", tuple(self.bonds))
 
 
 class SimulatorSlot(ABC):
@@ -118,8 +151,7 @@ class SimulatorSlot(ABC):
         return ()
 
 
-@dataclass(frozen=True)
-class Wiring:
+class Wiring(NamedTuple):
     """Validated routing table produced by :func:`validate_graph`.
 
     Keeps the bonds, the per-simulator input widths needed to materialize
@@ -174,7 +206,7 @@ def validate_graph(graph: ConnectionGraph, slots: Sequence[SimulatorSlot]) -> Wi
         for b in graph.bonds
     )
     return Wiring(
-        bonds=graph.bonds, input_widths=tuple(s.n_inputs for s in slots), routes=routes
+        bonds=tuple(graph.bonds), input_widths=tuple(s.n_inputs for s in slots), routes=routes
     )
 
 

@@ -15,26 +15,25 @@ integrating that held input alongside its own states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .model import ConnectionGraph, PortRole, PowerBond, PowerPort, SimulatorSlot
+from .model import ConnectionGraph, Frozen, PortRole, PowerBond, PowerPort, SimulatorSlot
 
 
-@dataclass(frozen=True)
-class QuarterCarParams:
+class QuarterCarParams(Frozen):
     """Masses, stiffnesses, and the (possibly nonlinear) damping law."""
 
-    m_c: float = 400.0  # chassis mass [kg]
-    m_w: float = 40.0  # wheel mass [kg]
-    k_c: float = 15000.0  # suspension spring [N/m]
-    k_w: float = 150000.0  # tyre spring [N/m]
-    d_c: float = 1000.0  # damping constant
-    n_d: float = 0.5  # damping-law exponent knob; 0.5 is exactly linear
-    # 2 / (1 + 2*n_d), derived once: the damping law reads it every micro step.
-    # Kept out of init, repr, ==, and hash, so those see only the six knobs.
-    damping_exponent: float = field(init=False, repr=False, compare=False)
+    _field_defaults = {
+        "m_c": 400.0,  # chassis mass [kg]
+        "m_w": 40.0,  # wheel mass [kg]
+        "k_c": 15000.0,  # suspension spring [N/m]
+        "k_w": 150000.0,  # tyre spring [N/m]
+        "d_c": 1000.0,  # damping constant
+        "n_d": 0.5,  # damping-law exponent knob; 0.5 is exactly linear
+    }
+    # damping_exponent = 2 / (1 + 2*n_d) is read every micro step; ==, hash and repr skip it
+    __slots__ = (*_field_defaults, "damping_exponent")
 
-    def __post_init__(self):
+    def __init__(self, **values: float):
+        super().__init__(**values)
         object.__setattr__(self, "damping_exponent", 2.0 / (1.0 + 2.0 * self.n_d))
 
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import isfinite
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .master import RunRecord
 from .quartercar import RETICULATIONS, QuarterCarParams, excitation, spring_damper_force
@@ -31,8 +30,7 @@ class TimeRangeMismatch(ValueError):
 _STEP_WIDTH = 22
 
 
-@dataclass(frozen=True)
-class ReferenceTrajectory:
+class ReferenceTrajectory(NamedTuple):
     """Dense monolithic solution with the bond signal of one reticulation.
 
     ``steps`` holds ``_STEP_WIDTH`` doubles per accepted step: its start time,
@@ -283,8 +281,7 @@ def pairwise_sum(values: Sequence[float]) -> float:
     return 0.0 + block(0, len(values))  # numpy starts from 0.0, so -0.0 sums to 0.0
 
 
-@dataclass(frozen=True)
-class ErrorSummary:
+class ErrorSummary(NamedTuple):
     """Run-level metrics: bond power mean, mean absolute power error, residual."""
 
     mean_P12: float

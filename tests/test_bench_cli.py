@@ -199,7 +199,11 @@ def test_cli_run_degenerate_horizon(tmp_path, capsys):
     code = main(["run", "--t-end", "0", "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: t_end=0.0 ")
+    assert err.startswith("error: t_end must be finite and positive, got 0.0")
+    code = main(["run", "--t-end", "1e-13", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_end=1e-13 is too short for one macro step")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -290,12 +294,19 @@ def test_cli_check_passing_row(tmp_path):
     ["sweep", "--t-end", "0"],
     ["run", "--t-end", "0"],
     ["run", "--t-end", "1e-13"],
+    ["scan", "--reticulation", "A", "--t-scan", "-1"],
+    ["scan", "--reticulation", "A", "--t-scan", "0"],
 ])
 def test_cli_bad_horizon_or_value_exits_one(argv, tmp_path, capsys):
     # each of these once hung or exited 0 or 2; now all are config errors
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
     assert not (tmp_path / "x.csv").exists()
+    flags = dict(zip(argv, argv[1:]))
+    horizon = float(flags.get("--t-end", flags.get("--t-scan", "nan")))
+    if horizon <= 0.0:  # every command words an empty horizon alike
+        assert err == f"error: t_end must be finite and positive, got {horizon}\n"
 
 
 def test_cli_scan_rejects_an_empty_horizon(capsys):

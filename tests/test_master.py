@@ -382,6 +382,39 @@ def test_outputs_that_are_not_numbers_fail_naming_the_slot():
     assert info.value.record.complete is False
 
 
+class _NoProbes(MonolithicQuarterCar):
+    def probes(self):
+        return None
+
+
+def test_probes_that_are_not_a_sequence_fail_naming_the_slot():
+    with pytest.raises(SimulatorFailure) as info:
+        run_cosimulation([_NoProbes(LINEAR_PARAMS)], ConnectionGraph(), ConstantStep(1e-3), 0.01)
+    assert str(info.value) == (
+        "slot 0 returned None at t=0.001 for its 4 probe names ('z_c', 'v_c', 'z_w', 'v_w')"
+    )
+    assert info.value.record.step_count == 0
+    assert info.value.record.complete is False
+
+
+def test_outputs_that_are_not_a_sequence_fail_naming_the_slot():
+    slots, graph = build_reticulation("B", LINEAR_PARAMS)
+    wheel = slots[1]
+    wheel_outputs = wheel.get_outputs
+
+    def get_outputs():  # the wheel returns no vector after its second step
+        return None if wheel.step_calls == 2 else wheel_outputs()
+
+    wheel.get_outputs = get_outputs
+    with pytest.raises(SimulatorFailure) as info:
+        run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
+    assert str(info.value) == (
+        "non-finite simulator output at t=0.002: slot 1 outputs are None, not a sequence of numbers"
+    )
+    assert info.value.record.step_count == 1
+    assert info.value.record.complete is False
+
+
 class _NamesOnly(_Probed):
     """Declares probe names but keeps the default, empty ``probes``."""
 

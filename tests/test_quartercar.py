@@ -12,6 +12,7 @@ from eccosim.quartercar import (
     ChassisExact,
     ChassisSpringDamper,
     MonolithicQuarterCar,
+    QuarterCarParams,
     WheelAssembly,
     WheelOnly,
     build_reticulation,
@@ -28,6 +29,22 @@ def test_presets():
     assert preset_params("nonlinear").m_c == 400.0
     with pytest.raises(ValueError):
         preset_params("cubic")
+
+
+def test_params_are_values_of_their_six_knobs():
+    # the repr appears in error messages; ==, hash and repr ignore the derived exponent
+    assert repr(NONLINEAR_PARAMS) == (
+        "QuarterCarParams(m_c=400.0, m_w=40.0, k_c=15000.0, k_w=150000.0, d_c=900.0, n_d=1.5)"
+    )
+    assert NONLINEAR_PARAMS.damping_exponent == 0.5
+    twin = QuarterCarParams(d_c=900.0, n_d=1.5)
+    assert twin is not NONLINEAR_PARAMS
+    assert twin == NONLINEAR_PARAMS and hash(twin) == hash(NONLINEAR_PARAMS)
+    assert twin != LINEAR_PARAMS
+    with pytest.raises(AttributeError):
+        twin.n_d = 0.5
+    with pytest.raises(TypeError):
+        QuarterCarParams(c_d=900.0)
 
 
 def test_excitation_step():

@@ -53,6 +53,15 @@ def _bits(x):
     return struct.pack("<d", x)
 
 
+def test_equal_params_share_one_cached_solve():
+    # the solve is cached per (params, t_end): an equal copy of the params is a hit
+    reference_solve(NONLINEAR_PARAMS, 0.05)
+    hits = _solve.cache_info().hits
+    ref = reference_solve(QuarterCarParams(d_c=900.0, n_d=1.5), 0.05, reticulation="B")
+    assert _solve.cache_info().hits == hits + 1
+    assert ref.t is reference_solve(NONLINEAR_PARAMS, 0.05).t
+
+
 @settings(deadline=None)
 @given(st.integers(0, 1000).flatmap(lambda n: st.lists(st.floats(-1e200, 1e200), min_size=n, max_size=n)))
 def test_pairwise_sum_matches_numpy_bit_for_bit(xs):

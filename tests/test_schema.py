@@ -1,12 +1,11 @@
 """The experiment schema: config-file keys, ``run`` flags, and their agreement."""
 
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from eccosim.bench import ConfigError, ExperimentConfig, load_config, parse_config_text
+from eccosim.bench import SETTINGS, ConfigError, ExperimentConfig, load_config, parse_config_text
 from eccosim.cli import main
 
 # The external contract, spelled out once more on purpose: a change to any of
@@ -43,7 +42,7 @@ def test_run_flags_are_the_contract(capsys):
 def test_config_keys_are_the_contract():
     attrs = {key: set(parse_config_text(f"{key} = 1")) for key in CONFIG_KEYS}
     assert all(len(names) == 1 for names in attrs.values())
-    assert set().union(*attrs.values()) == {f.name for f in fields(ExperimentConfig)}
+    assert set().union(*attrs.values()) == {s.name for s in SETTINGS}
     for wrong_case in ("controller.e0", "controller.tol", "controller.Type"):
         with pytest.raises(ConfigError):
             parse_config_text(f"{wrong_case} = 1")
@@ -52,18 +51,17 @@ def test_config_keys_are_the_contract():
 def test_every_field_round_trips_through_file_and_flag(tmp_path):
     from eccosim.cli import _config_from_args, build_parser
 
-    schema = fields(ExperimentConfig)
-    assert set(NON_DEFAULT) == {f.name for f in schema}
+    assert set(NON_DEFAULT) == {s.name for s in SETTINGS}
     path = tmp_path / "all.cfg"
-    path.write_text("".join(f"{f.metadata['key']} = {NON_DEFAULT[f.name]}\n" for f in schema))
+    path.write_text("".join(f"{s.key} = {NON_DEFAULT[s.name]}\n" for s in SETTINGS))
     from_file = load_config(str(path))
-    argv = ["run"] + [arg for f in schema for arg in (f.metadata["flag"], NON_DEFAULT[f.name])]
+    argv = ["run"] + [arg for s in SETTINGS for arg in (s.flag, NON_DEFAULT[s.name])]
     from_flags = _config_from_args(build_parser().parse_args(argv))
     assert from_file == from_flags
-    for f in schema:
-        value = getattr(from_file, f.name)
-        assert value != f.default
-        assert str(value) == NON_DEFAULT[f.name]
+    for s in SETTINGS:
+        value = getattr(from_file, s.name)
+        assert value != s.default
+        assert str(value) == NON_DEFAULT[s.name]
 
 
 @pytest.mark.parametrize("argv", [[], ["run"], ["reproduce"], ["sweep"], ["scan"]])
@@ -78,5 +76,5 @@ def test_readme_config_block_lists_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
-    assert keys == {f.metadata["key"] for f in fields(ExperimentConfig)}
+    assert keys == {s.key for s in SETTINGS}
     ExperimentConfig(**parse_config_text(block))  # the example itself is valid
