@@ -33,9 +33,9 @@ from .model import (
 from .quartercar import (
     LINEAR_PARAMS,
     NONLINEAR_PARAMS,
+    ROAD_HEIGHT,
     QuarterCarParams,
     build_reticulation,
-    excitation,
     preset_params,
     spring_damper_force,
 )

@@ -15,11 +15,12 @@ bytes.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import reduce
 from itertools import repeat
 from math import isfinite
 from operator import add
-from typing import IO, Callable, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Mapping, Sequence
 
 from .control import (
     ConstantStep,
@@ -52,17 +53,13 @@ class NoOnsetInRange(ValueError):
     """The scanned step-size range does not bracket a stability onset."""
 
 
-class Setting(NamedTuple):
+class Setting(
+    namedtuple("Setting", "name default key flag parse help choices", defaults=(None,))
+):
     """An ExperimentConfig field: name, default, config-file key, ``run`` flag,
     value parser, help text and, for an enumeration, the valid values."""
 
-    name: str
-    default: object
-    key: str
-    flag: str
-    parse: Callable[[str], object]
-    help: str
-    choices: tuple | None = None
+    __slots__ = ()
 
 
 #: The one declaration of each ExperimentConfig field, in field order; the
@@ -126,12 +123,6 @@ class ExperimentConfig(Frozen):
         return DEFAULT_T_END[self.preset] if self.t_end is None else self.t_end
 
     @property
-    def resolved_dt0(self) -> float:
-        if self.dt0 is not None:
-            return self.dt0
-        return 1e-3 if self.controller == "constant" else self.dt_min
-
-    @property
     def tolerance_label(self) -> str:
         """Controller tolerance for summary rows; empty for constant stepping."""
         if self.controller == "ecco":
@@ -190,14 +181,15 @@ def load_config(path: str, overrides: Mapping[str, object] | None = None) -> Exp
 
 
 def build_policy(cfg: ExperimentConfig) -> StepPolicy:
+    """The configured step policy; a constant step without ``dt0`` is 1 ms."""
     if cfg.controller == "constant":
-        return ConstantStep(cfg.resolved_dt0)
+        return ConstantStep(1e-3 if cfg.dt0 is None else cfg.dt0)
     if cfg.controller == "ecco":
         indicator = ResidualEnergyIndicator(rel_tol=cfg.r, energy_scale=cfg.e0)
     else:
         indicator = OutputExtrapolationIndicator(tol=cfg.tol, rho=cfg.rho)
     bounds = PIConfig(**{name: getattr(cfg, name) for name in PIConfig._field_defaults})
-    return PIController(indicator, bounds)
+    return PIController(indicator, bounds, cfg.dt0)
 
 
 def run_experiment(
@@ -218,7 +210,7 @@ def run_experiment(
     )
     policy = build_policy(cfg)
     t_end = cfg.resolved_t_end
-    record = run_cosimulation(slots, graph, policy, t_end, dt0=cfg.resolved_dt0, stop=stop)
+    record = run_cosimulation(slots, graph, policy, t_end, stop=stop)
     if not record.step_count:
         raise ValueError(f"t_end={t_end} is too short for one macro step; the run took none")
     return record
@@ -230,12 +222,11 @@ def summarize_experiment(cfg: ExperimentConfig, record: RunRecord) -> ErrorSumma
     return summarize(record, ref)
 
 
-class SweepPoint(NamedTuple):
-    """One constant-step run: true mean power error vs the residual estimate."""
+class SweepPoint(namedtuple("SweepPoint", "dt mean_abs_dP residual_estimate")):
+    """One constant-step run: true mean power error vs the residual estimate,
+    half the time-averaged |residual energy|."""
 
-    dt: float
-    mean_abs_dP: float
-    residual_estimate: float  # half the time-averaged |residual energy|
+    __slots__ = ()
 
 
 def step_size_sweep(cfg: ExperimentConfig, dt_values: Sequence[float]) -> list[SweepPoint]:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import namedtuple
 from math import log10
-from typing import NamedTuple
 
 from .bench import (
     SETTINGS,
@@ -30,7 +30,7 @@ from .master import SimulatorFailure
 from .quartercar import RETICULATIONS
 
 
-class Cell(NamedTuple):
+class Cell(namedtuple("Cell", "metric expected rel_tol", defaults=(None,))):
     """One expected table cell: metric name, expected value, tolerance band.
 
     ``rel_tol`` of None marks a display-only cell.  ``total_residual`` cells
@@ -38,21 +38,20 @@ class Cell(NamedTuple):
     residual energy as a magnitude.
     """
 
-    metric: str
-    expected: float
-    rel_tol: float | None = None
+    __slots__ = ()
 
 
-class Row(NamedTuple):
-    label: str
-    config: ExperimentConfig
-    cells: tuple[Cell, ...]
+class Row(namedtuple("Row", "label config cells")):
+    """One table row: its label, the experiment it runs, and its expected cells."""
+
+    __slots__ = ()
 
 
-class Table(NamedTuple):
-    title: str
-    rows: tuple[Row, ...]
-    residual_reduction_min: float | None = None  # constant -> adaptive row claim
+class Table(namedtuple("Table", "title rows residual_reduction_min", defaults=(None,))):
+    """A reproduced table; ``residual_reduction_min`` is the constant -> adaptive
+    row claim on the total residual, if the table makes one."""
+
+    __slots__ = ()
 
 
 def _cfg(preset, reticulation, controller, **kw) -> ExperimentConfig:

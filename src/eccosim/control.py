@@ -144,7 +144,7 @@ class StepPolicy(ABC):
     name: str = "policy"
 
     @abstractmethod
-    def start(self, dt0: float | None, outputs: Sequence[float]) -> float:
+    def start(self, outputs: Sequence[float]) -> float:
         """Reset per-run state for a run from t = 0; return the first macro step size.
 
         ``outputs`` are the initial coupling outputs stacked two per bond.
@@ -169,16 +169,12 @@ class ConstantStep(StepPolicy):
 
     name = "constant"
 
-    def __init__(self, dt: float = 1e-3):
+    def __init__(self, dt: float):
         if not (isfinite(dt) and dt > 0.0):
             raise ValueError(f"constant step size must be finite and positive, got {dt}")
         self.dt = dt
 
-    def start(self, dt0, outputs):
-        if dt0 is not None:
-            if not (isfinite(dt0) and dt0 > 0.0):
-                raise ValueError(f"dt0 must be finite and positive, got {dt0}")
-            self.dt = dt0
+    def start(self, outputs):
         return self.dt
 
     def next_step(self, t_next, dt_used, bond_steps, outputs):
@@ -267,28 +263,31 @@ class PIController(StepPolicy):
     The indicator supplies ``name``, the gains ``k_i``/``k_p``,
     ``start(outputs)`` and a call ``(t_next, bond_steps, outputs)`` returning
     the step's error, or ``None`` while it cannot judge yet; the step size is
-    then kept and 0 is logged.  :meth:`start` binds the indicator's call,
-    and the gains and ``PIConfig`` bounds in ``pi_step_size``'s argument
-    order, once per run, and resets the previous error to 1.
+    then kept and 0 is logged.  The first step ``dt0`` defaults to
+    ``config.dt_min`` and must lie in ``[dt_min, dt_max]``.  :meth:`start`
+    binds the indicator's call, and the gains and ``PIConfig`` bounds in
+    ``pi_step_size``'s argument order, once per run, and resets the previous
+    error to 1.
     """
 
-    def __init__(self, indicator, config: PIConfig = PIConfig()):
+    def __init__(self, indicator, config: PIConfig = PIConfig(), dt0: float | None = None):
+        dt0 = config.dt_min if dt0 is None else dt0
+        if not config.dt_min <= dt0 <= config.dt_max:
+            raise ValueError(f"dt0={dt0} outside [{config.dt_min}, {config.dt_max}]")
         self.indicator = indicator
         self.config = config
+        self.dt0 = dt0
         self.name = indicator.name
 
-    def start(self, dt0, outputs):
+    def start(self, outputs):
         cfg, ind = self.config, self.indicator
-        dt0 = cfg.dt_min if dt0 is None else dt0
-        if not cfg.dt_min <= dt0 <= cfg.dt_max:
-            raise ValueError(f"dt0={dt0} outside [{cfg.dt_min}, {cfg.dt_max}]")
         ind.start(outputs)
         self.measure = ind.__call__  # a bound method is called faster than an instance
         self.bound = (
             ind.k_i, ind.k_p, cfg.alpha_s, cfg.dt_min, cfg.dt_max, cfg.theta_min, cfg.theta_max
         )
         self.eps_prev = 1.0
-        return dt0
+        return self.dt0
 
     def next_step(self, t_next, dt_used, bond_steps, outputs):
         eps = self.measure(t_next, bond_steps, outputs)

@@ -121,6 +121,22 @@ def _non_finite_signal(outputs, probe_names: list[tuple[str, ...]], probes) -> s
     return "unknown signal"
 
 
+def _check_signals(t, outputs, probes, probe_names, record: RunRecord) -> None:
+    """Raise :class:`SimulatorFailure` at ``t`` unless every output and probe
+    value is a finite number; the message names the first signal that is not."""
+    try:
+        if all(map(isfinite, chain(*outputs, probes))):
+            return
+    except TypeError:  # a value that is not a number, or outputs that are not a sequence
+        pass
+    record.complete = False
+    raise SimulatorFailure(
+        f"non-finite simulator output at t={t}: "
+        + _non_finite_signal(outputs, probe_names, probes),
+        record,
+    )
+
+
 def _probe_layout(slots: Sequence[SimulatorSlot]) -> list[tuple[str, ...]]:
     """Each slot's ``probe_names``.
 
@@ -142,17 +158,17 @@ def run_cosimulation(
     graph: ConnectionGraph,
     policy: StepPolicy,
     t_end: float,
-    dt0: float | None = None,
     stop: Callable[[RunRecord], bool] | None = None,
 ) -> RunRecord:
     """Run the Jacobi master loop from t = 0 to ``t_end``.
 
-    Per macro step: inputs are set from the last outputs, all slots step over
-    the same interval, ledgers absorb the step, and the policy proposes the
-    next step size.  The final step is truncated to land exactly on ``t_end``.
-    No step is ever redone.  When ``stop`` is given, ``stop(record)`` is
-    called after each row is appended; if it returns true the run ends there
-    with ``record.complete`` set to False.
+    The policy's ``start`` sees the slots' first outputs and gives the first
+    step size.  Per macro step: inputs are set from the last outputs, all
+    slots step over the same interval, ledgers absorb the step, and the
+    policy proposes the next step size.  The final step is truncated to land
+    exactly on ``t_end``.  No step is ever redone.  When ``stop`` is given,
+    ``stop(record)`` is called after each row is appended; if it returns true
+    the run ends there with ``record.complete`` set to False.
 
     The probe names are read once, from each slot's ``probe_names``, and
     fix the row layout for the run; each step, each slot's ``probes()``
@@ -168,6 +184,8 @@ def run_cosimulation(
     finite number, outputs or probes that are not a sequence, or more or
     fewer probe values than it has names, or when a bond power overflows;
     the message names the slot and signal, or the bond, that failed first.
+    The slots' first outputs, read before any step, get the same check at
+    t = 0.0, with the empty record attached.
     """
     if not (isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
@@ -192,10 +210,12 @@ def run_cosimulation(
         )
     ]
     next_step = policy.next_step
+    check_signals = _check_signals
     max_steps = MAX_MACRO_STEPS
 
     outputs = [get() for get in get_outputs]
-    dt_next = policy.start(dt0, _stacked_outputs(wiring, outputs))
+    check_signals(0.0, outputs, (), probe_names, record)
+    dt_next = policy.start(_stacked_outputs(wiring, outputs))
 
     # The clock is a CompensatedSum of the step sizes, kept in two locals.
     clock = 0.0
@@ -253,17 +273,7 @@ def run_cosimulation(
                 record,
             )
 
-        try:
-            finite = all(map(isfinite, chain(*outputs, probes)))
-        except TypeError:  # a value that is not a number
-            finite = False
-        if not finite:
-            record.complete = False
-            raise SimulatorFailure(
-                f"non-finite simulator output at t={t_next}: "
-                + _non_finite_signal(outputs, probe_names, probes),
-                record,
-            )
+        check_signals(t_next, outputs, probes, probe_names, record)
 
         bond_steps = []
         stacked = []

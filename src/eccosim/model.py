@@ -13,7 +13,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 
 class Frozen:
@@ -64,7 +64,7 @@ class PortRole(Enum):
 
 
 class NonAntisymmetricBond(ValueError):
-    """Bond coefficients violate c1*c2 == -1, so the bond sign degenerates to 0."""
+    """Bond coefficients are not one +1 and one -1, so ``sigma`` is not a unit sign."""
 
 
 class DanglingPort(ValueError):
@@ -93,17 +93,15 @@ class PowerPort(namedtuple("PowerPort", "owner input_index output_index input_ro
         return port
 
 
-class PowerBond(NamedTuple):
+class PowerBond(namedtuple("PowerBond", "port1 port2 c1 c2")):
     """Antisymmetric connection of two ports: u1 = c1*y2 and u2 = c2*y1.
 
     Valid bonds have c1, c2 in {-1, +1} with c1*c2 == -1, which makes ``sigma``
-    a well-defined unit sign for the transmitted power.
+    a well-defined unit sign for the transmitted power, and each port takes
+    as input the power variable the other port outputs.
     """
 
-    port1: PowerPort
-    port2: PowerPort
-    c1: int
-    c2: int
+    __slots__ = ()
 
     @property
     def sigma(self) -> int:
@@ -111,10 +109,10 @@ class PowerBond(NamedTuple):
         return (self.c1 - self.c2) // 2
 
 
-class ConnectionGraph(NamedTuple):
+class ConnectionGraph(namedtuple("ConnectionGraph", "bonds", defaults=((),))):
     """Ordered collection of power bonds wiring simulator outputs to inputs."""
 
-    bonds: tuple[PowerBond, ...] = ()
+    __slots__ = ()
 
 
 class SimulatorSlot(ABC):
@@ -151,7 +149,7 @@ class SimulatorSlot(ABC):
         return ()
 
 
-class Wiring(NamedTuple):
+class Wiring(namedtuple("Wiring", "bonds input_widths routes")):
     """Validated routing table produced by :func:`validate_graph`.
 
     Keeps the bonds, the per-simulator input widths needed to materialize
@@ -160,23 +158,29 @@ class Wiring(NamedTuple):
     per-step exchange reads plain integers instead of walking port objects.
     """
 
-    bonds: tuple[PowerBond, ...]
-    input_widths: tuple[int, ...]
-    routes: tuple[tuple[int, int, int, int, int, int, int, int], ...]
+    __slots__ = ()
 
 
 def validate_graph(graph: ConnectionGraph, slots: Sequence[SimulatorSlot]) -> Wiring:
     """Check ports, signs, and exclusivity of a connection graph against slots.
 
     Returns a :class:`Wiring` usable with :func:`apply_connections`.  Raises
-    ``NonAntisymmetricBond``, ``DanglingPort``, or ``DuplicateConnection``.
+    ``NonAntisymmetricBond``, ``DanglingPort``, or ``DuplicateConnection``,
+    and ``ValueError`` naming the bond when a port's input is not the power
+    variable the other port outputs.
     """
     used_inputs: set[tuple[int, int]] = set()
     used_outputs: set[tuple[int, int]] = set()
-    for bond in graph.bonds:
-        if bond.c1 * bond.c2 != -1:
+    for j, bond in enumerate(graph.bonds):
+        if not (bond.c1 in (1, -1) and bond.c2 == -bond.c1):
             raise NonAntisymmetricBond(
-                f"bond coefficients c1={bond.c1}, c2={bond.c2} must multiply to -1"
+                f"bond {j} coefficients c1={bond.c1}, c2={bond.c2} must be +1 and -1"
+            )
+        p1, p2 = bond.port1, bond.port2
+        if (p1.output_role, p2.output_role) != (p2.input_role, p1.input_role):
+            raise ValueError(
+                f"bond {j} port 1 outputs {p1.output_role.value} and port 2 outputs "
+                f"{p2.output_role.value}; each port must take what the other outputs"
             )
         for port in (bond.port1, bond.port2):
             if not 0 <= port.owner < len(slots):

@@ -1,8 +1,8 @@
 """Quarter-car benchmark subsimulators.
 
 Two masses (chassis and wheel) joined by a spring-damper, with the wheel on a
-tyre spring excited by a step in the road height.  The model ships in two
-splittings:
+tyre spring excited by a step in the road height at t = 0.  The model ships
+in two splittings:
 
 * reticulation A: the chassis alone in S1 (solved exactly under a held force),
   everything else in S2 (forward Euler micro steps);
@@ -52,23 +52,9 @@ def preset_params(name: str) -> QuarterCarParams:
         raise ValueError(f"unknown preset {name!r}, expected one of {sorted(PRESETS)}") from None
 
 
-def excitation(t: float) -> float:
-    """Road height: 0 before t = 0, then a 0.1 m step (inclusive at t = 0)."""
-    return 0.1 if t >= 0.0 else 0.0
-
-
-def _held_road_height(t: float, h: float, n: int) -> float:
-    """Road height under the ``n`` micro steps of length ``h`` that start at ``t``.
-
-    The micro steps start at ``t + j*h`` (``j < n``), never before ``t``, so
-    from ``t >= 0`` on the height is ``excitation(t)`` under all of them and
-    is read once per macro step.  A macro step that starts before t = 0 and
-    has a micro step starting at or after it raises ``ValueError``.
-    """
-    road = excitation(t)
-    if t < 0.0 and excitation(t + (n - 1) * h) != road:
-        raise ValueError(f"macro step from t={t} crosses the road step at t = 0")
-    return road
+#: Road height under the tyre [m].  Every run starts at rest at t = 0 with
+#: the road already raised, so the model sees a 0.1 m step at t = 0.
+ROAD_HEIGHT = 0.1
 
 
 def spring_damper_force(
@@ -159,7 +145,7 @@ class WheelAssembly(QuarterCarSlot):
         h = dt / n
         u = self.u
         k_w, m_w = p.k_w, p.m_w
-        road = _held_road_height(t, h, n)
+        road = ROAD_HEIGHT
         z_c_int, z_w, v_w = self.z_c_int, self.z_w, self.v_w
         for _ in range(n):
             f_c = spring_damper_force(z_c_int, z_w, u, v_w, p)
@@ -238,7 +224,7 @@ class WheelOnly(QuarterCarSlot):
         h = dt / n
         f_c = -self.u  # held suspension force acting on the wheel
         k_w, m_w = p.k_w, p.m_w
-        road = _held_road_height(t, h, n)
+        road = ROAD_HEIGHT
         z_w, v_w = self.z_w, self.v_w
         for _ in range(n):
             f_w = k_w * (z_w - road)
@@ -282,7 +268,7 @@ class MonolithicQuarterCar(QuarterCarSlot):
         n = self.micro_step_ratio
         h = dt / n
         k_w, m_c, m_w = p.k_w, p.m_c, p.m_w
-        road = _held_road_height(t, h, n)
+        road = ROAD_HEIGHT
         z_c, v_c, z_w, v_w, z_c_int = self.z_c, self.v_c, self.z_w, self.v_w, self.z_c_int
         for _ in range(n):
             f_c = spring_damper_force(z_c, z_w, v_c, v_w, p)

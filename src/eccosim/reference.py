@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections import namedtuple
 from functools import lru_cache, reduce
 from math import isfinite
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .master import RunRecord
-from .quartercar import RETICULATIONS, QuarterCarParams, excitation, spring_damper_force
+from .quartercar import RETICULATIONS, ROAD_HEIGHT, QuarterCarParams, spring_damper_force
 
 
 class TimeRangeMismatch(ValueError):
@@ -30,7 +31,7 @@ class TimeRangeMismatch(ValueError):
 _STEP_WIDTH = 22
 
 
-class ReferenceTrajectory(NamedTuple):
+class ReferenceTrajectory(namedtuple("ReferenceTrajectory", "params reticulation t_end t steps")):
     """Dense monolithic solution with the bond signal of one reticulation.
 
     ``steps`` holds ``_STEP_WIDTH`` doubles per accepted step: its start time,
@@ -39,11 +40,7 @@ class ReferenceTrajectory(NamedTuple):
     alone.  Both come from the solver's cache; treat them as read-only.
     """
 
-    params: QuarterCarParams
-    reticulation: str
-    t_end: float
-    t: array
-    steps: array
+    __slots__ = ()
 
     def step_at(self, time: float) -> int:
         """Index of the accepted step whose interval holds ``time``."""
@@ -161,7 +158,7 @@ def _solve(params: QuarterCarParams, t_end: float, tol: float = _DP_TOL) -> tupl
     if not (isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
     m_c, m_w, k_w = params.m_c, params.m_w, params.k_w
-    road = excitation(0.0)
+    road = ROAD_HEIGHT
     force = spring_damper_force
     steps = array("d")
     extend = steps.extend
@@ -281,14 +278,12 @@ def pairwise_sum(values: Sequence[float]) -> float:
     return 0.0 + block(0, len(values))  # numpy starts from 0.0, so -0.0 sums to 0.0
 
 
-class ErrorSummary(NamedTuple):
+class ErrorSummary(
+    namedtuple("ErrorSummary", "mean_P12 mean_abs_dP total_residual mean_dt step_count")
+):
     """Run-level metrics: bond power mean, mean absolute power error, residual."""
 
-    mean_P12: float
-    mean_abs_dP: float
-    total_residual: float
-    mean_dt: float
-    step_count: int
+    __slots__ = ()
 
 
 def summarize(record: RunRecord, ref: ReferenceTrajectory, bond: int = 0) -> ErrorSummary:

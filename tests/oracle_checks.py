@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from eccosim.quartercar import QuarterCarParams, excitation, spring_damper_force
+from eccosim.quartercar import ROAD_HEIGHT, QuarterCarParams, spring_damper_force
 from eccosim.reference import _DP_A, _DP_D, _DP_E, _DP_H0, _STEP_WIDTH, ReferenceTrajectory, _solve
 
 
@@ -100,7 +100,7 @@ def _rhs(params: QuarterCarParams, x) -> list[float]:
     """Time derivative of the monolithic quarter car under the road step."""
     z_c, v_c, z_w, v_w = x
     f_c = spring_damper_force(z_c, z_w, v_c, v_w, params)
-    f_w = params.k_w * (z_w - excitation(0.0))  # the tyre spring on the raised road
+    f_w = params.k_w * (z_w - ROAD_HEIGHT)  # the tyre spring on the raised road
     return [v_c, -f_c / params.m_c, v_w, (f_c - f_w) / params.m_w]
 
 

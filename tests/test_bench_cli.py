@@ -15,6 +15,7 @@ from eccosim.bench import (
     TRAJECTORY_HEADER,
     ConfigError,
     ExperimentConfig,
+    build_policy,
     format_number,
     load_config,
     parse_config_text,
@@ -97,9 +98,13 @@ def test_config_validation_errors():
 def test_resolved_defaults():
     assert ExperimentConfig(preset="linear").resolved_t_end == 4.0
     assert ExperimentConfig(preset="nonlinear").resolved_t_end == 2.0
-    assert ExperimentConfig(controller="constant").resolved_dt0 == 1e-3
-    assert ExperimentConfig(controller="ecco").resolved_dt0 == 1e-4
-    assert ExperimentConfig(controller="ecco", dt0=3e-4).resolved_dt0 == 3e-4
+
+    def first_step(**kw):
+        return build_policy(ExperimentConfig(**kw)).start([0.0, 0.0])
+
+    assert first_step(controller="constant") == 1e-3
+    assert first_step(controller="ecco") == 1e-4
+    assert first_step(controller="ecco", dt0=3e-4) == 3e-4
     assert ExperimentConfig(out_path="x.csv").resolved_summary_path == "x.summary.csv"
 
 

@@ -215,18 +215,18 @@ def test_indicators_reject_mismatched_vectors():
 def test_broadcast_rejects_wrong_length():
     # widths come from the stacked outputs at start: two per bond
     with pytest.raises(ValueError):
-        PIController(OutputExtrapolationIndicator(tol=[1.0, 2.0, 3.0])).start(None, [0.0] * 2)
+        PIController(OutputExtrapolationIndicator(tol=[1.0, 2.0, 3.0])).start([0.0] * 2)
     with pytest.raises(ValueError):
-        PIController(ResidualEnergyIndicator(rel_tol=[1e-5, 1e-6])).start(None, [0.0] * 2)
+        PIController(ResidualEnergyIndicator(rel_tol=[1e-5, 1e-6])).start([0.0] * 2)
     pol = PIController(OutputExtrapolationIndicator(tol=[0.5, 2.0], rho=1e-4))
-    pol.start(None, [0.0, 0.0])
+    pol.start([0.0, 0.0])
     assert pol.indicator.output_tol == (0.5, 2.0)
     assert pol.indicator.output_rho == (1e-4, 1e-4)
 
 
 def test_constant_policy_keeps_dt():
     pol = ConstantStep(1e-3)
-    assert pol.start(None, []) == 1e-3
+    assert pol.start([]) == 1e-3
     dt, eps = pol.next_step(1e-3, 1e-3, (entry(0.1, 0.2),), [0.0])
     assert (dt, eps) == (1e-3, 0.0)
 
@@ -235,15 +235,11 @@ def test_constant_policy_keeps_dt():
 def test_constant_policy_rejects_non_finite_or_non_positive_step(bad):
     with pytest.raises(ValueError, match="finite and positive"):
         ConstantStep(bad)
-    pol = ConstantStep(1e-3)
-    with pytest.raises(ValueError, match="finite and positive"):
-        pol.start(bad, [])
-    assert pol.dt == 1e-3
 
 
 def test_ecco_controller_defaults_and_floor():
     pol = PIController(ResidualEnergyIndicator(rel_tol=1e-5), PIConfig())
-    dt0 = pol.start(None, [0.0, 0.0])
+    dt0 = pol.start([0.0, 0.0])
     assert dt0 == pol.config.dt_min
     assert pol.eps_prev == 1.0
     dt1, eps = pol.next_step(dt0, dt0, (entry(0.0, 0.0, dt=dt0),), [0.0, 0.0])
@@ -253,9 +249,10 @@ def test_ecco_controller_defaults_and_floor():
 
 
 def test_ecco_controller_rejects_out_of_band_dt0():
-    pol = PIController(ResidualEnergyIndicator(), PIConfig())
-    with pytest.raises(ValueError):
-        pol.start(1.0, [0.0, 0.0])
+    for bad in (1.0, 1e-5, float("nan")):
+        with pytest.raises(ValueError, match=r"dt0=.* outside \[0.0001, 0.01\]"):
+            PIController(ResidualEnergyIndicator(), PIConfig(), dt0=bad)
+    assert PIController(ResidualEnergyIndicator(), PIConfig(), dt0=3e-4).start([0.0, 0.0]) == 3e-4
 
 
 def test_ecco_tolerance_product_underflow_rejected_at_start():
@@ -269,14 +266,14 @@ def test_ecco_tolerance_product_underflow_rejected_at_start():
 
 def test_ecco_controller_nonfinite_indicator():
     pol = PIController(ResidualEnergyIndicator(), PIConfig())
-    pol.start(None, [0.0, 0.0])
+    pol.start([0.0, 0.0])
     with pytest.raises(NonFiniteIndicator):
         pol.next_step(1e-4, 1e-4, (entry(float("nan"), 0.0),), [0.0, 0.0])
 
 
 def test_predictor_corrector_startup_skips_indicator():
     pol = PIController(OutputExtrapolationIndicator(tol=0.5), PIConfig())
-    dt0 = pol.start(None, [0.0])
+    dt0 = pol.start([0.0])
     assert dt0 == pol.config.dt_min
     dt1, eps1 = pol.next_step(dt0, dt0, (), [1.0])
     assert (dt1, eps1) == (dt0, 0.0)  # history too short: keep dt, skip indicator
@@ -289,8 +286,8 @@ def test_predictor_corrector_startup_skips_indicator():
 
 def test_predictor_corrector_tracks_prediction_miss():
     cfg = PIConfig()
-    pol = PIController(OutputExtrapolationIndicator(tol=1.0, rho=0.0), cfg)
-    dt0 = pol.start(1e-3, [0.0])
+    pol = PIController(OutputExtrapolationIndicator(tol=1.0, rho=0.0), cfg, dt0=1e-3)
+    assert pol.start([0.0]) == 1e-3
     pol.next_step(1e-3, 1e-3, (), [1.0])  # startup
     # affine continuation: miss is zero, step grows by theta_max
     dt, eps = pol.next_step(2e-3, 1e-3, (), [2.0])
@@ -322,8 +319,8 @@ def test_pi_controller_steps_exactly_as_pi_step_size():
     # distinct values in every slot, so a misordered bound tuple shows
     cfg = PIConfig(alpha_s=0.9, dt_min=2e-5, dt_max=5e-2, theta_min=0.3, theta_max=1.7)
     eps_seq = [None, 0.5, 2.0, 0.0, EPS_FLOOR, 1e-14, 37.0, 1.0, 1e4, 0.03, 0.8]
-    pol = PIController(_Scripted(eps_seq), cfg)
-    dt = pol.start(1e-3, [0.0, 0.0])
+    pol = PIController(_Scripted(eps_seq), cfg, dt0=1e-3)
+    dt = pol.start([0.0, 0.0])
     eps_prev, t = 1.0, 0.0
     for eps in eps_seq:
         t += dt

@@ -66,10 +66,20 @@ def test_initial_probes_are_zero():
 
 def test_no_rollback_every_step_executed_once():
     slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    starts = [[], []]
+    for slot, seen in zip(slots, starts):
+        def do_step(t, dt, step=slot.do_step, seen=seen):
+            seen.append(t)
+            step(t, dt)
+
+        slot.do_step = do_step
     policy = PIController(ResidualEnergyIndicator(rel_tol=2.8e-6))
     record = run_cosimulation(slots, graph, policy, 0.5)
     assert slots[0].step_calls == record.step_count
     assert slots[1].step_calls == record.step_count
+    # the first step starts at t = 0, every later one where the previous row ends
+    row_ends = list(record.column("t"))
+    assert starts[0] == starts[1] == [0.0] + row_ends[:-1]
 
 
 def test_ledger_rows_are_self_consistent():
@@ -183,7 +193,7 @@ class _Proposes(StepPolicy):
     def __init__(self, first, then):
         self.first, self.then = first, then
 
-    def start(self, dt0, outputs):
+    def start(self, outputs):
         return self.first
 
     def next_step(self, t_next, dt_used, bond_steps, outputs):
@@ -398,21 +408,24 @@ def test_probes_that_are_not_a_sequence_fail_naming_the_slot():
 
 
 def test_outputs_that_are_not_a_sequence_fail_naming_the_slot():
-    slots, graph = build_reticulation("B", LINEAR_PARAMS)
-    wheel = slots[1]
-    wheel_outputs = wheel.get_outputs
+    # the wheel returns no vector after its second step, or from the start
+    for broken_after, t in ((2, "0.002"), (0, "0.0")):
+        slots, graph = build_reticulation("B", LINEAR_PARAMS)
+        wheel = slots[1]
 
-    def get_outputs():  # the wheel returns no vector after its second step
-        return None if wheel.step_calls == 2 else wheel_outputs()
+        def get_outputs(wheel=wheel, real=wheel.get_outputs, broken_after=broken_after):
+            return None if wheel.step_calls == broken_after else real()
 
-    wheel.get_outputs = get_outputs
-    with pytest.raises(SimulatorFailure) as info:
-        run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
-    assert str(info.value) == (
-        "non-finite simulator output at t=0.002: slot 1 outputs are None, not a sequence of numbers"
-    )
-    assert info.value.record.step_count == 1
-    assert info.value.record.complete is False
+        wheel.get_outputs = get_outputs
+        with pytest.raises(SimulatorFailure) as info:
+            run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
+        assert str(info.value) == (
+            f"non-finite simulator output at t={t}: "
+            "slot 1 outputs are None, not a sequence of numbers"
+        )
+        assert info.value.record.step_count == max(broken_after - 1, 0)
+        assert info.value.record.complete is False
+        assert [slot.step_calls for slot in slots] == [broken_after] * 2
 
 
 class _NamesOnly(_Probed):

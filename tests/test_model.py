@@ -68,8 +68,17 @@ def test_symmetric_bond_rejected():
 
 
 def test_zero_coefficient_rejected():
-    bond = two_port_bond(c1=0, c2=-1)
-    with pytest.raises(NonAntisymmetricBond):
+    # 2.0 * -0.5 == -1 too, but only unit coefficients give a unit bond sign
+    for c1, c2 in ((0, -1), (2.0, -0.5)):
+        bond = two_port_bond(c1=c1, c2=c2)
+        with pytest.raises(NonAntisymmetricBond, match="bond 0 coefficients"):
+            validate_graph(ConnectionGraph((bond,)), [OnePortSlot(), OnePortSlot()])
+
+
+def test_ports_that_output_the_same_variable_rejected():
+    effort_out = port(0, in_role=PortRole.FLOW, out_role=PortRole.EFFORT)
+    bond = two_port_bond(c1=-1, c2=1)._replace(port1=effort_out)
+    with pytest.raises(ValueError, match="bond 0 port 1 outputs effort and port 2 outputs effort"):
         validate_graph(ConnectionGraph((bond,)), [OnePortSlot(), OnePortSlot()])
 
 

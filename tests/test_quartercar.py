@@ -1,4 +1,4 @@
-"""Quarter-car model pieces: forces, excitation, slot stepping."""
+"""Quarter-car model pieces: forces, the road height, slot stepping."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +9,7 @@ from eccosim.model import ConnectionGraph
 from eccosim.quartercar import (
     LINEAR_PARAMS,
     NONLINEAR_PARAMS,
+    ROAD_HEIGHT,
     ChassisExact,
     ChassisSpringDamper,
     MonolithicQuarterCar,
@@ -16,7 +17,6 @@ from eccosim.quartercar import (
     WheelAssembly,
     WheelOnly,
     build_reticulation,
-    excitation,
     preset_params,
     spring_damper_force,
 )
@@ -45,12 +45,6 @@ def test_params_are_values_of_their_six_knobs():
         twin.n_d = 0.5
     with pytest.raises(TypeError):
         QuarterCarParams(c_d=900.0)
-
-
-def test_excitation_step():
-    assert excitation(-1.0) == 0.0
-    assert excitation(0.0) == 0.1  # inclusive at t = 0
-    assert excitation(2.0) == 0.1
 
 
 def test_spring_damper_force_examples():
@@ -83,7 +77,7 @@ def test_damping_odd_symmetry(params, dv):
 def test_initial_tyre_energy_matches_controller_energy_scale():
     from eccosim.bench import ExperimentConfig
 
-    e0 = 0.5 * LINEAR_PARAMS.k_w * excitation(0.0) ** 2
+    e0 = 0.5 * LINEAR_PARAMS.k_w * ROAD_HEIGHT**2
     assert e0 == pytest.approx(750.0, rel=1e-12)
     assert ExperimentConfig().e0 == pytest.approx(e0, rel=1e-12)
 
@@ -132,39 +126,10 @@ def test_wheel_assembly_single_substep_hand_check():
     assert s2.z_c_int == 0.0
 
 
-def test_wheel_assembly_quiescent_before_step():
-    s2 = WheelAssembly(LINEAR_PARAMS, micro_steps=4)
-    s2.set_inputs([0.0])
-    s2.do_step(-1.0, 0.5)  # road still at 0 for t < 0 (stays below t=0 here)
-    assert (s2.z_w, s2.v_w, s2.z_c_int) == (0.0, 0.0, 0.0)
-    assert s2.get_outputs() == (0.0,)
-
-
-@pytest.mark.parametrize("cls", [WheelAssembly, WheelOnly, MonolithicQuarterCar])
-def test_macro_step_across_the_road_step(cls):
-    # the road height is read once per macro step: a step with micro steps
-    # starting on both sides of t = 0 is refused and leaves the state alone
-    slot = cls(LINEAR_PARAMS, micro_steps=4)
-    slot.set_inputs([0.0] * slot.n_inputs)
-    before = slot.probes()
-    with pytest.raises(ValueError, match="road step"):
-        slot.do_step(-0.1, 0.5)  # micro steps start at -0.1, 0.025, 0.15, 0.275
-    assert slot.probes() == before
-    slot.do_step(-0.5, 0.5)  # ends on t = 0: every micro step starts before it
-    assert slot.probes() == before
-    # one micro step starting before t = 0 sees the road at 0 for the whole step
-    single = cls(LINEAR_PARAMS, micro_steps=1)
-    single.set_inputs([0.0] * single.n_inputs)
-    single.do_step(-0.1, 0.5)
-    assert single.probes() == before
-
-
 def test_wheel_only_low_accuracy_variant():
     s2 = WheelOnly(LINEAR_PARAMS, micro_steps=1)
     assert s2.micro_step_ratio == 1
     s2.set_inputs([0.0])
-    s2.do_step(-1.0, 0.5)
-    assert (s2.z_w, s2.v_w) == (0.0, 0.0)
     s2.do_step(0.0, 1e-3)
     assert s2.v_w == pytest.approx(0.375, rel=1e-15)
 
