@@ -32,7 +32,7 @@ from .control import (
 )
 from .master import RunRecord, SimulatorFailure, run_cosimulation
 from .model import Frozen
-from .quartercar import PRESETS, RETICULATIONS, build_reticulation, preset_params
+from .quartercar import MAX_MICRO_STEPS, PRESETS, RETICULATIONS, build_reticulation, preset_params
 from .reference import ErrorSummary, reference_solve, summarize
 
 #: Default horizons per preset.  The nonlinear model settles fast and is run
@@ -113,8 +113,8 @@ class ExperimentConfig(Frozen):
                 raise ConfigError(f"{s.name} must be finite, got {value}")
             if value == "":
                 raise ConfigError(f"{s.name} must not be empty")
-        if self.micro_ratio_s1 < 1 or self.micro_ratio_s2 < 1:
-            raise ConfigError("micro step ratios must be >= 1")
+        if not all(1 <= n <= MAX_MICRO_STEPS for n in (self.micro_ratio_s1, self.micro_ratio_s2)):
+            raise ConfigError(f"micro step ratios must be in 1..{MAX_MICRO_STEPS}")
         if self.t_end is not None and not self.t_end > 0.0:
             raise ConfigError(f"t_end must be finite and positive, got {self.t_end}")
 
@@ -229,25 +229,24 @@ class SweepPoint(namedtuple("SweepPoint", "dt mean_abs_dP residual_estimate")):
     __slots__ = ()
 
 
+def _sweep_point(run: ExperimentConfig) -> SweepPoint:
+    record = run_experiment(run)
+    abs_res = reduce(add, map(abs, record.column("dE_res")), 0.0)
+    return SweepPoint(
+        dt=run.dt0,
+        mean_abs_dP=summarize_experiment(run, record).mean_abs_dP,
+        residual_estimate=0.5 * abs_res / record.duration,
+    )
+
+
 def step_size_sweep(cfg: ExperimentConfig, dt_values: Sequence[float]) -> list[SweepPoint]:
     """Constant-step runs of ``cfg`` over ``dt_values``, recording both error curves.
 
-    All runs execute before the reference is solved, so a divergent step size
-    fails fast without paying for the reference solution.
+    Each run is summarized as soon as it ends, so the sweep holds one run's
+    record at a time.  A step size that diverges fails the sweep when its run
+    does, after the earlier points have paid for the reference solution.
     """
-    runs = [cfg.replace(controller="constant", dt0=dt) for dt in dt_values]
-    records = [run_experiment(run) for run in runs]
-    points = []
-    for run, record in zip(runs, records):
-        abs_res = reduce(add, map(abs, record.column("dE_res")), 0.0)
-        points.append(
-            SweepPoint(
-                dt=run.dt0,
-                mean_abs_dP=summarize_experiment(run, record).mean_abs_dP,
-                residual_estimate=0.5 * abs_res / record.duration,
-            )
-        )
-    return points
+    return [_sweep_point(cfg.replace(controller="constant", dt0=dt)) for dt in dt_values]
 
 
 def stability_scan(

@@ -426,7 +426,7 @@ def _log_spaced(lo: float, hi: float, count: int) -> list[float]:
     return [lo] + [10.0 ** (i * step + start) for i in range(1, count - 1)] + [hi]
 
 
-#: Most ``sweep --points``; each point is a full run, and the list is built first.
+#: Most ``sweep --points``; each point is a full run, summarized before the next starts.
 MAX_SWEEP_POINTS = 1000
 
 

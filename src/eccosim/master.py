@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .control import StepPolicy
 from .energy import BOND_FIELDS, BondLedger
-from .model import ConnectionGraph, SimulatorSlot, Wiring, apply_connections, validate_graph
+from .model import ConnectionGraph, SimulatorSlot, apply_connections, validate_graph
 
 
 #: Most macro steps one run may take: 14 doubles per single-bond step, so
@@ -28,15 +28,15 @@ MAX_MACRO_STEPS = 1_000_000
 
 #: Leading fields of every row.
 STEP_FIELDS = ("t", "dt", "eps")
-#: Where the bond-power check finds its values in a ledger step.
-_P_12, _DP_RES = BOND_FIELDS.index("P_12"), BOND_FIELDS.index("dP_res")
 
 
 class SimulatorFailure(RuntimeError):
-    """A simulator produced a non-finite output or state; carries the partial record."""
+    """A slot returned a signal the master cannot use; marks the record it carries incomplete."""
 
     def __init__(self, message: str, record: "RunRecord | None" = None):
         super().__init__(message)
+        if record is not None:
+            record.complete = False
         self.record = record
 
 
@@ -97,44 +97,63 @@ class RunRecord:
         return self.data[len(self.data) - self.width + self._offset("E_res_accum", bond)]
 
 
-def _stacked_outputs(wiring: Wiring, outputs) -> list[float]:
-    """Coupling outputs stacked bond by bond: (y_a1, y_a2, y_b1, y_b2, ...)."""
-    stacked = []
-    for o1, _, k1, _, o2, _, k2, _ in wiring.routes:
-        stacked += (outputs[o1][k1], outputs[o2][k2])
-    return stacked
-
-
-def _non_finite_signal(outputs, probe_names: list[tuple[str, ...]], probes) -> str:
-    """Name the first output, then probe, that is not a finite number."""
+def _diagnosis(t, outputs, probes, ledger_fields, widths, probe_names, routes) -> str | None:
+    """Name what fails :func:`_check` first: probe values of the wrong count,
+    outputs that are not a sequence, a value that is not a finite number, an
+    output vector of the wrong length, then a bond whose ledger overflowed.
+    ``None`` when nothing does, because only the screening sum overflowed."""
+    for i, (vector, names) in enumerate(zip(probes, probe_names)):
+        sized = hasattr(vector, "__len__")
+        if not sized or len(vector) != len(names):
+            got = f"{len(vector)} probe values" if sized else repr(vector)
+            return f"slot {i} returned {got} at t={t} for its {len(names)} probe names {names}"
+    bad = f"non-finite simulator output at t={t}: "
     for i, out in enumerate(outputs):
-        if not hasattr(out, "__iter__"):
-            return f"slot {i} outputs are {out!r}, not a sequence of numbers"
+        if not (hasattr(out, "__len__") and hasattr(out, "__getitem__")):
+            return f"{bad}slot {i} outputs are {out!r}, not a sequence of numbers"
     outs = ((f"slot {i} output {k}", v) for i, out in enumerate(outputs) for k, v in enumerate(out))
     names = (f"slot {i} probe {name!r}" for i, keys in enumerate(probe_names) for name in keys)
-    for signal, v in chain(outs, zip(names, probes)):
+    for signal, v in chain(outs, zip(names, chain(*probes))):
         try:
             if not isfinite(v):
-                return signal
+                return bad + signal
         except TypeError:
-            return f"{signal} is {v!r}, not a number"
-    return "unknown signal"
+            return f"{bad}{signal} is {v!r}, not a number"
+    for i, (out, width) in enumerate(zip(outputs, widths)):
+        if len(out) != width:
+            return f"slot {i} returned {len(out)} outputs at t={t} for its {width} outputs"
+    if ledger_fields is None:  # the ledger could not read the outputs
+        return bad + "unknown signal"
+    n = len(BOND_FIELDS)
+    for j, (o1, _, k1, _, o2, _, k2, _) in enumerate(routes):
+        if not all(map(isfinite, ledger_fields[n * j : n * j + n])):  # the run has blown up
+            return (
+                f"non-finite bond power at t={t}: bond {j} "
+                f"(slot {o1} output {k1}, slot {o2} output {k2})"
+            )
 
 
-def _check_signals(t, outputs, probes, probe_names, record: RunRecord) -> None:
-    """Raise :class:`SimulatorFailure` at ``t`` unless every output and probe
-    value is a finite number; the message names the first signal that is not."""
+def _check(t, signals, ledger_fields, widths, probe_names, routes, record) -> list:
+    """The values of ``signals``, the slots' outputs then their probes, in one list.
+
+    Raises :class:`SimulatorFailure` at ``t`` unless each vector has its length
+    in ``widths`` and every value in them and in ``ledger_fields`` is a finite
+    number.  One sum screens the values: it is finite unless a value is not
+    or the sum overflows, which :func:`_diagnosis` tells apart.
+    """
+    values = []
     try:
-        if all(map(isfinite, chain(*outputs, probes))):
-            return
-    except TypeError:  # a value that is not a number, or outputs that are not a sequence
+        for vector in signals:
+            values += vector
+        if widths == list(map(len, signals)) and isfinite(sum(values, sum(ledger_fields))):
+            return values
+    except TypeError:  # a value that is not a number, or a vector that is not a sequence
         pass
-    record.complete = False
-    raise SimulatorFailure(
-        f"non-finite simulator output at t={t}: "
-        + _non_finite_signal(outputs, probe_names, probes),
-        record,
-    )
+    n = len(probe_names)
+    message = _diagnosis(t, signals[:n], signals[n:], ledger_fields, widths, probe_names, routes)
+    if message is None:
+        return values
+    raise SimulatorFailure(message, record)
 
 
 def _probe_layout(slots: Sequence[SimulatorSlot]) -> list[tuple[str, ...]]:
@@ -171,8 +190,7 @@ def run_cosimulation(
     the run ends there with ``record.complete`` set to False.
 
     The probe names are read once, from each slot's ``probe_names``, and
-    fix the row layout for the run; each step, each slot's ``probes()``
-    must return one value per name.
+    fix the row layout for the run.
 
     Raises :class:`ValueError` before any step when ``t_end`` is negative or
     not finite or a probe name is not unique among the record's columns,
@@ -180,12 +198,12 @@ def run_cosimulation(
     not finite and positive or the run has already taken ``MAX_MACRO_STEPS``
     steps.  A ``t_end`` within the end tolerance of 0 gives a record without
     steps.  Raises :class:`SimulatorFailure` (with the partial record
-    attached) when a slot produces an output or probe value that is not a
-    finite number, outputs or probes that are not a sequence, or more or
-    fewer probe values than it has names, or when a bond power overflows;
-    the message names the slot and signal, or the bond, that failed first.
-    The slots' first outputs, read before any step, get the same check at
-    t = 0.0, with the empty record attached.
+    attached) before the policy sees a step in which a slot returns outputs
+    or probes that are not a sequence, other than ``n_outputs`` outputs or
+    one probe value per name, or a value that is not a finite number, or a
+    bond power overflows; the message names the slot and signal, or the
+    bond, that failed first.  The slots' first outputs get the same check
+    at t = 0.0, with the empty record attached.
     """
     if not (isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
@@ -200,22 +218,24 @@ def run_cosimulation(
     set_inputs = [slot.set_inputs for slot in slots]
     do_steps = [slot.do_step for slot in slots]
     get_outputs = [slot.get_outputs for slot in slots]
-    read_probes = [
-        (i, slot.probes, len(names)) for i, (slot, names) in enumerate(zip(slots, probe_names))
-    ]
+    readers = get_outputs + [slot.probes for slot in slots]
     taps = [
-        (j, ledger.record, o1, i1, k1, o2, i2, k2)
-        for j, (ledger, (o1, i1, k1, _, o2, i2, k2, _)) in enumerate(
-            zip(ledgers, wiring.routes)
-        )
+        (ledger.record, o1, i1, k1, o2, i2, k2)
+        for ledger, (o1, i1, k1, _, o2, i2, k2, _) in zip(ledgers, wiring.routes)
     ]
     next_step = policy.next_step
-    check_signals = _check_signals
+    routes = wiring.routes
+    output_widths = [slot.n_outputs for slot in slots]
+    widths = output_widths + [len(names) for names in probe_names]
+    n_outputs = sum(output_widths)
     max_steps = MAX_MACRO_STEPS
 
-    outputs = [get() for get in get_outputs]
-    check_signals(0.0, outputs, (), probe_names, record)
-    dt_next = policy.start(_stacked_outputs(wiring, outputs))
+    signals = [get() for get in get_outputs]
+    _check(0.0, signals, (), output_widths, probe_names, routes, record)
+    stacked = []  # the coupling outputs bond by bond: y_a1, y_a2, y_b1, y_b2, ...
+    for _, o1, _, k1, o2, _, k2 in taps:
+        stacked += (signals[o1][k1], signals[o2][k2])
+    dt_next = policy.start(stacked)
 
     # The clock is a CompensatedSum of the step sizes, kept in two locals.
     clock = 0.0
@@ -240,7 +260,7 @@ def run_cosimulation(
         # Truncate onto t_end; absorb a degenerate final sliver into this step.
         dt = remaining if dt_next >= remaining * (1.0 - 1e-9) else dt_next
 
-        inputs = apply_connections(wiring, outputs)
+        inputs = apply_connections(wiring, signals)
         for set_u, u in zip(set_inputs, inputs):
             set_u(u)
         for do_step in do_steps:
@@ -255,46 +275,23 @@ def run_cosimulation(
         clock = total
         t_next = clock + clock_err
 
-        outputs = [get() for get in get_outputs]
-        probes = []
-        for i, read, count in read_probes:
-            values = read()
-            try:
-                if len(values) == count:
-                    probes += values
-                    continue
-                got = f"{len(values)} probe values"
-            except TypeError:  # no length, so not a sequence of values
-                got = repr(values)
-            record.complete = False
-            raise SimulatorFailure(
-                f"slot {i} returned {got} at t={t_next} "
-                f"for its {count} probe names {probe_names[i]}",
-                record,
-            )
-
-        check_signals(t_next, outputs, probes, probe_names, record)
-
+        signals = [read() for read in readers]  # each slot's outputs, then its probes
         bond_steps = []
         stacked = []
         ledger_fields = []
-        for j, record_step, o1, i1, k1, o2, i2, k2 in taps:
-            y1 = outputs[o1][k1]
-            y2 = outputs[o2][k2]
-            step = record_step(dt, inputs[o1][i1], inputs[o2][i2], y1, y2)
-            if not (isfinite(step[_P_12]) and isfinite(step[_DP_RES])):
-                # finite signals whose products overflow: the run has blown up
-                record.complete = False
-                raise SimulatorFailure(
-                    f"non-finite bond power at t={t_next}: bond {j} "
-                    f"(slot {o1} output {k1}, slot {o2} output {k2})",
-                    record,
-                )
-            bond_steps.append(step)
-            stacked += (y1, y2)
-            ledger_fields += step
+        try:
+            for record_step, o1, i1, k1, o2, i2, k2 in taps:
+                y1 = signals[o1][k1]
+                y2 = signals[o2][k2]
+                step = record_step(dt, inputs[o1][i1], inputs[o2][i2], y1, y2)
+                bond_steps.append(step)
+                stacked += (y1, y2)
+                ledger_fields += step
+        except (IndexError, TypeError):  # outputs too short or not numbers: the check names them
+            ledger_fields = None
+        values = _check(t_next, signals, ledger_fields, widths, probe_names, routes, record)
         dt_next, eps = next_step(t_next, dt, bond_steps, stacked)
-        append_row(pack_row(t_next, dt, eps, *ledger_fields, *probes))
+        append_row(pack_row(t_next, dt, eps, *ledger_fields, *values[n_outputs:]))
         steps += 1
         if stop is not None and stop(record):
             record.complete = False

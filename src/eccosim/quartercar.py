@@ -56,6 +56,10 @@ def preset_params(name: str) -> QuarterCarParams:
 #: the road already raised, so the model sees a 0.1 m step at t = 0.
 ROAD_HEIGHT = 0.1
 
+#: Most micro steps per macro step: the tables use 10 and 1, and at 1000 a
+#: default 4 s run makes 4 million, a few seconds of stepping.
+MAX_MICRO_STEPS = 1000
+
 
 def spring_damper_force(
     z_c: float, z_w: float, v_c: float, v_w: float, params: QuarterCarParams
@@ -83,8 +87,8 @@ class QuarterCarSlot(SimulatorSlot):
     n_outputs = 1
 
     def __init__(self, params: QuarterCarParams = LINEAR_PARAMS, micro_steps: int = 10):
-        if micro_steps < 1:
-            raise ValueError("micro_steps must be >= 1")
+        if not 1 <= micro_steps <= MAX_MICRO_STEPS:
+            raise ValueError(f"micro_steps must be in 1..{MAX_MICRO_STEPS}, got {micro_steps}")
         self.params = params
         self.micro_step_ratio = micro_steps
         self.u = 0.0

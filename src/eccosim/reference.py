@@ -16,7 +16,7 @@ from collections import namedtuple
 from functools import lru_cache, reduce
 from math import isfinite
 from operator import add
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .master import RunRecord
 from .quartercar import RETICULATIONS, ROAD_HEIGHT, QuarterCarParams, spring_damper_force
@@ -50,31 +50,21 @@ class ReferenceTrajectory(namedtuple("ReferenceTrajectory", "params reticulation
 
     def states_at(self, time: float) -> tuple[float, float, float, float]:
         """States ``(z_c, v_c, z_w, v_w)`` at ``time`` from the dense output."""
-        b = _STEP_WIDTH * self.step_at(time)
-        s = self.steps
-        theta = (time - s[b]) / s[b + 1]
-        theta1 = 1.0 - theta
-        z_c, v_c, z_w, v_w = (
-            s[i] + theta * (s[i + 4] + theta1 * (s[i + 8] + theta * (s[i + 12] + theta1 * s[i + 16])))
-            for i in range(b + 2, b + 6)
-        )
-        return z_c, v_c, z_w, v_w
+        return next(self.states_along((time,)))
 
-    def bond_powers(self, times: Sequence[float]) -> list[float]:
-        """Exact bond power ``P0_12`` at each of the ascending ``times``.
+    def states_along(self, times: Sequence[float]) -> Iterator[tuple[float, float, float, float]]:
+        """States ``(z_c, v_c, z_w, v_w)`` at each of the ascending ``times``.
 
         One walk over the accepted steps, from the step of the first time,
         serves all times, and each step's coefficients are unpacked once.
         Raises ``TimeRangeMismatch`` when the times leave ``[0, t_end]`` and
         ``ValueError`` when they descend.
         """
-        out = []
         if not times:
-            return out
+            return
         if not times[-1] <= self.t_end:
             raise TimeRangeMismatch(f"time {times[-1]} outside reference range [0, {self.t_end}]")
-        params, starts, steps = self.params, self.t, self.steps
-        on_chassis = self.reticulation == "A"
+        starts, steps = self.t, self.steps
         last = len(starts) - 1
         j = self.step_at(times[0]) - 1
         next_start = starts[j + 1]
@@ -90,13 +80,20 @@ class ReferenceTrajectory(namedtuple("ReferenceTrajectory", "params reticulation
             if theta < 0.0:
                 raise ValueError(f"times must be ascending, got {time} after {t0}")
             theta1 = 1.0 - theta
-            z_c = z1 + theta * (z2 + theta1 * (z3 + theta * (z4 + theta1 * z5)))
-            v_c = v1 + theta * (v2 + theta1 * (v3 + theta * (v4 + theta1 * v5)))
-            z_w = w1 + theta * (w2 + theta1 * (w3 + theta * (w4 + theta1 * w5)))
-            v_w = u1 + theta * (u2 + theta1 * (u3 + theta * (u4 + theta1 * u5)))
-            f_c = spring_damper_force(z_c, z_w, v_c, v_w, params)
-            out.append(f_c * v_c if on_chassis else f_c * v_w)
-        return out
+            yield (
+                z1 + theta * (z2 + theta1 * (z3 + theta * (z4 + theta1 * z5))),
+                v1 + theta * (v2 + theta1 * (v3 + theta * (v4 + theta1 * v5))),
+                w1 + theta * (w2 + theta1 * (w3 + theta * (w4 + theta1 * w5))),
+                u1 + theta * (u2 + theta1 * (u3 + theta * (u4 + theta1 * u5))),
+            )
+
+    def bond_powers(self, times: Sequence[float]) -> list[float]:
+        """Exact bond power ``P0_12`` at each of ``times``; see :meth:`states_along`."""
+        params, force = self.params, spring_damper_force
+        states = self.states_along(times)
+        if self.reticulation == "A":  # the bond carries the chassis velocity
+            return [force(z_c, z_w, v_c, v_w, params) * v_c for z_c, v_c, z_w, v_w in states]
+        return [force(z_c, z_w, v_c, v_w, params) * v_w for z_c, v_c, z_w, v_w in states]
 
 
 #: Mixed absolute/relative tolerance of the oracle.  The benchmark checks the
@@ -256,26 +253,28 @@ def reference_solve(
     return ReferenceTrajectory(params, reticulation, t_end, starts, steps)
 
 
+def _pairwise_block(values: Sequence[float], lo: int, n: int) -> float:
+    """numpy's pairwise sum of ``values[lo : lo + n]``; see :func:`pairwise_sum`."""
+    if n < 8:
+        return reduce(add, values[lo : lo + n], 0.0)
+    if n <= 128:
+        end = lo + n - n % 8
+        r = [reduce(add, values[k:end:8]) for k in range(lo, lo + 8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[end : lo + n], total)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_block(values, lo, half) + _pairwise_block(values, lo + half, n - half)
+
+
 def pairwise_sum(values: Sequence[float]) -> float:
     """Sum of ``values`` in numpy's pairwise order, so it equals ``np.sum`` bit for bit.
 
     Runs of at most 128 are summed by 8 interleaved accumulators; longer runs
     are split at half their length, rounded down to a multiple of 8.
     """
-
-    def block(lo: int, n: int) -> float:
-        if n < 8:
-            return reduce(add, values[lo : lo + n], 0.0)
-        if n <= 128:
-            end = lo + n - n % 8
-            r = [reduce(add, values[k:end:8]) for k in range(lo, lo + 8)]
-            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-            return reduce(add, values[end : lo + n], total)
-        half = n // 2
-        half -= half % 8
-        return block(lo, half) + block(lo + half, n - half)
-
-    return 0.0 + block(0, len(values))  # numpy starts from 0.0, so -0.0 sums to 0.0
+    # numpy starts from 0.0, so -0.0 sums to 0.0
+    return 0.0 + _pairwise_block(values, 0, len(values))
 
 
 class ErrorSummary(

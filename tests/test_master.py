@@ -428,6 +428,35 @@ def test_outputs_that_are_not_a_sequence_fail_naming_the_slot():
         assert [slot.step_calls for slot in slots] == [broken_after] * 2
 
 
+@pytest.mark.parametrize("returned", [(), (0.0, 0.0)], ids=["empty", "long"])
+def test_output_vectors_of_the_wrong_length_fail_naming_the_slot(returned):
+    # the wheel returns a vector of the wrong length from the start, or after its second step
+    for broken_after, t in ((0, "0.0"), (2, "0.002")):
+        slots, graph = build_reticulation("B", LINEAR_PARAMS)
+        wheel = slots[1]
+
+        def get_outputs(wheel=wheel, real=wheel.get_outputs, broken_after=broken_after):
+            return returned if wheel.step_calls == broken_after else real()
+
+        wheel.get_outputs = get_outputs
+        with pytest.raises(SimulatorFailure) as info:
+            run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
+        assert str(info.value) == (
+            f"slot 1 returned {len(returned)} outputs at t={t} for its 1 outputs"
+        )
+        assert info.value.record.step_count == max(broken_after - 1, 0)
+        assert info.value.record.complete is False
+        assert [slot.step_calls for slot in slots] == [broken_after] * 2
+
+
+def test_finite_values_whose_sum_overflows_pass():
+    huge = (1.5e308, 1.5e308)
+    record = run_cosimulation([_Probed(huge)], ConnectionGraph(), ConstantStep(1e-3), 0.004)
+    assert record.complete
+    assert record.step_count == 4
+    assert tuple(record.last_probes()) == huge
+
+
 class _NamesOnly(_Probed):
     """Declares probe names but keeps the default, empty ``probes``."""
 

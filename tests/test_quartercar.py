@@ -8,6 +8,7 @@ from eccosim.master import run_cosimulation
 from eccosim.model import ConnectionGraph
 from eccosim.quartercar import (
     LINEAR_PARAMS,
+    MAX_MICRO_STEPS,
     NONLINEAR_PARAMS,
     ROAD_HEIGHT,
     ChassisExact,
@@ -200,7 +201,9 @@ def test_monolithic_ignores_inputs():
 
 def test_invalid_micro_steps_rejected():
     for cls in (WheelAssembly, ChassisSpringDamper, WheelOnly, MonolithicQuarterCar):
-        with pytest.raises(ValueError):
-            cls(LINEAR_PARAMS, micro_steps=0)
+        for bad in (0, MAX_MICRO_STEPS + 1):
+            with pytest.raises(ValueError, match=f"1..{MAX_MICRO_STEPS}, got {bad}"):
+                cls(LINEAR_PARAMS, micro_steps=bad)
+        assert cls(LINEAR_PARAMS, micro_steps=MAX_MICRO_STEPS).micro_step_ratio == MAX_MICRO_STEPS
     with pytest.raises(ValueError):
         build_reticulation("C", LINEAR_PARAMS)

@@ -1,7 +1,9 @@
 """Reference solver self-checks and error metrics."""
 
+import gc
 import math
 import struct
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -240,6 +242,41 @@ def test_step_size_sweep_monotone():
     assert [p.dt for p in points] == [2e-3, 1e-3, 5e-4]
     assert points[0].mean_abs_dP > points[1].mean_abs_dP > points[2].mean_abs_dP > 0
     assert points[0].residual_estimate > points[1].residual_estimate > 0
+
+
+def test_summarize_frees_its_lists_without_the_cyclic_gc():
+    # a recursive closure in pairwise_sum once kept them, 640 kB for these
+    # 10,000 rows, until a collection; the float free list keeps a few kB
+    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    record = run_cosimulation(slots, graph, ConstantStep(1e-4), 1.0)
+    ref = reference_solve(LINEAR_PARAMS, 1.0)
+    summarize(record, ref)  # first-use caches are not summarize's
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        summarize(record, ref)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert retained < 32_000
+
+
+def test_step_size_sweep_holds_one_run_at_a_time():
+    cfg = ExperimentConfig(t_end=0.5)
+    step_size_sweep(cfg, [1e-4])  # the reference solve is cached
+
+    def peak(points):
+        tracemalloc.start()
+        try:
+            step_size_sweep(cfg, [1e-4] * points)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4) <= 1.2 * peak(1)
 
 
 def test_stability_scan_requires_bracketing():
