@@ -69,7 +69,7 @@ SETTINGS = (
     Setting("reticulation", "A", "model.reticulation", "--reticulation", str, "splitting",
             RETICULATIONS),
     Setting("micro_ratio_s1", 10, "model.micro_ratio_s1", "--micro-s1", int,
-            "micro steps per macro step in S1"),
+            "micro steps per macro step in S1; A ignores it, its chassis is solved exactly"),
     Setting("micro_ratio_s2", 10, "model.micro_ratio_s2", "--micro-s2", int,
             "micro steps per macro step in S2"),
     Setting("controller", "constant", "controller.type", "--controller", str, "step policy",

@@ -115,7 +115,7 @@ def _diagnosis(t, outputs, probes, ledger_fields, widths, probe_names, routes) -
     names = (f"slot {i} probe {name!r}" for i, keys in enumerate(probe_names) for name in keys)
     for signal, v in chain(outs, zip(names, chain(*probes))):
         try:
-            if not isfinite(v):
+            if not isfinite(0.0 + v):  # the float arithmetic of the screening sum
                 return bad + signal
         except TypeError:
             return f"{bad}{signal} is {v!r}, not a number"
@@ -138,14 +138,14 @@ def _check(t, signals, ledger_fields, widths, probe_names, routes, record) -> li
 
     Raises :class:`SimulatorFailure` at ``t`` unless each vector has its length
     in ``widths`` and every value in them and in ``ledger_fields`` is a finite
-    number.  One sum screens the values: it is finite unless a value is not
-    or the sum overflows, which :func:`_diagnosis` tells apart.
+    number that adds to a float.  One sum from 0.0 screens them: it is finite
+    unless a value is not or the sum overflows; :func:`_diagnosis` tells which.
     """
     values = []
     try:
         for vector in signals:
             values += vector
-        if widths == list(map(len, signals)) and isfinite(sum(values, sum(ledger_fields))):
+        if widths == list(map(len, signals)) and isfinite(sum(values, sum(ledger_fields, 0.0))):
             return values
     except TypeError:  # a value that is not a number, or a vector that is not a sequence
         pass
@@ -200,10 +200,10 @@ def run_cosimulation(
     steps.  Raises :class:`SimulatorFailure` (with the partial record
     attached) before the policy sees a step in which a slot returns outputs
     or probes that are not a sequence, other than ``n_outputs`` outputs or
-    one probe value per name, or a value that is not a finite number, or a
-    bond power overflows; the message names the slot and signal, or the
-    bond, that failed first.  The slots' first outputs get the same check
-    at t = 0.0, with the empty record attached.
+    one probe value per name, or a value that is not a finite number that
+    adds to a float, or a bond power overflows; the message names the slot
+    and signal, or the bond, that failed first.  The slots' first outputs
+    get the same check at t = 0.0, with the empty record attached.
     """
     if not (isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
@@ -231,10 +231,14 @@ def run_cosimulation(
     max_steps = MAX_MACRO_STEPS
 
     signals = [get() for get in get_outputs]
-    _check(0.0, signals, (), output_widths, probe_names, routes, record)
     stacked = []  # the coupling outputs bond by bond: y_a1, y_a2, y_b1, y_b2, ...
-    for _, o1, _, k1, o2, _, k2 in taps:
-        stacked += (signals[o1][k1], signals[o2][k2])
+    try:
+        for _, o1, _, k1, o2, _, k2 in taps:
+            stacked += (signals[o1][k1], signals[o2][k2])
+        ledger_fields = ()  # none before the first step
+    except (IndexError, TypeError):  # outputs too short or not a sequence: the check names them
+        ledger_fields = None
+    _check(0.0, signals, ledger_fields, output_widths, probe_names, routes, record)
     dt_next = policy.start(stacked)
 
     # The clock is a CompensatedSum of the step sizes, kept in two locals.

@@ -64,7 +64,7 @@ class PortRole(Enum):
 
 
 class NonAntisymmetricBond(ValueError):
-    """Bond coefficients are not one +1 and one -1, so ``sigma`` is not a unit sign."""
+    """A bond's ``sigma`` is not a unit sign, +1 or -1."""
 
 
 class DanglingPort(ValueError):
@@ -75,8 +75,8 @@ class DuplicateConnection(ValueError):
     """A simulator input or output is wired into more than one bond."""
 
 
-class PowerPort(namedtuple("PowerPort", "owner input_index output_index input_role output_role")):
-    """One side of a power bond: receives one power variable, emits the conjugate.
+class PowerPort(namedtuple("PowerPort", "owner input_index output_index output_role")):
+    """One side of a power bond: outputs the power variable ``output_role``, takes its conjugate.
 
     ``input_index``/``output_index`` address the owning simulator's input and
     output vectors.
@@ -84,29 +84,16 @@ class PowerPort(namedtuple("PowerPort", "owner input_index output_index input_ro
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        port = super().__new__(cls, *args, **kwargs)
-        if port.input_role == port.output_role:
-            raise ValueError(
-                f"power port must pair an effort with a flow, got {port.input_role.value} twice"
-            )
-        return port
 
+class PowerBond(namedtuple("PowerBond", "port1 port2 sigma")):
+    """Antisymmetric connection of two ports: u1 = sigma*y2 and u2 = -sigma*y1.
 
-class PowerBond(namedtuple("PowerBond", "port1 port2 c1 c2")):
-    """Antisymmetric connection of two ports: u1 = c1*y2 and u2 = c2*y1.
-
-    Valid bonds have c1, c2 in {-1, +1} with c1*c2 == -1, which makes ``sigma``
-    a well-defined unit sign for the transmitted power, and each port takes
-    as input the power variable the other port outputs.
+    Valid bonds have ``sigma`` +1 or -1, the unit sign of the transmitted
+    power ``sigma*y1*y2``, and ports that output different power variables,
+    so each port takes as input the variable the other port outputs.
     """
 
     __slots__ = ()
-
-    @property
-    def sigma(self) -> int:
-        """Unit sign of the transmitted-power product, (c1 - c2) / 2."""
-        return (self.c1 - self.c2) // 2
 
 
 class ConnectionGraph(namedtuple("ConnectionGraph", "bonds", defaults=((),))):
@@ -154,8 +141,8 @@ class Wiring(namedtuple("Wiring", "bonds input_widths routes")):
 
     Keeps the bonds, the per-simulator input widths needed to materialize
     complete input vectors, and one flat route per bond,
-    ``(owner1, input1, output1, c1, owner2, input2, output2, c2)``, so the
-    per-step exchange reads plain integers instead of walking port objects.
+    ``(owner1, input1, output1, sigma, owner2, input2, output2, -sigma)``, so
+    the per-step exchange reads plain numbers instead of walking port objects.
     """
 
     __slots__ = ()
@@ -166,23 +153,21 @@ def validate_graph(graph: ConnectionGraph, slots: Sequence[SimulatorSlot]) -> Wi
 
     Returns a :class:`Wiring` usable with :func:`apply_connections`.  Raises
     ``NonAntisymmetricBond``, ``DanglingPort``, or ``DuplicateConnection``,
-    and ``ValueError`` naming the bond when a port's input is not the power
-    variable the other port outputs.
+    and ``ValueError`` naming the bond when both ports output the same power
+    variable.
     """
     used_inputs: set[tuple[int, int]] = set()
     used_outputs: set[tuple[int, int]] = set()
     for j, bond in enumerate(graph.bonds):
-        if not (bond.c1 in (1, -1) and bond.c2 == -bond.c1):
-            raise NonAntisymmetricBond(
-                f"bond {j} coefficients c1={bond.c1}, c2={bond.c2} must be +1 and -1"
-            )
+        if bond.sigma not in (1, -1):
+            raise NonAntisymmetricBond(f"bond {j} sign sigma={bond.sigma} must be +1 or -1")
         p1, p2 = bond.port1, bond.port2
-        if (p1.output_role, p2.output_role) != (p2.input_role, p1.input_role):
+        if p1.output_role == p2.output_role:
             raise ValueError(
                 f"bond {j} port 1 outputs {p1.output_role.value} and port 2 outputs "
                 f"{p2.output_role.value}; each port must take what the other outputs"
             )
-        for port in (bond.port1, bond.port2):
+        for port in (p1, p2):
             if not 0 <= port.owner < len(slots):
                 raise DanglingPort(f"port owner {port.owner} out of range")
             slot = slots[port.owner]
@@ -204,8 +189,8 @@ def validate_graph(graph: ConnectionGraph, slots: Sequence[SimulatorSlot]) -> Wi
             used_outputs.add(out_key)
     routes = tuple(
         (
-            b.port1.owner, b.port1.input_index, b.port1.output_index, b.c1,
-            b.port2.owner, b.port2.input_index, b.port2.output_index, b.c2,
+            b.port1.owner, b.port1.input_index, b.port1.output_index, b.sigma,
+            b.port2.owner, b.port2.input_index, b.port2.output_index, -b.sigma,
         )
         for b in graph.bonds
     )
@@ -217,7 +202,7 @@ def validate_graph(graph: ConnectionGraph, slots: Sequence[SimulatorSlot]) -> Wi
 def apply_connections(
     wiring: Wiring, outputs: Sequence[Sequence[float]]
 ) -> list[list[float]]:
-    """Map simulator outputs to inputs: per bond, u1 = c1*y2 and u2 = c2*y1.
+    """Map simulator outputs to inputs: per bond, u1 = sigma*y2 and u2 = -sigma*y1.
 
     ``outputs`` holds one output vector per simulator; unbonded inputs are 0.
     """

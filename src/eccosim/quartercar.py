@@ -304,8 +304,8 @@ def build_reticulation(
     -force into the wheel.  For A the chassis is solved exactly, so
     ``micro_s1`` is ignored there.
 
-    The bond's port 1 is always the side that receives the flow and outputs
-    the effort, so the bond sign is +1 and the transmitted power is the plain
+    The bond's port 1 is the slot that outputs the force (slot 1 in A, slot 0
+    in B), so the bond sign is +1 and the transmitted power is the plain
     force-times-velocity product in both reticulations.
     """
     if kind not in RETICULATIONS:
@@ -315,21 +315,13 @@ def build_reticulation(
             ChassisExact(params),
             WheelAssembly(params, micro_steps=micro_s2),
         ]
-        bond = PowerBond(
-            port1=PowerPort(1, 0, 0, PortRole.FLOW, PortRole.EFFORT),
-            port2=PowerPort(0, 0, 0, PortRole.EFFORT, PortRole.FLOW),
-            c1=1,
-            c2=-1,
-        )
     else:
         slots = [
             ChassisSpringDamper(params, micro_steps=micro_s1),
             WheelOnly(params, micro_steps=micro_s2),
         ]
-        bond = PowerBond(
-            port1=PowerPort(0, 0, 0, PortRole.FLOW, PortRole.EFFORT),
-            port2=PowerPort(1, 0, 0, PortRole.EFFORT, PortRole.FLOW),
-            c1=1,
-            c2=-1,
-        )
+    force = 1 if kind == "A" else 0
+    bond = PowerBond(
+        PowerPort(force, 0, 0, PortRole.EFFORT), PowerPort(1 - force, 0, 0, PortRole.FLOW), sigma=1
+    )
     return slots, ConnectionGraph((bond,))

@@ -316,8 +316,8 @@ def test_c12_scale_invariance_of_indicators():
         seq = []
         for i, dt in enumerate(record.column("dt")):
             u1, u2, y1, y2 = signals(i)
-            u1 *= _role_factor(p1.input_role, lam)
-            u2 *= _role_factor(p2.input_role, lam)
+            u1 *= _role_factor(p2.output_role, lam)
+            u2 *= _role_factor(p1.output_role, lam)
             y1 *= _role_factor(p1.output_role, lam)
             y2 *= _role_factor(p2.output_role, lam)
             de = -(u1 * y1 + u2 * y2) * dt

@@ -9,18 +9,17 @@ from eccosim.energy import BOND_FIELDS, BondLedger, CompensatedSum
 from eccosim.model import PortRole, PowerBond, PowerPort
 
 
-def bond_with_sign(c1, c2):
+def bond_with_sign(sigma):
     return PowerBond(
-        port1=PowerPort(0, 0, 0, PortRole.EFFORT, PortRole.FLOW),
-        port2=PowerPort(1, 0, 0, PortRole.FLOW, PortRole.EFFORT),
-        c1=c1,
-        c2=c2,
+        port1=PowerPort(0, 0, 0, PortRole.FLOW),
+        port2=PowerPort(1, 0, 0, PortRole.EFFORT),
+        sigma=sigma,
     )
 
 
 def one_step(u1=0.0, u2=0.0, y1=0.0, y2=0.0, dt=1e-3, c1=1):
     """The first step of a fresh ledger on a bond of sign ``c1``, by field name."""
-    values = BondLedger(bond_with_sign(c1, -c1)).record(dt, u1, u2, y1, y2)
+    values = BondLedger(bond_with_sign(c1)).record(dt, u1, u2, y1, y2)
     assert len(values) == len(BOND_FIELDS)
     return dict(zip(BOND_FIELDS, values))
 
@@ -35,7 +34,7 @@ def test_port_power_examples():
 
 
 def test_transmitted_power_examples():
-    assert bond_with_sign(-1, 1).sigma == -1
+    assert bond_with_sign(-1).sigma == -1
     assert one_step(y1=2.0, y2=50.0, c1=-1)["P_12"] == -100.0
     assert one_step(y1=0.0, y2=50.0, c1=-1)["P_12"] == 0.0
     assert one_step(y1=2.0, y2=50.0, c1=1)["P_12"] == 100.0
@@ -97,7 +96,7 @@ def test_port_power_scale_invariance(u, y, lam):
 
 
 def test_ledger_accumulation_and_consistency():
-    ledger = BondLedger(bond_with_sign(1, -1))
+    ledger = BondLedger(bond_with_sign(1))
     accum = CompensatedSum()
     before = 0.0
     dt = 1e-3
@@ -127,13 +126,13 @@ def test_ledger_entry_matches_power_helpers(u1, u2, y1, y2, dt, c1):
     accum = CompensatedSum()
     accum.add(dp * dt)
     expected = (p1, p2, p12, dp, dp * dt, p12 * dt, accum.value)
-    values = BondLedger(bond_with_sign(c1, -c1)).record(dt, u1, u2, y1, y2)
+    values = BondLedger(bond_with_sign(c1)).record(dt, u1, u2, y1, y2)
     assert struct.pack("7d", *values) == struct.pack("7d", *expected)
 
 
 def test_ledger_sign_semantics():
     # positive residual power => accumulated residual energy increases
-    ledger = BondLedger(bond_with_sign(1, -1))
+    ledger = BondLedger(bond_with_sign(1))
     e = dict(zip(BOND_FIELDS, ledger.record(1e-3, u1=1.0, u2=2.0, y1=-3.0, y2=0.5)))
     assert e["dP_res"] == 2.0 > 0.0
     assert e["E_res_accum"] > 0.0

@@ -3,6 +3,8 @@
 import gc
 import io
 import tracemalloc
+from decimal import Decimal
+from itertools import product
 
 import pytest
 
@@ -361,15 +363,23 @@ class _DictProbes(MonolithicQuarterCar):
         return dict(zip(self.probe_names, super().probes()))
 
 
+class _DecimalProbes(MonolithicQuarterCar):
+    def probes(self):
+        return tuple(map(Decimal, super().probes()))
+
+
 def test_probes_that_are_not_numbers_fail_naming_the_slot():
-    # a dict of the right length: its keys are read as the values
-    with pytest.raises(SimulatorFailure) as info:
-        run_cosimulation([_DictProbes(LINEAR_PARAMS)], ConnectionGraph(), ConstantStep(1e-3), 0.01)
-    assert str(info.value) == (
-        "non-finite simulator output at t=0.001: slot 0 probe 'z_c' is 'z_c', not a number"
-    )
-    assert info.value.record.step_count == 0
-    assert info.value.record.complete is False
+    # a dict of the right length: its keys are read as the values; a Decimal
+    # passes isfinite, but not the float arithmetic the record is packed with
+    for slot in (_DictProbes(LINEAR_PARAMS), _DecimalProbes(LINEAR_PARAMS)):
+        with pytest.raises(SimulatorFailure) as info:
+            run_cosimulation([slot], ConnectionGraph(), ConstantStep(1e-3), 0.01)
+        value = slot.probes()[0] if isinstance(slot, _DecimalProbes) else "z_c"
+        assert str(info.value) == (
+            f"non-finite simulator output at t=0.001: slot 0 probe 'z_c' is {value!r}, not a number"
+        )
+        assert info.value.record.step_count == 0
+        assert info.value.record.complete is False
 
 
 def test_outputs_that_are_not_numbers_fail_naming_the_slot():
@@ -391,6 +401,26 @@ def test_outputs_that_are_not_numbers_fail_naming_the_slot():
     assert info.value.record.step_count == 2
     assert info.value.record.complete is False
 
+    # a Decimal passes isfinite but not the float arithmetic of the slots and the ledger
+    for broken_after, t in ((0, "0.0"), (2, "0.002")):
+        slots, graph = build_reticulation("B", LINEAR_PARAMS)
+        wheel = slots[1]
+
+        def get_outputs(wheel=wheel, real=wheel.get_outputs, broken_after=broken_after):
+            (v_w,) = real()
+            return (Decimal(v_w),) if wheel.step_calls == broken_after else (v_w,)
+
+        wheel.get_outputs = get_outputs
+        with pytest.raises(SimulatorFailure) as info:
+            run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
+        v_w = Decimal(wheel.v_w)
+        assert str(info.value) == (
+            f"non-finite simulator output at t={t}: slot 1 output 0 is {v_w!r}, not a number"
+        )
+        assert info.value.record.step_count == max(broken_after - 1, 0)
+        assert info.value.record.complete is False
+        assert [slot.step_calls for slot in slots] == [broken_after] * 2
+
 
 class _NoProbes(MonolithicQuarterCar):
     def probes(self):
@@ -408,20 +438,20 @@ def test_probes_that_are_not_a_sequence_fail_naming_the_slot():
 
 
 def test_outputs_that_are_not_a_sequence_fail_naming_the_slot():
-    # the wheel returns no vector after its second step, or from the start
-    for broken_after, t in ((2, "0.002"), (0, "0.0")):
+    # the wheel returns no sequence after its second step, or from the start
+    for returned, (broken_after, t) in product((None, {0.0}), ((2, "0.002"), (0, "0.0"))):
         slots, graph = build_reticulation("B", LINEAR_PARAMS)
         wheel = slots[1]
 
         def get_outputs(wheel=wheel, real=wheel.get_outputs, broken_after=broken_after):
-            return None if wheel.step_calls == broken_after else real()
+            return returned if wheel.step_calls == broken_after else real()
 
         wheel.get_outputs = get_outputs
         with pytest.raises(SimulatorFailure) as info:
             run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
         assert str(info.value) == (
             f"non-finite simulator output at t={t}: "
-            "slot 1 outputs are None, not a sequence of numbers"
+            f"slot 1 outputs are {returned!r}, not a sequence of numbers"
         )
         assert info.value.record.step_count == max(broken_after - 1, 0)
         assert info.value.record.complete is False

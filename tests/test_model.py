@@ -17,17 +17,12 @@ from eccosim.model import (
 from eccosim.quartercar import LINEAR_PARAMS, MonolithicQuarterCar, WheelAssembly, build_reticulation
 
 
-def port(owner, in_role=PortRole.EFFORT, out_role=PortRole.FLOW, i=0, o=0):
-    return PowerPort(owner, i, o, in_role, out_role)
+def port(owner, out_role=PortRole.FLOW, i=0, o=0):
+    return PowerPort(owner, i, o, out_role)
 
 
-def two_port_bond(c1, c2):
-    return PowerBond(
-        port1=port(0),
-        port2=port(1, in_role=PortRole.FLOW, out_role=PortRole.EFFORT),
-        c1=c1,
-        c2=c2,
-    )
+def two_port_bond(sigma):
+    return PowerBond(port1=port(0), port2=port(1, out_role=PortRole.EFFORT), sigma=sigma)
 
 
 def dummy_slots(n=2):
@@ -38,14 +33,9 @@ class OnePortSlot(WheelAssembly):
     pass
 
 
-def test_port_requires_conjugate_roles():
-    with pytest.raises(ValueError):
-        PowerPort(0, 0, 0, PortRole.EFFORT, PortRole.EFFORT)
-
-
 def test_effort_first_wiring_is_valid_with_negative_sign():
     # u1 = -y2, u2 = +y1: the force-receiving side listed first
-    bond = two_port_bond(c1=-1, c2=1)
+    bond = two_port_bond(sigma=-1)
     slots = [OnePortSlot(), OnePortSlot()]
     wiring = validate_graph(ConnectionGraph((bond,)), slots)
     assert wiring.bonds == (bond,)
@@ -61,47 +51,47 @@ def test_shipped_reticulations_validate(kind):
     assert wiring.bonds[0].sigma ** 2 == 1
 
 
-def test_symmetric_bond_rejected():
-    bond = two_port_bond(c1=1, c2=1)
-    with pytest.raises(NonAntisymmetricBond):
-        validate_graph(ConnectionGraph((bond,)), [OnePortSlot(), OnePortSlot()])
+@pytest.mark.parametrize("kind, force", [("A", 1), ("B", 0)])
+def test_shipped_reticulations_bond_the_force_slot_first(kind, force):
+    # port 1 is the slot that outputs the suspension force, so sigma is +1 in both
+    _, graph = build_reticulation(kind, LINEAR_PARAMS)
+    assert graph.bonds == (
+        PowerBond(
+            PowerPort(force, 0, 0, PortRole.EFFORT), PowerPort(1 - force, 0, 0, PortRole.FLOW), 1
+        ),
+    )
 
 
 def test_zero_coefficient_rejected():
-    # 2.0 * -0.5 == -1 too, but only unit coefficients give a unit bond sign
-    for c1, c2 in ((0, -1), (2.0, -0.5)):
-        bond = two_port_bond(c1=c1, c2=c2)
-        with pytest.raises(NonAntisymmetricBond, match="bond 0 coefficients"):
+    # only a unit sign keeps the transmitted power a plain effort-flow product
+    for sigma in (0, 2.0, 0.5, -2):
+        bond = two_port_bond(sigma=sigma)
+        with pytest.raises(NonAntisymmetricBond, match=f"^bond 0 sign sigma={sigma} must be"):
             validate_graph(ConnectionGraph((bond,)), [OnePortSlot(), OnePortSlot()])
 
 
 def test_ports_that_output_the_same_variable_rejected():
-    effort_out = port(0, in_role=PortRole.FLOW, out_role=PortRole.EFFORT)
-    bond = two_port_bond(c1=-1, c2=1)._replace(port1=effort_out)
+    effort_out = port(0, out_role=PortRole.EFFORT)
+    bond = two_port_bond(sigma=-1)._replace(port1=effort_out)
     with pytest.raises(ValueError, match="bond 0 port 1 outputs effort and port 2 outputs effort"):
         validate_graph(ConnectionGraph((bond,)), [OnePortSlot(), OnePortSlot()])
 
 
 def test_dangling_owner_rejected():
-    bond = two_port_bond(c1=-1, c2=1)
+    bond = two_port_bond(sigma=-1)
     with pytest.raises(DanglingPort):
         validate_graph(ConnectionGraph((bond,)), [OnePortSlot()])
 
 
 def test_dangling_signal_index_rejected():
-    bond = PowerBond(
-        port1=port(0, i=3),
-        port2=port(1, in_role=PortRole.FLOW, out_role=PortRole.EFFORT),
-        c1=-1,
-        c2=1,
-    )
+    bond = PowerBond(port1=port(0, i=3), port2=port(1, out_role=PortRole.EFFORT), sigma=-1)
     with pytest.raises(DanglingPort):
         validate_graph(ConnectionGraph((bond,)), [OnePortSlot(), OnePortSlot()])
 
 
 def test_duplicate_connection_rejected():
-    b1 = two_port_bond(c1=-1, c2=1)
-    b2 = two_port_bond(c1=-1, c2=1)
+    b1 = two_port_bond(sigma=-1)
+    b2 = two_port_bond(sigma=-1)
     with pytest.raises(DuplicateConnection):
         validate_graph(ConnectionGraph((b1, b2)), [OnePortSlot(), OnePortSlot()])
 
@@ -113,7 +103,7 @@ def test_empty_graph_two_slots_is_valid():
 
 
 def test_apply_connections_example():
-    bond = two_port_bond(c1=-1, c2=1)
+    bond = two_port_bond(sigma=-1)
     slots = [OnePortSlot(), OnePortSlot()]
     wiring = validate_graph(ConnectionGraph((bond,)), slots)
     u = apply_connections(wiring, [[2.0], [50.0]])
@@ -134,7 +124,7 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 @given(y1=finite, y2=finite, y1b=finite, y2b=finite, a=finite, b=finite)
 def test_apply_connections_is_linear(y1, y2, y1b, y2b, a, b):
-    bond = two_port_bond(c1=-1, c2=1)
+    bond = two_port_bond(sigma=-1)
     slots = [OnePortSlot(), OnePortSlot()]
     wiring = validate_graph(ConnectionGraph((bond,)), slots)
     combined = apply_connections(wiring, [[a * y1 + b * y1b], [a * y2 + b * y2b]])

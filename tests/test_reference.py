@@ -265,7 +265,7 @@ def test_summarize_frees_its_lists_without_the_cyclic_gc():
 
 
 def test_step_size_sweep_holds_one_run_at_a_time():
-    cfg = ExperimentConfig(t_end=0.5)
+    cfg = ExperimentConfig(t_end=0.1)
     step_size_sweep(cfg, [1e-4])  # the reference solve is cached
 
     def peak(points):
