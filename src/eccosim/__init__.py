@@ -18,11 +18,9 @@ from .bench import NoOnsetInRange, stability_scan, step_size_sweep
 from .energy import BondLedger, CompensatedSum
 from .master import RunRecord, SimulatorFailure, run_cosimulation
 from .model import (
-    ConnectionGraph,
     DanglingPort,
     DuplicateConnection,
     NonAntisymmetricBond,
-    PortRole,
     PowerBond,
     PowerPort,
     SimulatorSlot,

@@ -202,7 +202,7 @@ def run_experiment(
     true for.  Raises ``ValueError`` when the horizon leaves no macro step
     to take: every result of a run is an average or a sum over its steps.
     """
-    slots, graph = build_reticulation(
+    slots, bonds = build_reticulation(
         cfg.reticulation,
         preset_params(cfg.preset),
         micro_s1=cfg.micro_ratio_s1,
@@ -210,7 +210,7 @@ def run_experiment(
     )
     policy = build_policy(cfg)
     t_end = cfg.resolved_t_end
-    record = run_cosimulation(slots, graph, policy, t_end, stop=stop)
+    record = run_cosimulation(slots, bonds, policy, t_end, stop=stop)
     if not record.step_count:
         raise ValueError(f"t_end={t_end} is too short for one macro step; the run took none")
     return record

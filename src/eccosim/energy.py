@@ -8,8 +8,6 @@ coupled system, a negative one drains it.
 
 from __future__ import annotations
 
-from .model import PowerBond
-
 #: What :meth:`BondLedger.record` returns for one bond and one step, in order.
 BOND_FIELDS = ("P_port1", "P_port2", "P_12", "dP_res", "dE_res", "E_step", "E_res_accum")
 
@@ -37,16 +35,18 @@ class CompensatedSum:
 
 
 class BondLedger:
-    """Running residual energy of one bond; :meth:`record` returns each step's values."""
+    """Running residual energy of one bond of sign ``sigma``; :meth:`record`
+    returns each step's values."""
 
-    def __init__(self, bond: PowerBond):
+    def __init__(self, sigma: int):
         self._accum = CompensatedSum()
-        self._sigma = bond.sigma
+        self._sigma = sigma
 
     def record(self, dt: float, u1: float, u2: float, y1: float, y2: float) -> tuple[float, ...]:
         """Account one completed macro step from held inputs and fresh outputs.
 
-        Returns the :data:`BOND_FIELDS` of the step: the port powers
+        Port 1 is the bond's effort port, port 2 its flow port.  Returns the
+        :data:`BOND_FIELDS` of the step: the port powers
         ``u1*y1`` and ``u2*y2``, the transmitted power ``sigma*y1*y2``, the
         residual power ``-(u1*y1 + u2*y2)``, the residual energy
         ``dP_res*dt`` (rectangle rule), the transmitted energy ``P_12*dt``,

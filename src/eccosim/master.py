@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .control import StepPolicy
 from .energy import BOND_FIELDS, BondLedger
-from .model import ConnectionGraph, SimulatorSlot, apply_connections, validate_graph
+from .model import PowerBond, SimulatorSlot, apply_connections, validate_graph
 
 
 #: Most macro steps one run may take: 14 doubles per single-bond step, so
@@ -119,17 +119,19 @@ def _diagnosis(t, outputs, probes, ledger_fields, widths, probe_names, routes) -
                 return bad + signal
         except TypeError:
             return f"{bad}{signal} is {v!r}, not a number"
+        except OverflowError:  # an int beyond the float range
+            return f"{bad}{signal} is too large for a float"
     for i, (out, width) in enumerate(zip(outputs, widths)):
         if len(out) != width:
             return f"slot {i} returned {len(out)} outputs at t={t} for its {width} outputs"
     if ledger_fields is None:  # the ledger could not read the outputs
         return bad + "unknown signal"
     n = len(BOND_FIELDS)
-    for j, (o1, _, k1, _, o2, _, k2, _) in enumerate(routes):
+    for j, (o_e, _, k_e, o_f, _, k_f, _) in enumerate(routes):
         if not all(map(isfinite, ledger_fields[n * j : n * j + n])):  # the run has blown up
             return (
                 f"non-finite bond power at t={t}: bond {j} "
-                f"(slot {o1} output {k1}, slot {o2} output {k2})"
+                f"(slot {o_e} output {k_e}, slot {o_f} output {k_f})"
             )
 
 
@@ -147,7 +149,7 @@ def _check(t, signals, ledger_fields, widths, probe_names, routes, record) -> li
             values += vector
         if widths == list(map(len, signals)) and isfinite(sum(values, sum(ledger_fields, 0.0))):
             return values
-    except TypeError:  # a value that is not a number, or a vector that is not a sequence
+    except (TypeError, OverflowError):  # a value that is not a float, or not a sequence
         pass
     n = len(probe_names)
     message = _diagnosis(t, signals[:n], signals[n:], ledger_fields, widths, probe_names, routes)
@@ -174,7 +176,7 @@ def _probe_layout(slots: Sequence[SimulatorSlot]) -> list[tuple[str, ...]]:
 
 def run_cosimulation(
     slots: Sequence[SimulatorSlot],
-    graph: ConnectionGraph,
+    bonds: Sequence[PowerBond],
     policy: StepPolicy,
     t_end: float,
     stop: Callable[[RunRecord], bool] | None = None,
@@ -195,22 +197,23 @@ def run_cosimulation(
     Raises :class:`ValueError` before any step when ``t_end`` is negative or
     not finite or a probe name is not unique among the record's columns,
     and before the next step when the policy proposes a step size that is
-    not finite and positive or the run has already taken ``MAX_MACRO_STEPS``
-    steps.  A ``t_end`` within the end tolerance of 0 gives a record without
-    steps.  Raises :class:`SimulatorFailure` (with the partial record
-    attached) before the policy sees a step in which a slot returns outputs
-    or probes that are not a sequence, other than ``n_outputs`` outputs or
-    one probe value per name, or a value that is not a finite number that
-    adds to a float, or a bond power overflows; the message names the slot
-    and signal, or the bond, that failed first.  The slots' first outputs
+    not finite and positive or too small to advance the clock, or the run
+    has already taken ``MAX_MACRO_STEPS`` steps.  A ``t_end`` within the end
+    tolerance of 0 gives a record without steps.  Raises
+    :class:`SimulatorFailure` (with the partial record attached) before the
+    policy sees a step in which a slot returns outputs or probes that are not
+    a sequence, other than ``n_outputs`` outputs or one probe value per name,
+    or a value that is not a finite number that adds to a float, or a bond
+    power overflows; the message names the slot and signal, or the bond,
+    that failed first.  The slots' first outputs
     get the same check at t = 0.0, with the empty record attached.
     """
     if not (isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
-    wiring = validate_graph(graph, slots)
-    ledgers = [BondLedger(bond) for bond in wiring.bonds]
+    wiring = validate_graph(bonds, slots)
+    routes = wiring.routes
     probe_names = _probe_layout(slots)
-    record = RunRecord(bond_count=len(ledgers), probe_names=tuple(chain(*probe_names)))
+    record = RunRecord(bond_count=len(routes), probe_names=tuple(chain(*probe_names)))
     append_row = record.data.frombytes
     pack_row = Struct(f"{record.width}d").pack
 
@@ -220,21 +223,20 @@ def run_cosimulation(
     get_outputs = [slot.get_outputs for slot in slots]
     readers = get_outputs + [slot.probes for slot in slots]
     taps = [
-        (ledger.record, o1, i1, k1, o2, i2, k2)
-        for ledger, (o1, i1, k1, _, o2, i2, k2, _) in zip(ledgers, wiring.routes)
+        (BondLedger(sigma).record, o_e, i_e, k_e, o_f, i_f, k_f)
+        for o_e, i_e, k_e, o_f, i_f, k_f, sigma in routes
     ]
     next_step = policy.next_step
-    routes = wiring.routes
     output_widths = [slot.n_outputs for slot in slots]
     widths = output_widths + [len(names) for names in probe_names]
     n_outputs = sum(output_widths)
     max_steps = MAX_MACRO_STEPS
 
     signals = [get() for get in get_outputs]
-    stacked = []  # the coupling outputs bond by bond: y_a1, y_a2, y_b1, y_b2, ...
+    stacked = []  # the coupling outputs bond by bond: effort then flow
     try:
-        for _, o1, _, k1, o2, _, k2 in taps:
-            stacked += (signals[o1][k1], signals[o2][k2])
+        for _, o_e, _, k_e, o_f, _, k_f in taps:
+            stacked += (signals[o_e][k_e], signals[o_f][k_f])
         ledger_fields = ()  # none before the first step
     except (IndexError, TypeError):  # outputs too short or not a sequence: the check names them
         ledger_fields = None
@@ -264,12 +266,6 @@ def run_cosimulation(
         # Truncate onto t_end; absorb a degenerate final sliver into this step.
         dt = remaining if dt_next >= remaining * (1.0 - 1e-9) else dt_next
 
-        inputs = apply_connections(wiring, signals)
-        for set_u, u in zip(set_inputs, inputs):
-            set_u(u)
-        for do_step in do_steps:
-            do_step(t_now, dt)
-
         # CompensatedSum.add(dt), then .value
         total = clock + dt
         if abs(clock) >= abs(dt):
@@ -278,20 +274,31 @@ def run_cosimulation(
             clock_err += (dt - total) + clock
         clock = total
         t_next = clock + clock_err
+        if t_next <= t_now:
+            raise ValueError(
+                f"policy {policy.name!r} step size {dt} at t={t_now} does not advance "
+                "the clock; use a larger minimum step size"
+            )
+
+        inputs = apply_connections(wiring, signals)
+        for set_u, u in zip(set_inputs, inputs):
+            set_u(u)
+        for do_step in do_steps:
+            do_step(t_now, dt)
 
         signals = [read() for read in readers]  # each slot's outputs, then its probes
         bond_steps = []
         stacked = []
         ledger_fields = []
         try:
-            for record_step, o1, i1, k1, o2, i2, k2 in taps:
-                y1 = signals[o1][k1]
-                y2 = signals[o2][k2]
-                step = record_step(dt, inputs[o1][i1], inputs[o2][i2], y1, y2)
+            for record_step, o_e, i_e, k_e, o_f, i_f, k_f in taps:
+                y_e = signals[o_e][k_e]
+                y_f = signals[o_f][k_f]
+                step = record_step(dt, inputs[o_e][i_e], inputs[o_f][i_f], y_e, y_f)
                 bond_steps.append(step)
-                stacked += (y1, y2)
+                stacked += (y_e, y_f)
                 ledger_fields += step
-        except (IndexError, TypeError):  # outputs too short or not numbers: the check names them
+        except (IndexError, TypeError, OverflowError):  # bad outputs: the check names them
             ledger_fields = None
         values = _check(t_next, signals, ledger_fields, widths, probe_names, routes, record)
         dt_next, eps = next_step(t_next, dt, bond_steps, stacked)

@@ -1,18 +1,18 @@
-"""Power-bond domain model: ports, bonds, connection graphs, the contract
-every attachable subsimulator implements, and the base of the package's
-keyword-built value classes.
+"""Power-bond domain model: ports, bonds, the contract every attachable
+subsimulator implements, and the base of the package's keyword-built value
+classes.
 
 A power bond couples two simulators through a conjugate pair of signals (an
 effort and a flow) whose product is a physical power.  The wiring here is
 deliberately restricted to antisymmetric two-party bonds: each side's input is
 plus or minus the other side's output, with opposite signs on the two sides.
+A connection graph is the plain tuple of its bonds.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import namedtuple
-from enum import Enum
 from typing import Sequence
 
 
@@ -56,13 +56,6 @@ class Frozen:
         raise AttributeError(f"cannot assign to field {name!r}")
 
 
-class PortRole(Enum):
-    """Which power variable a signal carries; an effort/flow product is a power."""
-
-    EFFORT = "effort"
-    FLOW = "flow"
-
-
 class NonAntisymmetricBond(ValueError):
     """A bond's ``sigma`` is not a unit sign, +1 or -1."""
 
@@ -75,29 +68,20 @@ class DuplicateConnection(ValueError):
     """A simulator input or output is wired into more than one bond."""
 
 
-class PowerPort(namedtuple("PowerPort", "owner input_index output_index output_role")):
-    """One side of a power bond: outputs the power variable ``output_role``, takes its conjugate.
-
-    ``input_index``/``output_index`` address the owning simulator's input and
-    output vectors.
-    """
+class PowerPort(namedtuple("PowerPort", "owner input_index output_index")):
+    """One side of a power bond: signal indices into the owning simulator's
+    input and output vectors."""
 
     __slots__ = ()
 
 
-class PowerBond(namedtuple("PowerBond", "port1 port2 sigma")):
-    """Antisymmetric connection of two ports: u1 = sigma*y2 and u2 = -sigma*y1.
+class PowerBond(namedtuple("PowerBond", "effort flow sigma")):
+    """Antisymmetric connection of the port that outputs the effort and the
+    port that outputs the flow: u_effort = sigma*y_flow, u_flow = -sigma*y_effort.
 
     Valid bonds have ``sigma`` +1 or -1, the unit sign of the transmitted
-    power ``sigma*y1*y2``, and ports that output different power variables,
-    so each port takes as input the variable the other port outputs.
+    power ``sigma*y_effort*y_flow``.
     """
-
-    __slots__ = ()
-
-
-class ConnectionGraph(namedtuple("ConnectionGraph", "bonds", defaults=((),))):
-    """Ordered collection of power bonds wiring simulator outputs to inputs."""
 
     __slots__ = ()
 
@@ -136,38 +120,31 @@ class SimulatorSlot(ABC):
         return ()
 
 
-class Wiring(namedtuple("Wiring", "bonds input_widths routes")):
+class Wiring(namedtuple("Wiring", "input_widths routes")):
     """Validated routing table produced by :func:`validate_graph`.
 
-    Keeps the bonds, the per-simulator input widths needed to materialize
-    complete input vectors, and one flat route per bond,
-    ``(owner1, input1, output1, sigma, owner2, input2, output2, -sigma)``, so
-    the per-step exchange reads plain numbers instead of walking port objects.
+    Keeps the per-simulator input widths needed to materialize complete input
+    vectors and one flat route per bond, ``(o_e, i_e, k_e, o_f, i_f, k_f,
+    sigma)``: owner, input index and output index of the effort port, then of
+    the flow port, then the sign, so the per-step exchange reads plain
+    numbers instead of walking port objects.
     """
 
     __slots__ = ()
 
 
-def validate_graph(graph: ConnectionGraph, slots: Sequence[SimulatorSlot]) -> Wiring:
+def validate_graph(bonds: Sequence[PowerBond], slots: Sequence[SimulatorSlot]) -> Wiring:
     """Check ports, signs, and exclusivity of a connection graph against slots.
 
     Returns a :class:`Wiring` usable with :func:`apply_connections`.  Raises
-    ``NonAntisymmetricBond``, ``DanglingPort``, or ``DuplicateConnection``,
-    and ``ValueError`` naming the bond when both ports output the same power
-    variable.
+    ``NonAntisymmetricBond``, ``DanglingPort``, or ``DuplicateConnection``.
     """
     used_inputs: set[tuple[int, int]] = set()
     used_outputs: set[tuple[int, int]] = set()
-    for j, bond in enumerate(graph.bonds):
+    for j, bond in enumerate(bonds):
         if bond.sigma not in (1, -1):
             raise NonAntisymmetricBond(f"bond {j} sign sigma={bond.sigma} must be +1 or -1")
-        p1, p2 = bond.port1, bond.port2
-        if p1.output_role == p2.output_role:
-            raise ValueError(
-                f"bond {j} port 1 outputs {p1.output_role.value} and port 2 outputs "
-                f"{p2.output_role.value}; each port must take what the other outputs"
-            )
-        for port in (p1, p2):
+        for port in (bond.effort, bond.flow):
             if not 0 <= port.owner < len(slots):
                 raise DanglingPort(f"port owner {port.owner} out of range")
             slot = slots[port.owner]
@@ -187,27 +164,20 @@ def validate_graph(graph: ConnectionGraph, slots: Sequence[SimulatorSlot]) -> Wi
                 raise DuplicateConnection(f"output {out_key} wired twice")
             used_inputs.add(in_key)
             used_outputs.add(out_key)
-    routes = tuple(
-        (
-            b.port1.owner, b.port1.input_index, b.port1.output_index, b.sigma,
-            b.port2.owner, b.port2.input_index, b.port2.output_index, -b.sigma,
-        )
-        for b in graph.bonds
-    )
-    return Wiring(
-        bonds=tuple(graph.bonds), input_widths=tuple(s.n_inputs for s in slots), routes=routes
-    )
+    routes = tuple((*b.effort, *b.flow, b.sigma) for b in bonds)
+    return Wiring(input_widths=tuple(s.n_inputs for s in slots), routes=routes)
 
 
 def apply_connections(
     wiring: Wiring, outputs: Sequence[Sequence[float]]
 ) -> list[list[float]]:
-    """Map simulator outputs to inputs: per bond, u1 = sigma*y2 and u2 = -sigma*y1.
+    """Map simulator outputs to inputs: per bond, u_effort = sigma*y_flow and
+    u_flow = -sigma*y_effort.
 
     ``outputs`` holds one output vector per simulator; unbonded inputs are 0.
     """
     inputs = [[0.0] * width for width in wiring.input_widths]
-    for o1, i1, k1, c1, o2, i2, k2, c2 in wiring.routes:
-        inputs[o1][i1] = c1 * outputs[o2][k2]
-        inputs[o2][i2] = c2 * outputs[o1][k1]
+    for o_e, i_e, k_e, o_f, i_f, k_f, sigma in wiring.routes:
+        inputs[o_e][i_e] = sigma * outputs[o_f][k_f]
+        inputs[o_f][i_f] = -sigma * outputs[o_e][k_e]
     return inputs

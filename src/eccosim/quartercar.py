@@ -15,7 +15,7 @@ integrating that held input alongside its own states.
 
 from __future__ import annotations
 
-from .model import ConnectionGraph, Frozen, PortRole, PowerBond, PowerPort, SimulatorSlot
+from .model import Frozen, PowerBond, PowerPort, SimulatorSlot
 
 
 class QuarterCarParams(Frozen):
@@ -296,7 +296,7 @@ def build_reticulation(
     params: QuarterCarParams,
     micro_s1: int = 10,
     micro_s2: int = 10,
-) -> tuple[list[SimulatorSlot], ConnectionGraph]:
+) -> tuple[list[SimulatorSlot], tuple[PowerBond, ...]]:
     """Assemble the two slots and the single power bond for a reticulation.
 
     Reticulation A couples -force into the chassis and velocity into the wheel
@@ -304,9 +304,9 @@ def build_reticulation(
     -force into the wheel.  For A the chassis is solved exactly, so
     ``micro_s1`` is ignored there.
 
-    The bond's port 1 is the slot that outputs the force (slot 1 in A, slot 0
-    in B), so the bond sign is +1 and the transmitted power is the plain
-    force-times-velocity product in both reticulations.
+    The bond's effort port is the slot that outputs the force (slot 1 in A,
+    slot 0 in B), so the bond sign is +1 and the transmitted power is the
+    plain force-times-velocity product in both reticulations.
     """
     if kind not in RETICULATIONS:
         raise ValueError(f"unknown reticulation {kind!r}, expected one of {RETICULATIONS}")
@@ -321,7 +321,4 @@ def build_reticulation(
             WheelOnly(params, micro_steps=micro_s2),
         ]
     force = 1 if kind == "A" else 0
-    bond = PowerBond(
-        PowerPort(force, 0, 0, PortRole.EFFORT), PowerPort(1 - force, 0, 0, PortRole.FLOW), sigma=1
-    )
-    return slots, ConnectionGraph((bond,))
+    return slots, (PowerBond(PowerPort(force, 0, 0), PowerPort(1 - force, 0, 0), sigma=1),)

@@ -33,7 +33,7 @@ from eccosim.control import (
 )
 from eccosim.energy import BOND_FIELDS
 from eccosim.master import run_cosimulation
-from eccosim.model import PortRole, SimulatorSlot
+from eccosim.model import SimulatorSlot
 from eccosim.quartercar import LINEAR_PARAMS, build_reticulation
 from eccosim.reference import _DP_TOL, reference_solve, summarize
 
@@ -248,10 +248,10 @@ def test_c10_sweep_slopes_and_estimator_quality():
 
 
 def test_c11_residual_equals_summed_local_power_errors():
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
     from eccosim.control import ConstantStep
 
-    record = run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
+    record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 1.0)
     ref = reference_solve(LINEAR_PARAMS, 1.0, reticulation="A")
     worst = 0.0
     columns = zip(*(record.column(name) for name in ("P_port1", "P_port2", "dP_res")))
@@ -292,18 +292,14 @@ class _RecordingSlot(SimulatorSlot):
         return self.inner.probes()
 
 
-def _role_factor(role: PortRole, lam: float) -> float:
-    return lam if role is PortRole.EFFORT else 1.0 / lam
-
-
 def test_c12_scale_invariance_of_indicators():
     r, e0 = 2.8e-6, 750.0
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
     wrapped = [_RecordingSlot(s) for s in slots]
     policy = PIController(ResidualEnergyIndicator(rel_tol=r, energy_scale=e0))
-    record = run_cosimulation(wrapped, graph, policy, 1.0)
-    bond = graph.bonds[0]
-    p1, p2 = bond.port1, bond.port2
+    record = run_cosimulation(wrapped, bonds, policy, 1.0)
+    (bond,) = bonds
+    p1, p2 = bond.effort, bond.flow
 
     def signals(step):
         u1 = wrapped[p1.owner].inputs_log[step][p1.input_index]
@@ -316,10 +312,11 @@ def test_c12_scale_invariance_of_indicators():
         seq = []
         for i, dt in enumerate(record.column("dt")):
             u1, u2, y1, y2 = signals(i)
-            u1 *= _role_factor(p2.output_role, lam)
-            u2 *= _role_factor(p1.output_role, lam)
-            y1 *= _role_factor(p1.output_role, lam)
-            y2 *= _role_factor(p2.output_role, lam)
+            # the effort scales by lam, the flow by 1/lam; each port takes the other's variable
+            u1 *= 1.0 / lam
+            u2 *= lam
+            y1 *= lam
+            y2 *= 1.0 / lam
             de = -(u1 * y1 + u2 * y2) * dt
             e_step = bond.sigma * (y1 * y2) * dt
             step = dict.fromkeys(BOND_FIELDS, 0.0) | {"dE_res": de, "E_step": e_step}
@@ -327,8 +324,7 @@ def test_c12_scale_invariance_of_indicators():
         return seq
 
     def pc_sequence(lam):
-        f1 = _role_factor(p1.output_role, lam)
-        f2 = _role_factor(p2.output_role, lam)
+        f1, f2 = lam, 1.0 / lam
         history = [(0.0, (0.0, 0.0))]
         seq = []
         for i, t in enumerate(record.column("t")):
@@ -397,8 +393,8 @@ def test_c14_first_order_convergence():
     ref = reference_solve(LINEAR_PARAMS, 4.0, reticulation="A")
     errors = []
     for dt in (2e-3, 1e-3, 0.5e-3, 0.25e-3):
-        slots, graph = build_reticulation("A", LINEAR_PARAMS)
-        record = run_cosimulation(slots, graph, ConstantStep(dt), 4.0)
+        slots, bonds = build_reticulation("A", LINEAR_PARAMS)
+        record = run_cosimulation(slots, bonds, ConstantStep(dt), 4.0)
         errors.append(summarize(record, ref).mean_abs_dP)
     ratios = [a / b for a, b in zip(errors, errors[1:])]
     ok = all(1.6 <= r <= 2.4 for r in ratios)
@@ -413,9 +409,9 @@ def test_c14_first_order_convergence():
 
 def test_c15_determinism_and_no_rollback():
     def run_csv():
-        slots, graph = build_reticulation("A", LINEAR_PARAMS)
+        slots, bonds = build_reticulation("A", LINEAR_PARAMS)
         policy = PIController(ResidualEnergyIndicator(rel_tol=2.8e-6))
-        record = run_cosimulation(slots, graph, policy, 1.0)
+        record = run_cosimulation(slots, bonds, policy, 1.0)
         buf = io.StringIO()
         write_trajectory_csv(record, buf)
         return buf.getvalue(), record, slots

@@ -7,7 +7,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eccosim.bench import (
     CONTROLLERS,
@@ -352,8 +352,16 @@ _RUN_FLAGS = st.fixed_dictionaries(
 )
 
 
+#: Predictor/corrector steps of 1e-20 s that stop advancing the clock at t = 0.000225.
+_STALLED_CLOCK = {
+    "--t-end": 0.05, "--controller": "predictor_corrector", "--tol": 1e-30,
+    "--dt-min": 1e-20, "--dt0": 1e-4,
+}
+
+
 @settings(max_examples=60, deadline=None)
 @given(flags=_RUN_FLAGS)
+@example(flags=_STALLED_CLOCK)
 def test_cli_run_any_flags_exits_with_a_documented_code(flags):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
@@ -372,6 +380,17 @@ def test_cli_run_past_macro_step_cap_exits_one(tmp_path, monkeypatch, capsys):
     assert main(["run", "--controller", "constant", "--dt0", "1e-9", "--t-end", "4", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "MAX_MACRO_STEPS = 50" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_run_whose_step_does_not_advance_the_clock_exits_one(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["run", *(f"{k}={v}" for k, v in _STALLED_CLOCK.items()), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: policy 'predictor_corrector' step size 1e-20 at t=0.000225")
+    assert "does not advance the clock" in err
     assert "Traceback" not in err
     assert not out.exists()
 

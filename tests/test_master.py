@@ -19,18 +19,20 @@ from eccosim.control import (
 from eccosim import master
 from eccosim.master import RunRecord, SimulatorFailure, run_cosimulation
 from eccosim.energy import BOND_FIELDS, CompensatedSum
-from eccosim.model import ConnectionGraph, SimulatorSlot
+from eccosim.model import PowerBond, PowerPort, SimulatorSlot
 from eccosim.quartercar import (
     LINEAR_PARAMS,
+    ChassisSpringDamper,
     MonolithicQuarterCar,
+    WheelOnly,
     build_reticulation,
 )
 from eccosim.reference import reference_solve
 
 
 def test_empty_horizon_yields_empty_record():
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
-    record = run_cosimulation(slots, graph, ConstantStep(1e-3), 0.0)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
+    record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.0)
     assert record.step_count == 0
     assert record.duration == 0.0
     assert record.mean_dt() == 0.0
@@ -39,17 +41,17 @@ def test_empty_horizon_yields_empty_record():
 
 def test_macro_step_cap_stops_a_run_before_the_step_past_it(monkeypatch):
     monkeypatch.setattr(master, "MAX_MACRO_STEPS", 50)
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
-    assert run_cosimulation(slots, graph, ConstantStep(1e-3), 0.05).step_count == 50
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
+    assert run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.05).step_count == 50
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
     with pytest.raises(ValueError, match="MAX_MACRO_STEPS = 50"):
-        run_cosimulation(slots, graph, ConstantStep(1e-9), 4.0)
+        run_cosimulation(slots, bonds, ConstantStep(1e-9), 4.0)
     assert [slot.step_calls for slot in slots] == [50, 50]
 
 
 def test_free_simulator_without_bonds_matches_standalone():
     driven = MonolithicQuarterCar(LINEAR_PARAMS)
-    record = run_cosimulation([driven], ConnectionGraph(), ConstantStep(1e-3), 0.2)
+    record = run_cosimulation([driven], (), ConstantStep(1e-3), 0.2)
     standalone = MonolithicQuarterCar(LINEAR_PARAMS)
     for t, dt in zip(record.column("t"), record.column("dt")):  # replay the accepted steps
         standalone.do_step(t - dt, dt)
@@ -67,7 +69,7 @@ def test_initial_probes_are_zero():
 
 
 def test_no_rollback_every_step_executed_once():
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
     starts = [[], []]
     for slot, seen in zip(slots, starts):
         def do_step(t, dt, step=slot.do_step, seen=seen):
@@ -76,7 +78,7 @@ def test_no_rollback_every_step_executed_once():
 
         slot.do_step = do_step
     policy = PIController(ResidualEnergyIndicator(rel_tol=2.8e-6))
-    record = run_cosimulation(slots, graph, policy, 0.5)
+    record = run_cosimulation(slots, bonds, policy, 0.5)
     assert slots[0].step_calls == record.step_count
     assert slots[1].step_calls == record.step_count
     # the first step starts at t = 0, every later one where the previous row ends
@@ -85,8 +87,8 @@ def test_no_rollback_every_step_executed_once():
 
 
 def test_ledger_rows_are_self_consistent():
-    slots, graph = build_reticulation("B", LINEAR_PARAMS)
-    record = run_cosimulation(slots, graph, ConstantStep(1e-3), 0.3)
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS)
+    record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.3)
     prev_accum = 0.0
     names = ("dt", "P_12", "dP_res", "dE_res", "E_step", "E_res_accum")
     for dt, p12, dp_res, de_res, e_step, e_res_accum in zip(
@@ -103,8 +105,8 @@ def test_ledger_rows_are_self_consistent():
 
 
 def test_final_step_truncates_onto_horizon():
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
-    record = run_cosimulation(slots, graph, ConstantStep(1e-3), 0.0105)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
+    record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.0105)
     assert record.step_count == 11
     assert record.column("dt")[-1] == pytest.approx(0.5e-3, rel=1e-9)
     assert record.column("t")[-1] == pytest.approx(0.0105, rel=1e-12)
@@ -112,9 +114,9 @@ def test_final_step_truncates_onto_horizon():
 
 def test_horizon_shorter_than_minimum_step_still_lands_exactly():
     # truncation overrides the controller's lower bound on the (only) step
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
     policy = PIController(ResidualEnergyIndicator(rel_tol=1e-5))
-    record = run_cosimulation(slots, graph, policy, 5e-5)
+    record = run_cosimulation(slots, bonds, policy, 5e-5)
     assert record.step_count == 1
     assert record.column("dt")[0] == pytest.approx(5e-5, rel=1e-12)
     assert record.column("t")[0] == pytest.approx(5e-5, rel=1e-12)
@@ -128,35 +130,35 @@ def _csv_bytes(record: RunRecord) -> str:
 
 def test_tolerance_width_checked_before_any_step():
     # one bond: a two-value rel_tol fails at start, not after the first step
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
     policy = PIController(ResidualEnergyIndicator(rel_tol=[1e-5, 1e-6]))
     with pytest.raises(ValueError, match="rel_tol"):
-        run_cosimulation(slots, graph, policy, 0.5)
+        run_cosimulation(slots, bonds, policy, 0.5)
     assert [slot.step_calls for slot in slots] == [0, 0]
 
 
 @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), -1.0])
 def test_bad_horizon_rejected_before_any_step(t_end):
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
     with pytest.raises(ValueError, match="t_end"):
-        run_cosimulation(slots, graph, ConstantStep(1e-3), t_end)
+        run_cosimulation(slots, bonds, ConstantStep(1e-3), t_end)
     assert [slot.step_calls for slot in slots] == [0, 0]
 
 
 def test_same_run_twice_is_byte_identical():
     def once():
-        slots, graph = build_reticulation("B", LINEAR_PARAMS)
+        slots, bonds = build_reticulation("B", LINEAR_PARAMS)
         policy = PIController(ResidualEnergyIndicator(rel_tol=9.1e-7))
-        return _csv_bytes(run_cosimulation(slots, graph, policy, 0.5))
+        return _csv_bytes(run_cosimulation(slots, bonds, policy, 0.5))
 
     assert once() == once()
 
 
 def test_simulator_failure_aborts_with_partial_record():
     # far beyond the stability onset: states overflow to non-finite values
-    slots, graph = build_reticulation("B", LINEAR_PARAMS)
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS)
     with pytest.raises(SimulatorFailure) as exc_info:
-        run_cosimulation(slots, graph, ConstantStep(0.05), 60.0)
+        run_cosimulation(slots, bonds, ConstantStep(0.05), 60.0)
     record = exc_info.value.record
     assert record is not None
     assert not record.complete
@@ -171,7 +173,7 @@ def test_simulator_failure_aborts_with_partial_record():
     "state, signal", [("v_w", "slot 1 output 0"), ("z_w", "slot 1 probe 'z_w'")]
 )
 def test_simulator_failure_names_slot_and_signal(state, signal):
-    slots, graph = build_reticulation("B", LINEAR_PARAMS)
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS)
     wheel = slots[1]
     wheel_step = wheel.do_step
 
@@ -182,7 +184,7 @@ def test_simulator_failure_names_slot_and_signal(state, signal):
 
     wheel.do_step = do_step
     with pytest.raises(SimulatorFailure) as exc_info:
-        run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
+        run_cosimulation(slots, bonds, ConstantStep(1e-3), 1.0)
     assert str(exc_info.value) == f"non-finite simulator output at t=0.003: {signal}"
     assert exc_info.value.record.step_count == 2
 
@@ -205,14 +207,26 @@ class _Proposes(StepPolicy):
 @pytest.mark.parametrize("bad", [0.0, -1e-3, float("nan"), float("inf")])
 def test_bad_policy_step_rejected_before_next_step(bad):
     # at the first proposal, before any step
-    slots, graph = build_reticulation("B", LINEAR_PARAMS)
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS)
     with pytest.raises(ValueError, match="finite and positive"):
-        run_cosimulation(slots, graph, _Proposes(bad, 1e-3), 1.0)
+        run_cosimulation(slots, bonds, _Proposes(bad, 1e-3), 1.0)
     assert [slot.step_calls for slot in slots] == [0, 0]
     # after an accepted step
-    slots, graph = build_reticulation("B", LINEAR_PARAMS)
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS)
     with pytest.raises(ValueError, match="finite and positive"):
-        run_cosimulation(slots, graph, _Proposes(1e-3, bad), 1.0)
+        run_cosimulation(slots, bonds, _Proposes(1e-3, bad), 1.0)
+    assert [slot.step_calls for slot in slots] == [1, 1]
+
+
+def test_step_that_does_not_advance_the_clock_rejected_before_the_slots_step():
+    # at t = 1e-3 a step of 1e-20 is less than half a unit in the last place of t
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS)
+    with pytest.raises(ValueError) as info:
+        run_cosimulation(slots, bonds, _Proposes(1e-3, 1e-20), 1.0)
+    assert str(info.value) == (
+        "policy 'proposes' step size 1e-20 at t=0.001 does not advance the clock; "
+        "use a larger minimum step size"
+    )
     assert [slot.step_calls for slot in slots] == [1, 1]
 
 
@@ -220,8 +234,8 @@ def test_stop_hook_ends_run_at_first_true_row():
     def beyond(record):
         return any(abs(v) > 1e6 for v in record.last_probes())
 
-    slots, graph = build_reticulation("B", LINEAR_PARAMS)
-    record = run_cosimulation(slots, graph, ConstantStep(0.0125), 100.0, stop=beyond)
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS)
+    record = run_cosimulation(slots, bonds, ConstantStep(0.0125), 100.0, stop=beyond)
     assert record.step_count == 395
     assert record.complete is False
     assert [slot.step_calls for slot in slots] == [395, 395]
@@ -233,10 +247,10 @@ def test_stop_hook_ends_run_at_first_true_row():
 
 
 def test_adaptive_run_respects_step_bounds_and_rate_limits():
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
     cfg = PIConfig()
     policy = PIController(ResidualEnergyIndicator(rel_tol=3.1e-5), cfg)
-    record = run_cosimulation(slots, graph, policy, 4.0)
+    record = run_cosimulation(slots, bonds, policy, 4.0)
     dts = record.column("dt")
     # the final step may be truncated onto t_end; all others obey the clamps
     for dt in dts[:-1]:
@@ -252,7 +266,7 @@ def test_partial_probes_leave_empty_csv_fields():
 
     slot = ChassisExact(LINEAR_PARAMS)
     slot.v_c = 0.25
-    record = run_cosimulation([slot], ConnectionGraph(), ConstantStep(1e-3), 2e-3)
+    record = run_cosimulation([slot], (), ConstantStep(1e-3), 2e-3)
     buf = io.StringIO()
     write_trajectory_csv(record, buf)
     lines = buf.getvalue().strip().split("\n")
@@ -266,16 +280,16 @@ def test_chassis_settles_at_static_equilibrium():
     # steady state of the full model: both masses level with the road step
     z_c, _, z_w, _ = reference_solve(LINEAR_PARAMS, 4.0, reticulation="A").states_at(4.0)
     assert z_c == pytest.approx(0.1, abs=2e-3)
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
-    record = run_cosimulation(slots, graph, ConstantStep(1e-3), 4.0)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
+    record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 4.0)
     assert record.column("z_c")[-1] == pytest.approx(z_c, abs=2e-3)
     assert record.column("z_w")[-1] == pytest.approx(z_w, abs=2e-3)
 
 
 def test_clock_is_the_compensated_sum_of_the_step_sizes():
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
     policy = PIController(ResidualEnergyIndicator(rel_tol=2.8e-6))
-    record = run_cosimulation(slots, graph, policy, 1.0)
+    record = run_cosimulation(slots, bonds, policy, 1.0)
     clock = CompensatedSum()
     for t, dt in zip(record.column("t"), record.column("dt")):
         clock.add(dt)
@@ -283,8 +297,8 @@ def test_clock_is_the_compensated_sum_of_the_step_sizes():
 
 
 def test_record_columns_follow_the_ledger_and_the_probes():
-    slots, graph = build_reticulation("B", LINEAR_PARAMS)
-    record = run_cosimulation(slots, graph, ConstantStep(1e-3), 0.05)
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS)
+    record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.05)
     assert record.probe_names == ("z_c", "v_c", "z_w", "v_w")
     assert record.column("z_w")[-1] == slots[1].z_w
     assert record.column("v_c")[-1] == slots[0].v_c
@@ -311,9 +325,9 @@ class _KeepsSteps(ConstantStep):
 
 
 def test_ledger_columns_hold_the_entries_the_policy_saw():
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
     policy = _KeepsSteps(1e-3)
-    record = run_cosimulation(slots, graph, policy, 0.05)
+    record = run_cosimulation(slots, bonds, policy, 0.05)
     assert [len(bond) for _, _, bond in policy.steps] == [len(BOND_FIELDS)] * 50
     for k, name in enumerate(BOND_FIELDS):
         assert list(record.column(name)) == [bond[k] for _, _, bond in policy.steps]
@@ -348,7 +362,7 @@ class _Probed(SimulatorSlot):
 def test_probe_values_of_the_wrong_count_fail_naming_the_slot(later):
     slots = [MonolithicQuarterCar(LINEAR_PARAMS), _Probed(later)]
     with pytest.raises(SimulatorFailure) as info:
-        run_cosimulation(slots, ConnectionGraph(), ConstantStep(1e-3), 0.01)
+        run_cosimulation(slots, (), ConstantStep(1e-3), 0.01)
     assert str(info.value) == (
         f"slot 1 returned {len(later)} probe values at t=0.003 for its 2 probe names ('x', 'y')"
     )
@@ -368,22 +382,32 @@ class _DecimalProbes(MonolithicQuarterCar):
         return tuple(map(Decimal, super().probes()))
 
 
+class _HugeProbes(MonolithicQuarterCar):
+    def probes(self):
+        return (10**400, *super().probes()[1:])
+
+
 def test_probes_that_are_not_numbers_fail_naming_the_slot():
     # a dict of the right length: its keys are read as the values; a Decimal
-    # passes isfinite, but not the float arithmetic the record is packed with
-    for slot in (_DictProbes(LINEAR_PARAMS), _DecimalProbes(LINEAR_PARAMS)):
+    # passes isfinite, but not the float arithmetic the record is packed with;
+    # an int beyond the float range fails that arithmetic too
+    for cls in (_DictProbes, _DecimalProbes, _HugeProbes):
+        slot = cls(LINEAR_PARAMS)
         with pytest.raises(SimulatorFailure) as info:
-            run_cosimulation([slot], ConnectionGraph(), ConstantStep(1e-3), 0.01)
+            run_cosimulation([slot], (), ConstantStep(1e-3), 0.01)
         value = slot.probes()[0] if isinstance(slot, _DecimalProbes) else "z_c"
+        what = f"is {value!r}, not a number"
+        if isinstance(slot, _HugeProbes):
+            what = "is too large for a float"
         assert str(info.value) == (
-            f"non-finite simulator output at t=0.001: slot 0 probe 'z_c' is {value!r}, not a number"
+            f"non-finite simulator output at t=0.001: slot 0 probe 'z_c' {what}"
         )
         assert info.value.record.step_count == 0
         assert info.value.record.complete is False
 
 
 def test_outputs_that_are_not_numbers_fail_naming_the_slot():
-    slots, graph = build_reticulation("B", LINEAR_PARAMS)
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS)
     wheel = slots[1]
     wheel_step = wheel.do_step
 
@@ -394,28 +418,34 @@ def test_outputs_that_are_not_numbers_fail_naming_the_slot():
 
     wheel.do_step = do_step
     with pytest.raises(SimulatorFailure) as info:
-        run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
+        run_cosimulation(slots, bonds, ConstantStep(1e-3), 1.0)
     assert str(info.value) == (
         "non-finite simulator output at t=0.003: slot 1 output 0 is 'fast', not a number"
     )
     assert info.value.record.step_count == 2
     assert info.value.record.complete is False
 
-    # a Decimal passes isfinite but not the float arithmetic of the slots and the ledger
-    for broken_after, t in ((0, "0.0"), (2, "0.002")):
-        slots, graph = build_reticulation("B", LINEAR_PARAMS)
+    # a Decimal passes isfinite but not the float arithmetic of the slots and the
+    # ledger; an int beyond the float range fails that arithmetic too
+    broken = (
+        (Decimal, lambda v_w: f"is {Decimal(v_w)!r}, not a number"),
+        (lambda v_w: 10**400, lambda v_w: "is too large for a float"),
+    )
+    for (convert, what), (broken_after, t) in product(broken, ((0, "0.0"), (2, "0.002"))):
+        slots, bonds = build_reticulation("B", LINEAR_PARAMS)
         wheel = slots[1]
 
-        def get_outputs(wheel=wheel, real=wheel.get_outputs, broken_after=broken_after):
+        def get_outputs(
+            wheel=wheel, real=wheel.get_outputs, broken_after=broken_after, convert=convert
+        ):
             (v_w,) = real()
-            return (Decimal(v_w),) if wheel.step_calls == broken_after else (v_w,)
+            return (convert(v_w),) if wheel.step_calls == broken_after else (v_w,)
 
         wheel.get_outputs = get_outputs
         with pytest.raises(SimulatorFailure) as info:
-            run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
-        v_w = Decimal(wheel.v_w)
+            run_cosimulation(slots, bonds, ConstantStep(1e-3), 1.0)
         assert str(info.value) == (
-            f"non-finite simulator output at t={t}: slot 1 output 0 is {v_w!r}, not a number"
+            f"non-finite simulator output at t={t}: slot 1 output 0 {what(wheel.v_w)}"
         )
         assert info.value.record.step_count == max(broken_after - 1, 0)
         assert info.value.record.complete is False
@@ -429,7 +459,7 @@ class _NoProbes(MonolithicQuarterCar):
 
 def test_probes_that_are_not_a_sequence_fail_naming_the_slot():
     with pytest.raises(SimulatorFailure) as info:
-        run_cosimulation([_NoProbes(LINEAR_PARAMS)], ConnectionGraph(), ConstantStep(1e-3), 0.01)
+        run_cosimulation([_NoProbes(LINEAR_PARAMS)], (), ConstantStep(1e-3), 0.01)
     assert str(info.value) == (
         "slot 0 returned None at t=0.001 for its 4 probe names ('z_c', 'v_c', 'z_w', 'v_w')"
     )
@@ -440,7 +470,7 @@ def test_probes_that_are_not_a_sequence_fail_naming_the_slot():
 def test_outputs_that_are_not_a_sequence_fail_naming_the_slot():
     # the wheel returns no sequence after its second step, or from the start
     for returned, (broken_after, t) in product((None, {0.0}), ((2, "0.002"), (0, "0.0"))):
-        slots, graph = build_reticulation("B", LINEAR_PARAMS)
+        slots, bonds = build_reticulation("B", LINEAR_PARAMS)
         wheel = slots[1]
 
         def get_outputs(wheel=wheel, real=wheel.get_outputs, broken_after=broken_after):
@@ -448,7 +478,7 @@ def test_outputs_that_are_not_a_sequence_fail_naming_the_slot():
 
         wheel.get_outputs = get_outputs
         with pytest.raises(SimulatorFailure) as info:
-            run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
+            run_cosimulation(slots, bonds, ConstantStep(1e-3), 1.0)
         assert str(info.value) == (
             f"non-finite simulator output at t={t}: "
             f"slot 1 outputs are {returned!r}, not a sequence of numbers"
@@ -462,7 +492,7 @@ def test_outputs_that_are_not_a_sequence_fail_naming_the_slot():
 def test_output_vectors_of_the_wrong_length_fail_naming_the_slot(returned):
     # the wheel returns a vector of the wrong length from the start, or after its second step
     for broken_after, t in ((0, "0.0"), (2, "0.002")):
-        slots, graph = build_reticulation("B", LINEAR_PARAMS)
+        slots, bonds = build_reticulation("B", LINEAR_PARAMS)
         wheel = slots[1]
 
         def get_outputs(wheel=wheel, real=wheel.get_outputs, broken_after=broken_after):
@@ -470,7 +500,7 @@ def test_output_vectors_of_the_wrong_length_fail_naming_the_slot(returned):
 
         wheel.get_outputs = get_outputs
         with pytest.raises(SimulatorFailure) as info:
-            run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
+            run_cosimulation(slots, bonds, ConstantStep(1e-3), 1.0)
         assert str(info.value) == (
             f"slot 1 returned {len(returned)} outputs at t={t} for its 1 outputs"
         )
@@ -479,9 +509,32 @@ def test_output_vectors_of_the_wrong_length_fail_naming_the_slot(returned):
         assert [slot.step_calls for slot in slots] == [broken_after] * 2
 
 
+class _ChassisB(ChassisSpringDamper):
+    probe_names = ("z_c_B", "v_c_B")
+
+
+class _WheelB(WheelOnly):
+    probe_names = ("z_w_B", "v_w_B")
+
+
+def test_two_bonds_in_one_run_match_their_single_bond_runs():
+    # reticulations A and B side by side: slots 0-1 with bond 0, slots 2-3 with bond 1
+    slots, (bond_a,) = build_reticulation("A", LINEAR_PARAMS)
+    slots += [_ChassisB(LINEAR_PARAMS), _WheelB(LINEAR_PARAMS)]
+    bond_b = PowerBond(PowerPort(2, 0, 0), PowerPort(3, 0, 0), sigma=1)
+    both = run_cosimulation(slots, (bond_a, bond_b), ConstantStep(1e-3), 1.0)
+    assert both.bond_count == 2
+    for bond, kind in enumerate("AB"):
+        alone = run_cosimulation(*build_reticulation(kind, LINEAR_PARAMS), ConstantStep(1e-3), 1.0)
+        assert both.step_count == alone.step_count == 1000
+        for name in BOND_FIELDS:
+            assert both.column(name, bond).tobytes() == alone.column(name).tobytes(), (kind, name)
+    assert both.column("v_w_B").tobytes() == alone.column("v_w").tobytes()
+
+
 def test_finite_values_whose_sum_overflows_pass():
     huge = (1.5e308, 1.5e308)
-    record = run_cosimulation([_Probed(huge)], ConnectionGraph(), ConstantStep(1e-3), 0.004)
+    record = run_cosimulation([_Probed(huge)], (), ConstantStep(1e-3), 0.004)
     assert record.complete
     assert record.step_count == 4
     assert tuple(record.last_probes()) == huge
@@ -496,7 +549,7 @@ class _NamesOnly(_Probed):
 def test_declared_probes_need_a_probes_method():
     slot = _NamesOnly()
     with pytest.raises(SimulatorFailure, match="slot 0 returned 0 probe values") as info:
-        run_cosimulation([slot], ConnectionGraph(), ConstantStep(1e-3), 0.01)
+        run_cosimulation([slot], (), ConstantStep(1e-3), 0.01)
     assert slot.steps == 1
     assert info.value.record.step_count == 0
     assert info.value.record.complete is False
@@ -509,11 +562,11 @@ class _ProbesDt(_Probed):
 def test_probe_names_that_clash_are_rejected_before_the_first_step():
     slots = [MonolithicQuarterCar(LINEAR_PARAMS), MonolithicQuarterCar(LINEAR_PARAMS)]
     with pytest.raises(ValueError, match="slot 1 probe 'z_c' is also a column of slot 0"):
-        run_cosimulation(slots, ConnectionGraph(), ConstantStep(1e-3), 0.01)
+        run_cosimulation(slots, (), ConstantStep(1e-3), 0.01)
     assert [slot.step_calls for slot in slots] == [0, 0]
     slot = _ProbesDt()
     with pytest.raises(ValueError, match="slot 0 probe 'dt' is also a column of the record"):
-        run_cosimulation([slot], ConnectionGraph(), ConstantStep(1e-3), 0.01)
+        run_cosimulation([slot], (), ConstantStep(1e-3), 0.01)
     assert slot.steps == 0
 
 

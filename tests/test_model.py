@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eccosim.model import (
-    ConnectionGraph,
     DanglingPort,
     DuplicateConnection,
     NonAntisymmetricBond,
-    PortRole,
     PowerBond,
     PowerPort,
     apply_connections,
@@ -17,12 +15,12 @@ from eccosim.model import (
 from eccosim.quartercar import LINEAR_PARAMS, MonolithicQuarterCar, WheelAssembly, build_reticulation
 
 
-def port(owner, out_role=PortRole.FLOW, i=0, o=0):
-    return PowerPort(owner, i, o, out_role)
+def port(owner, i=0, o=0):
+    return PowerPort(owner, i, o)
 
 
 def two_port_bond(sigma):
-    return PowerBond(port1=port(0), port2=port(1, out_role=PortRole.EFFORT), sigma=sigma)
+    return PowerBond(effort=port(0), flow=port(1), sigma=sigma)
 
 
 def dummy_slots(n=2):
@@ -34,32 +32,28 @@ class OnePortSlot(WheelAssembly):
 
 
 def test_effort_first_wiring_is_valid_with_negative_sign():
-    # u1 = -y2, u2 = +y1: the force-receiving side listed first
+    # u_effort = -y_flow, u_flow = +y_effort
     bond = two_port_bond(sigma=-1)
     slots = [OnePortSlot(), OnePortSlot()]
-    wiring = validate_graph(ConnectionGraph((bond,)), slots)
-    assert wiring.bonds == (bond,)
+    wiring = validate_graph((bond,), slots)
+    assert wiring.routes == ((0, 0, 0, 1, 0, 0, -1),)
     assert bond.sigma == -1
     assert bond.sigma**2 == 1
 
 
 @pytest.mark.parametrize("kind", ["A", "B"])
 def test_shipped_reticulations_validate(kind):
-    slots, graph = build_reticulation(kind, LINEAR_PARAMS)
-    wiring = validate_graph(graph, slots)
-    assert len(wiring.bonds) == 1
-    assert wiring.bonds[0].sigma ** 2 == 1
+    slots, bonds = build_reticulation(kind, LINEAR_PARAMS)
+    wiring = validate_graph(bonds, slots)
+    assert len(wiring.routes) == 1
+    assert wiring.routes[0][-1] ** 2 == 1
 
 
 @pytest.mark.parametrize("kind, force", [("A", 1), ("B", 0)])
 def test_shipped_reticulations_bond_the_force_slot_first(kind, force):
-    # port 1 is the slot that outputs the suspension force, so sigma is +1 in both
-    _, graph = build_reticulation(kind, LINEAR_PARAMS)
-    assert graph.bonds == (
-        PowerBond(
-            PowerPort(force, 0, 0, PortRole.EFFORT), PowerPort(1 - force, 0, 0, PortRole.FLOW), 1
-        ),
-    )
+    # the effort port is the slot that outputs the suspension force, so sigma is +1 in both
+    _, bonds = build_reticulation(kind, LINEAR_PARAMS)
+    assert bonds == (PowerBond(PowerPort(force, 0, 0), PowerPort(1 - force, 0, 0), 1),)
 
 
 def test_zero_coefficient_rejected():
@@ -67,53 +61,46 @@ def test_zero_coefficient_rejected():
     for sigma in (0, 2.0, 0.5, -2):
         bond = two_port_bond(sigma=sigma)
         with pytest.raises(NonAntisymmetricBond, match=f"^bond 0 sign sigma={sigma} must be"):
-            validate_graph(ConnectionGraph((bond,)), [OnePortSlot(), OnePortSlot()])
-
-
-def test_ports_that_output_the_same_variable_rejected():
-    effort_out = port(0, out_role=PortRole.EFFORT)
-    bond = two_port_bond(sigma=-1)._replace(port1=effort_out)
-    with pytest.raises(ValueError, match="bond 0 port 1 outputs effort and port 2 outputs effort"):
-        validate_graph(ConnectionGraph((bond,)), [OnePortSlot(), OnePortSlot()])
+            validate_graph((bond,), [OnePortSlot(), OnePortSlot()])
 
 
 def test_dangling_owner_rejected():
     bond = two_port_bond(sigma=-1)
     with pytest.raises(DanglingPort):
-        validate_graph(ConnectionGraph((bond,)), [OnePortSlot()])
+        validate_graph((bond,), [OnePortSlot()])
 
 
 def test_dangling_signal_index_rejected():
-    bond = PowerBond(port1=port(0, i=3), port2=port(1, out_role=PortRole.EFFORT), sigma=-1)
+    bond = PowerBond(effort=port(0, i=3), flow=port(1), sigma=-1)
     with pytest.raises(DanglingPort):
-        validate_graph(ConnectionGraph((bond,)), [OnePortSlot(), OnePortSlot()])
+        validate_graph((bond,), [OnePortSlot(), OnePortSlot()])
 
 
 def test_duplicate_connection_rejected():
     b1 = two_port_bond(sigma=-1)
     b2 = two_port_bond(sigma=-1)
     with pytest.raises(DuplicateConnection):
-        validate_graph(ConnectionGraph((b1, b2)), [OnePortSlot(), OnePortSlot()])
+        validate_graph((b1, b2), [OnePortSlot(), OnePortSlot()])
 
 
 def test_empty_graph_two_slots_is_valid():
-    wiring = validate_graph(ConnectionGraph(), dummy_slots(2))
-    assert wiring.bonds == ()
+    wiring = validate_graph((), dummy_slots(2))
+    assert wiring.routes == ()
     assert apply_connections(wiring, [[], []]) == [[], []]
 
 
 def test_apply_connections_example():
     bond = two_port_bond(sigma=-1)
     slots = [OnePortSlot(), OnePortSlot()]
-    wiring = validate_graph(ConnectionGraph((bond,)), slots)
+    wiring = validate_graph((bond,), slots)
     u = apply_connections(wiring, [[2.0], [50.0]])
     assert u == [[-50.0], [2.0]]
     assert apply_connections(wiring, [[0.0], [0.0]]) == [[0.0], [0.0]]
 
 
 def test_reticulation_b_initial_outputs_map_to_zero_inputs():
-    slots, graph = build_reticulation("B", LINEAR_PARAMS)
-    wiring = validate_graph(graph, slots)
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS)
+    wiring = validate_graph(bonds, slots)
     y0 = [list(s.get_outputs()) for s in slots]
     assert y0 == [[0.0], [0.0]]
     assert apply_connections(wiring, y0) == [[0.0], [0.0]]
@@ -126,7 +113,7 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 def test_apply_connections_is_linear(y1, y2, y1b, y2b, a, b):
     bond = two_port_bond(sigma=-1)
     slots = [OnePortSlot(), OnePortSlot()]
-    wiring = validate_graph(ConnectionGraph((bond,)), slots)
+    wiring = validate_graph((bond,), slots)
     combined = apply_connections(wiring, [[a * y1 + b * y1b], [a * y2 + b * y2b]])
     ua = apply_connections(wiring, [[y1], [y2]])
     ub = apply_connections(wiring, [[y1b], [y2b]])

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from eccosim.control import ConstantStep
 from eccosim.master import run_cosimulation
-from eccosim.model import ConnectionGraph
 from eccosim.quartercar import (
     LINEAR_PARAMS,
     MAX_MICRO_STEPS,
@@ -175,8 +174,8 @@ def test_monolithic_shadow_tracks_chassis_exactly():
 def test_cosimulation_reconstruction_drift_vanishes(params):
     # the wheel side's reconstructed chassis displacement drifts by O(dt)
     def drift(dt):
-        slots, graph = build_reticulation("A", params)
-        run_cosimulation(slots, graph, ConstantStep(dt), 0.5)
+        slots, bonds = build_reticulation("A", params)
+        run_cosimulation(slots, bonds, ConstantStep(dt), 0.5)
         return abs(slots[1].z_c_int - slots[0].z_c)
 
     d2, d1, d05 = drift(2e-3), drift(1e-3), drift(0.5e-3)
@@ -186,8 +185,8 @@ def test_cosimulation_reconstruction_drift_vanishes(params):
 
 
 def test_step_counters_count_macro_steps():
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
-    record = run_cosimulation(slots, graph, ConstantStep(1e-3), 0.05)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
+    record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.05)
     assert slots[0].step_calls == record.step_count == 50
     assert slots[1].step_calls == 50
 

@@ -192,8 +192,8 @@ def test_bond_powers_walk_matches_single_lookups():
 
 
 def test_summarize_run_against_itself_is_error_free():
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
-    record = run_cosimulation(slots, graph, ConstantStep(1e-3), 0.2)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
+    record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.2)
     # synthetic reference with one step per row, starting at the row's time:
     # there its dense output is the state (P_12, 1, 0, 1), whose bond power
     # under a unit spring stiffness is the run's own P_12
@@ -209,24 +209,24 @@ def test_summarize_run_against_itself_is_error_free():
 
 def test_summarize_rejects_a_run_without_steps():
     # every summary field is an average or a sum over the steps
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
-    record = run_cosimulation(slots, graph, ConstantStep(1e-3), 0.0)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
+    record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.0)
     assert record.step_count == 0
     with pytest.raises(ValueError, match="no steps"):
         summarize(record, reference_solve(LINEAR_PARAMS, 0.2))
 
 
 def test_summarize_rejects_short_reference():
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
-    record = run_cosimulation(slots, graph, ConstantStep(1e-3), 0.5)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
+    record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.5)
     short = reference_solve(LINEAR_PARAMS, 0.2)
     with pytest.raises(TimeRangeMismatch):
         summarize(record, short)
 
 
 def test_summarize_accepts_longer_reference():
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
-    record = run_cosimulation(slots, graph, ConstantStep(1e-3), 0.2)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
+    record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.2)
     long_ref = reference_solve(LINEAR_PARAMS, 1.0)
     summary = summarize(record, long_ref)
     assert summary.step_count == 200
@@ -247,8 +247,8 @@ def test_step_size_sweep_monotone():
 def test_summarize_frees_its_lists_without_the_cyclic_gc():
     # a recursive closure in pairwise_sum once kept them, 640 kB for these
     # 10,000 rows, until a collection; the float free list keeps a few kB
-    slots, graph = build_reticulation("A", LINEAR_PARAMS)
-    record = run_cosimulation(slots, graph, ConstantStep(1e-4), 1.0)
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
+    record = run_cosimulation(slots, bonds, ConstantStep(1e-4), 1.0)
     ref = reference_solve(LINEAR_PARAMS, 1.0)
     summarize(record, ref)  # first-use caches are not summarize's
     gc.collect()
@@ -298,7 +298,7 @@ def test_stability_scan_ends_below_float_resolution():
 def test_working_point_is_stable():
     # 1 ms constant steps run cleanly in both reticulations
     for kind in ("A", "B"):
-        slots, graph = build_reticulation(kind, LINEAR_PARAMS)
-        record = run_cosimulation(slots, graph, ConstantStep(1e-3), 1.0)
+        slots, bonds = build_reticulation(kind, LINEAR_PARAMS)
+        record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 1.0)
         assert record.complete
         assert all(abs(v) < 1.0 for v in record.last_probes())

@@ -72,9 +72,19 @@ def test_help_exits_zero(argv, capsys):
     assert "usage: eccosim" in capsys.readouterr().out
 
 
-def test_readme_config_block_lists_every_key():
+def readme_block(language: str) -> str:
+    """The README's first code block in ``language``."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    return readme.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_block_lists_every_key():
+    block = readme_block("ini")
     keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
     assert keys == {s.key for s in SETTINGS}
     ExperimentConfig(**parse_config_text(block))  # the example itself is valid
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(compile(readme_block("python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("ErrorSummary(")
