@@ -199,8 +199,8 @@ def run_experiment(
 
     ``stop`` is passed on to :func:`run_cosimulation`, which calls it with the
     record after each step and ends the run at the first step it returns
-    true for.  Raises ``ValueError`` when the horizon leaves no macro step
-    to take: every result of a run is an average or a sum over its steps.
+    true for, and which raises ``ValueError`` for a horizon too short for one
+    macro step.
     """
     slots, bonds = build_reticulation(
         cfg.reticulation,
@@ -209,11 +209,7 @@ def run_experiment(
         micro_s2=cfg.micro_ratio_s2,
     )
     policy = build_policy(cfg)
-    t_end = cfg.resolved_t_end
-    record = run_cosimulation(slots, bonds, policy, t_end, stop=stop)
-    if not record.step_count:
-        raise ValueError(f"t_end={t_end} is too short for one macro step; the run took none")
-    return record
+    return run_cosimulation(slots, bonds, policy, cfg.resolved_t_end, stop=stop)
 
 
 def summarize_experiment(cfg: ExperimentConfig, record: RunRecord) -> ErrorSummary:

@@ -2,9 +2,10 @@
 
 At every communication point all simulators receive inputs mapped from the
 previous outputs, then step independently over the same macro interval with
-those inputs held constant.  Afterwards the per-bond energy ledgers are
-updated from held inputs and fresh outputs, and the step policy proposes the
-next macro step size.  Macro steps are never repeated.
+those inputs held constant.  Afterwards one check reads the fresh outputs,
+the per-bond energy ledgers book the checked outputs against the held
+inputs, and the step policy proposes the next macro step size.  Macro steps
+are never repeated.
 """
 
 from __future__ import annotations
@@ -97,11 +98,11 @@ class RunRecord:
         return self.data[len(self.data) - self.width + self._offset("E_res_accum", bond)]
 
 
-def _diagnosis(t, outputs, probes, ledger_fields, widths, probe_names, routes) -> str | None:
+def _diagnosis(t, outputs, probes, widths, probe_names) -> str:
     """Name what fails :func:`_check` first: probe values of the wrong count,
-    outputs that are not a sequence, a value that is not a finite number, an
-    output vector of the wrong length, then a bond whose ledger overflowed.
-    ``None`` when nothing does, because only the screening sum overflowed."""
+    outputs that are not a sequence (a mapping is not one: it is read as its
+    keys), a value that is not a finite number, then an output vector of the
+    wrong length."""
     for i, (vector, names) in enumerate(zip(probes, probe_names)):
         sized = hasattr(vector, "__len__")
         if not sized or len(vector) != len(names):
@@ -109,13 +110,13 @@ def _diagnosis(t, outputs, probes, ledger_fields, widths, probe_names, routes) -
             return f"slot {i} returned {got} at t={t} for its {len(names)} probe names {names}"
     bad = f"non-finite simulator output at t={t}: "
     for i, out in enumerate(outputs):
-        if not (hasattr(out, "__len__") and hasattr(out, "__getitem__")):
+        if hasattr(out, "keys") or not (hasattr(out, "__len__") and hasattr(out, "__getitem__")):
             return f"{bad}slot {i} outputs are {out!r}, not a sequence of numbers"
     outs = ((f"slot {i} output {k}", v) for i, out in enumerate(outputs) for k, v in enumerate(out))
     names = (f"slot {i} probe {name!r}" for i, keys in enumerate(probe_names) for name in keys)
     for signal, v in chain(outs, zip(names, chain(*probes))):
         try:
-            if not isfinite(0.0 + v):  # the float arithmetic of the screening sum
+            if not isfinite(0.0 + v * 1.0):  # the float arithmetic of the check
                 return bad + signal
         except TypeError:
             return f"{bad}{signal} is {v!r}, not a number"
@@ -124,38 +125,41 @@ def _diagnosis(t, outputs, probes, ledger_fields, widths, probe_names, routes) -
     for i, (out, width) in enumerate(zip(outputs, widths)):
         if len(out) != width:
             return f"slot {i} returned {len(out)} outputs at t={t} for its {width} outputs"
-    if ledger_fields is None:  # the ledger could not read the outputs
-        return bad + "unknown signal"
-    n = len(BOND_FIELDS)
-    for j, (o_e, _, k_e, o_f, _, k_f, _) in enumerate(routes):
-        if not all(map(isfinite, ledger_fields[n * j : n * j + n])):  # the run has blown up
-            return (
-                f"non-finite bond power at t={t}: bond {j} "
-                f"(slot {o_e} output {k_e}, slot {o_f} output {k_f})"
-            )
 
 
-def _check(t, signals, ledger_fields, widths, probe_names, routes, record) -> list:
-    """The values of ``signals``, the slots' outputs then their probes, in one list.
+def _check(t, readers, routes, widths, probe_names, record) -> tuple[list, list, list]:
+    """Call ``readers``, each slot's ``get_outputs`` and then, after a step, its
+    ``probes``; return what they returned, its values in one list, and as
+    floats the outputs the bonds of ``routes`` couple, bond by bond effort
+    then flow (the ledgers multiply two, and two ints could outgrow a float).
 
-    Raises :class:`SimulatorFailure` at ``t`` unless each vector has its length
-    in ``widths`` and every value in them and in ``ledger_fields`` is a finite
-    number that adds to a float.  One sum from 0.0 screens them: it is finite
-    unless a value is not or the sum overflows; :func:`_diagnosis` tells which.
+    Raises :class:`SimulatorFailure` at ``t``, naming what :func:`_diagnosis`
+    finds, unless each vector has its length in ``widths``, every value is a
+    finite number that adds to a float, and each coupling output multiplies
+    by a float and comes from a sequence, not a mapping.  One sum from 0.0
+    screens the values: it is finite unless a value is not, or the sum
+    overflows, which the values one by one tell apart.
     """
+    signals = [read() for read in readers]
     values = []
+    coupled = []
     try:
         for vector in signals:
             values += vector
-        if widths == list(map(len, signals)) and isfinite(sum(values, sum(ledger_fields, 0.0))):
-            return values
-    except (TypeError, OverflowError):  # a value that is not a float, or not a sequence
+        if widths == list(map(len, signals)) and (
+            isfinite(sum(values, 0.0)) or all(map(isfinite, values))
+        ):
+            for o_e, _, k_e, o_f, _, k_f, _ in routes:
+                effort, flow = signals[o_e], signals[o_f]
+                if hasattr(effort, "keys") or hasattr(flow, "keys"):  # the sum saw its keys
+                    break
+                coupled += (effort[k_e] * 1.0, flow[k_f] * 1.0)
+            else:
+                return signals, values, coupled
+    except (TypeError, OverflowError):  # not a number, or not a sequence
         pass
     n = len(probe_names)
-    message = _diagnosis(t, signals[:n], signals[n:], ledger_fields, widths, probe_names, routes)
-    if message is None:
-        return values
-    raise SimulatorFailure(message, record)
+    raise SimulatorFailure(_diagnosis(t, signals[:n], signals[n:], widths, probe_names), record)
 
 
 def _probe_layout(slots: Sequence[SimulatorSlot]) -> list[tuple[str, ...]]:
@@ -183,33 +187,36 @@ def run_cosimulation(
 ) -> RunRecord:
     """Run the Jacobi master loop from t = 0 to ``t_end``.
 
-    The policy's ``start`` sees the slots' first outputs and gives the first
-    step size.  Per macro step: inputs are set from the last outputs, all
-    slots step over the same interval, ledgers absorb the step, and the
-    policy proposes the next step size.  The final step is truncated to land
-    exactly on ``t_end``.  No step is ever redone.  When ``stop`` is given,
-    ``stop(record)`` is called after each row is appended; if it returns true
-    the run ends there with ``record.complete`` set to False.
+    One check reads what the slots return: their first outputs at t = 0,
+    whose coupling outputs the policy's ``start`` sees to give the first step
+    size, then after each macro step their outputs and probes.  Per macro
+    step: inputs are set from the last checked outputs, all slots step over
+    the same interval, then the step is checked, booked by the bond ledgers
+    and given to the policy, which proposes the next step size.  The final
+    step is truncated to land exactly on ``t_end``.  No step is ever redone.
+    When ``stop`` is given, ``stop(record)`` is called after each row is
+    appended; if it returns true the run ends there with ``record.complete``
+    set to False.  The probe names are read once, from each slot's
+    ``probe_names``, and fix the row layout for the run.
 
-    The probe names are read once, from each slot's ``probe_names``, and
-    fix the row layout for the run.
-
-    Raises :class:`ValueError` before any step when ``t_end`` is negative or
-    not finite or a probe name is not unique among the record's columns,
-    and before the next step when the policy proposes a step size that is
-    not finite and positive or too small to advance the clock, or the run
-    has already taken ``MAX_MACRO_STEPS`` steps.  A ``t_end`` within the end
-    tolerance of 0 gives a record without steps.  Raises
-    :class:`SimulatorFailure` (with the partial record attached) before the
-    policy sees a step in which a slot returns outputs or probes that are not
-    a sequence, other than ``n_outputs`` outputs or one probe value per name,
-    or a value that is not a finite number that adds to a float, or a bond
-    power overflows; the message names the slot and signal, or the bond,
-    that failed first.  The slots' first outputs
-    get the same check at t = 0.0, with the empty record attached.
+    Raises :class:`ValueError` before any step when ``t_end`` is negative,
+    not finite or too short for one macro step (within the end tolerance of
+    0) or a probe name is not unique among the record's columns, and before
+    the next step when the policy proposes a step size that is not finite
+    and positive or too small to advance the clock, or the run has already
+    taken ``MAX_MACRO_STEPS`` steps.  Raises :class:`SimulatorFailure`, with
+    the partial record attached (empty at t = 0), before the ledgers book a
+    step in which a slot returns outputs or probes that are not a sequence,
+    other than ``n_outputs`` outputs or one probe value per name, or a value
+    that is not a finite number that adds to a float, and before the policy
+    sees a step whose booked bond power is not finite; the message names the
+    slot and signal, or the bond, that failed first.
     """
     if not (isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
+    t_tol = 1e-12 * max(t_end, 1.0)
+    if t_end <= t_tol:
+        raise ValueError(f"t_end={t_end} is too short for one macro step; it must exceed {t_tol}")
     wiring = validate_graph(bonds, slots)
     routes = wiring.routes
     probe_names = _probe_layout(slots)
@@ -222,32 +229,24 @@ def run_cosimulation(
     do_steps = [slot.do_step for slot in slots]
     get_outputs = [slot.get_outputs for slot in slots]
     readers = get_outputs + [slot.probes for slot in slots]
+    output_widths = [slot.n_outputs for slot in slots]
+    # Bond j books its effort and flow outputs from coupled[2j] and coupled[2j + 1].
     taps = [
-        (BondLedger(sigma).record, o_e, i_e, k_e, o_f, i_f, k_f)
-        for o_e, i_e, k_e, o_f, i_f, k_f, sigma in routes
+        (BondLedger(sigma).record, o_e, i_e, 2 * j, o_f, i_f, 2 * j + 1)
+        for j, (o_e, i_e, _, o_f, i_f, _, sigma) in enumerate(routes)
     ]
     next_step = policy.next_step
-    output_widths = [slot.n_outputs for slot in slots]
     widths = output_widths + [len(names) for names in probe_names]
     n_outputs = sum(output_widths)
     max_steps = MAX_MACRO_STEPS
 
-    signals = [get() for get in get_outputs]
-    stacked = []  # the coupling outputs bond by bond: effort then flow
-    try:
-        for _, o_e, _, k_e, o_f, _, k_f in taps:
-            stacked += (signals[o_e][k_e], signals[o_f][k_f])
-        ledger_fields = ()  # none before the first step
-    except (IndexError, TypeError):  # outputs too short or not a sequence: the check names them
-        ledger_fields = None
-    _check(0.0, signals, ledger_fields, output_widths, probe_names, routes, record)
-    dt_next = policy.start(stacked)
+    signals, _, coupled = _check(0.0, get_outputs, routes, output_widths, probe_names, record)
+    dt_next = policy.start(coupled)
 
     # The clock is a CompensatedSum of the step sizes, kept in two locals.
     clock = 0.0
     clock_err = 0.0
     t_now = clock + clock_err
-    t_tol = 1e-12 * max(abs(t_end), 1.0)
     steps = 0
     while True:
         remaining = t_end - t_now
@@ -286,22 +285,22 @@ def run_cosimulation(
         for do_step in do_steps:
             do_step(t_now, dt)
 
-        signals = [read() for read in readers]  # each slot's outputs, then its probes
+        signals, values, coupled = _check(t_next, readers, routes, widths, probe_names, record)
         bond_steps = []
-        stacked = []
         ledger_fields = []
-        try:
-            for record_step, o_e, i_e, k_e, o_f, i_f, k_f in taps:
-                y_e = signals[o_e][k_e]
-                y_f = signals[o_f][k_f]
-                step = record_step(dt, inputs[o_e][i_e], inputs[o_f][i_f], y_e, y_f)
-                bond_steps.append(step)
-                stacked += (y_e, y_f)
-                ledger_fields += step
-        except (IndexError, TypeError, OverflowError):  # bad outputs: the check names them
-            ledger_fields = None
-        values = _check(t_next, signals, ledger_fields, widths, probe_names, routes, record)
-        dt_next, eps = next_step(t_next, dt, bond_steps, stacked)
+        for record_step, o_e, i_e, j_e, o_f, i_f, j_f in taps:
+            step = record_step(dt, inputs[o_e][i_e], inputs[o_f][i_f], coupled[j_e], coupled[j_f])
+            bond_steps.append(step)
+            ledger_fields += step
+        if not isfinite(sum(ledger_fields, 0.0)):  # a bond has blown up, or only this sum overflowed
+            for j, (o_e, _, k_e, o_f, _, k_f, _) in enumerate(routes):
+                if not all(map(isfinite, bond_steps[j])):
+                    raise SimulatorFailure(
+                        f"non-finite bond power at t={t_next}: bond {j} "
+                        f"(slot {o_e} output {k_e}, slot {o_f} output {k_f})",
+                        record,
+                    )
+        dt_next, eps = next_step(t_next, dt, bond_steps, coupled)
         append_row(pack_row(t_next, dt, eps, *ledger_fields, *values[n_outputs:]))
         steps += 1
         if stop is not None and stop(record):

@@ -2,9 +2,10 @@
 
 import gc
 import io
+import math
 import tracemalloc
 from decimal import Decimal
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -18,7 +19,7 @@ from eccosim.control import (
 )
 from eccosim import master
 from eccosim.master import RunRecord, SimulatorFailure, run_cosimulation
-from eccosim.energy import BOND_FIELDS, CompensatedSum
+from eccosim.energy import BOND_FIELDS, BondLedger, CompensatedSum
 from eccosim.model import PowerBond, PowerPort, SimulatorSlot
 from eccosim.quartercar import (
     LINEAR_PARAMS,
@@ -30,13 +31,25 @@ from eccosim.quartercar import (
 from eccosim.reference import reference_solve
 
 
-def test_empty_horizon_yields_empty_record():
-    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
-    record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.0)
+def test_record_without_steps_reads_zero():
+    # what a run that fails at t = 0 carries: no run succeeds without a step
+    record = RunRecord(bond_count=1, probe_names=("z_c", "v_c", "z_w", "v_w"))
     assert record.step_count == 0
     assert record.duration == 0.0
     assert record.mean_dt() == 0.0
     assert record.total_residual() == 0.0
+    assert len(record.last_probes()) == 0
+
+
+@pytest.mark.parametrize("t_end", [0.0, 1e-13, 1e-12])
+def test_horizon_too_short_for_one_step_rejected_before_any_step(t_end):
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
+    with pytest.raises(ValueError) as info:
+        run_cosimulation(slots, bonds, ConstantStep(1e-3), t_end)
+    assert str(info.value) == (
+        f"t_end={t_end} is too short for one macro step; it must exceed 1e-12"
+    )
+    assert [slot.step_calls for slot in slots] == [0, 0]
 
 
 def test_macro_step_cap_stops_a_run_before_the_step_past_it(monkeypatch):
@@ -406,6 +419,14 @@ def test_probes_that_are_not_numbers_fail_naming_the_slot():
         assert info.value.record.complete is False
 
 
+class _AddsOnly:
+    def __radd__(self, other):
+        return other
+
+    def __repr__(self):
+        return "_AddsOnly()"
+
+
 def test_outputs_that_are_not_numbers_fail_naming_the_slot():
     slots, bonds = build_reticulation("B", LINEAR_PARAMS)
     wheel = slots[1]
@@ -426,30 +447,37 @@ def test_outputs_that_are_not_numbers_fail_naming_the_slot():
     assert info.value.record.complete is False
 
     # a Decimal passes isfinite but not the float arithmetic of the slots and the
-    # ledger; an int beyond the float range fails that arithmetic too
+    # ledger; an int beyond the float range fails that arithmetic too, and so
+    # does a value that adds to a float but cannot be multiplied by one
     broken = (
         (Decimal, lambda v_w: f"is {Decimal(v_w)!r}, not a number"),
         (lambda v_w: 10**400, lambda v_w: "is too large for a float"),
+        (lambda v_w: _AddsOnly(), lambda v_w: "is _AddsOnly(), not a number"),
     )
     for (convert, what), (broken_after, t) in product(broken, ((0, "0.0"), (2, "0.002"))):
-        slots, bonds = build_reticulation("B", LINEAR_PARAMS)
-        wheel = slots[1]
+        message, v_w = _fail_with_wheel_outputs(lambda v_w: (convert(v_w),), broken_after)
+        assert message == f"non-finite simulator output at t={t}: slot 1 output 0 {what(v_w)}"
 
-        def get_outputs(
-            wheel=wheel, real=wheel.get_outputs, broken_after=broken_after, convert=convert
-        ):
-            (v_w,) = real()
-            return (convert(v_w),) if wheel.step_calls == broken_after else (v_w,)
 
-        wheel.get_outputs = get_outputs
-        with pytest.raises(SimulatorFailure) as info:
-            run_cosimulation(slots, bonds, ConstantStep(1e-3), 1.0)
-        assert str(info.value) == (
-            f"non-finite simulator output at t={t}: slot 1 output 0 {what(wheel.v_w)}"
-        )
-        assert info.value.record.step_count == max(broken_after - 1, 0)
-        assert info.value.record.complete is False
-        assert [slot.step_calls for slot in slots] == [broken_after] * 2
+def _fail_with_wheel_outputs(broken, broken_after):
+    """Run reticulation B until its wheel, once it has taken ``broken_after``
+    steps, returns ``broken(v_w)`` from ``get_outputs``; check that the run
+    fails there with the steps before it recorded, and return the failure's
+    message and the wheel's ``v_w`` that ``broken`` was given."""
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS)
+    wheel = slots[1]
+    real = wheel.get_outputs
+
+    def get_outputs():
+        return broken(*real()) if wheel.step_calls == broken_after else real()
+
+    wheel.get_outputs = get_outputs
+    with pytest.raises(SimulatorFailure) as info:
+        run_cosimulation(slots, bonds, ConstantStep(1e-3), 1.0)
+    assert info.value.record.step_count == max(broken_after - 1, 0)
+    assert info.value.record.complete is False
+    assert [slot.step_calls for slot in slots] == [broken_after] * 2
+    return str(info.value), wheel.v_w
 
 
 class _NoProbes(MonolithicQuarterCar):
@@ -468,45 +496,56 @@ def test_probes_that_are_not_a_sequence_fail_naming_the_slot():
 
 
 def test_outputs_that_are_not_a_sequence_fail_naming_the_slot():
-    # the wheel returns no sequence after its second step, or from the start
-    for returned, (broken_after, t) in product((None, {0.0}), ((2, "0.002"), (0, "0.0"))):
-        slots, bonds = build_reticulation("B", LINEAR_PARAMS)
-        wheel = slots[1]
-
-        def get_outputs(wheel=wheel, real=wheel.get_outputs, broken_after=broken_after):
-            return returned if wheel.step_calls == broken_after else real()
-
-        wheel.get_outputs = get_outputs
-        with pytest.raises(SimulatorFailure) as info:
-            run_cosimulation(slots, bonds, ConstantStep(1e-3), 1.0)
-        assert str(info.value) == (
+    # the wheel returns no sequence after its second step, or from the start;
+    # a mapping is none either, even when its keys index like a sequence
+    returns = (lambda v_w: None, lambda v_w: {0.0}, lambda v_w: {"v_w": v_w}, lambda v_w: {0: v_w})
+    for returned, (broken_after, t) in product(returns, ((2, "0.002"), (0, "0.0"))):
+        message, v_w = _fail_with_wheel_outputs(returned, broken_after)
+        assert message == (
             f"non-finite simulator output at t={t}: "
-            f"slot 1 outputs are {returned!r}, not a sequence of numbers"
+            f"slot 1 outputs are {returned(v_w)!r}, not a sequence of numbers"
         )
-        assert info.value.record.step_count == max(broken_after - 1, 0)
-        assert info.value.record.complete is False
-        assert [slot.step_calls for slot in slots] == [broken_after] * 2
 
 
 @pytest.mark.parametrize("returned", [(), (0.0, 0.0)], ids=["empty", "long"])
 def test_output_vectors_of_the_wrong_length_fail_naming_the_slot(returned):
     # the wheel returns a vector of the wrong length from the start, or after its second step
     for broken_after, t in ((0, "0.0"), (2, "0.002")):
-        slots, bonds = build_reticulation("B", LINEAR_PARAMS)
-        wheel = slots[1]
+        message, _ = _fail_with_wheel_outputs(lambda v_w: returned, broken_after)
+        assert message == f"slot 1 returned {len(returned)} outputs at t={t} for its 1 outputs"
 
-        def get_outputs(wheel=wheel, real=wheel.get_outputs, broken_after=broken_after):
-            return returned if wheel.step_calls == broken_after else real()
 
-        wheel.get_outputs = get_outputs
-        with pytest.raises(SimulatorFailure) as info:
-            run_cosimulation(slots, bonds, ConstantStep(1e-3), 1.0)
-        assert str(info.value) == (
-            f"slot 1 returned {len(returned)} outputs at t={t} for its 1 outputs"
-        )
-        assert info.value.record.step_count == max(broken_after - 1, 0)
-        assert info.value.record.complete is False
-        assert [slot.step_calls for slot in slots] == [broken_after] * 2
+def test_int_outputs_whose_bond_power_overflows_fail_naming_the_bond():
+    # the ledger books the coupling outputs as floats: two ints within the
+    # float range whose product is beyond it give an infinite bond power,
+    # not an OverflowError
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS)
+    for slot in slots:
+        real = slot.get_outputs
+        slot.get_outputs = lambda slot=slot, real=real: (10**200,) if slot.step_calls == 2 else real()
+    with pytest.raises(SimulatorFailure) as info:
+        run_cosimulation(slots, bonds, ConstantStep(1e-3), 1.0)
+    assert str(info.value) == (
+        "non-finite bond power at t=0.002: bond 0 (slot 0 output 0, slot 1 output 0)"
+    )
+    assert info.value.record.step_count == 1
+
+
+def test_ledgers_book_only_checked_steps(monkeypatch):
+    # the wheel's velocity is NaN after its third step: the check fails before
+    # the ledger books that step, so two rows take two ledger calls
+    booked = []
+    real_record = BondLedger.record
+
+    def record(self, dt, u1, u2, y1, y2):
+        booked.append((u1, u2, y1, y2))
+        return real_record(self, dt, u1, u2, y1, y2)
+
+    monkeypatch.setattr(BondLedger, "record", record)
+    message, _ = _fail_with_wheel_outputs(lambda v_w: (float("nan"),), 3)
+    assert message == "non-finite simulator output at t=0.003: slot 1 output 0"
+    assert len(booked) == 2
+    assert all(map(math.isfinite, chain(*booked)))
 
 
 class _ChassisB(ChassisSpringDamper):
