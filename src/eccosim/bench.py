@@ -30,7 +30,8 @@ from .control import (
     ResidualEnergyIndicator,
     StepPolicy,
 )
-from .master import RunRecord, SimulatorFailure, run_cosimulation
+from .energy import BOND_FIELDS
+from .master import STEP_FIELDS, RunRecord, SimulatorFailure, run_cosimulation
 from .model import Frozen
 from .quartercar import MAX_MICRO_STEPS, PRESETS, RETICULATIONS, build_reticulation, preset_params
 from .reference import ErrorSummary, reference_solve, summarize
@@ -299,26 +300,24 @@ def format_number(x: float) -> str:
     return repr(float(x))
 
 
-_BOND_COLUMNS = ("P_12", "P_port1", "P_port2", "dP_res", "dE_res", "E_res_accum")
-_PROBE_COLUMNS = ("z_c", "v_c", "z_w", "v_w")
+#: The record column of each ``TRAJECTORY_HEADER`` field.
+_CSV_COLUMNS = tuple(TRAJECTORY_HEADER.replace("P12", "P_12").split(","))
 
 
 def write_trajectory_csv(record: RunRecord, fh: IO[str]) -> None:
-    """One row per accepted macro step; absent probes serialize as empty fields."""
+    """One row per accepted macro step; absent bond or probe columns serialize as empty fields."""
     if record.bond_count > 1:
         raise ValueError("trajectory schema covers single-bond runs")
     fh.write(TRAJECTORY_HEADER + "\n")
-    # Columns hold floats, whose format_number is their repr.
-    names = ("t", "dt", "eps") + (_BOND_COLUMNS if record.bond_count else ())
-    columns = [map(repr, record.column(name)) for name in names]
-    if not record.bond_count:
-        columns += [repeat("")] * len(_BOND_COLUMNS)
-    columns += (
-        map(repr, record.column(name)) if name in record.probe_names else repeat("")
-        for name in _PROBE_COLUMNS
-    )
-    for fields in zip(*columns):  # the t column ends it
-        fh.write(",".join(fields) + "\n")
+    present = STEP_FIELDS + (BOND_FIELDS if record.bond_count else ()) + record.probe_names
+    # Columns hold floats, whose format_number is their repr, copied 1024 steps at a time.
+    for i in range(0, record.step_count, 1024):
+        columns = [
+            map(repr, record.column(name, 0, i, i + 1024)) if name in present else repeat("")
+            for name in _CSV_COLUMNS
+        ]
+        for fields in zip(*columns):  # the t column ends it
+            fh.write(",".join(fields) + "\n")
 
 
 def write_summary_csv(cfg: ExperimentConfig, summary: ErrorSummary, fh: IO[str]) -> None:

@@ -139,9 +139,11 @@ def pc_indicator(
 
 class StepPolicy(ABC):
     """Interface the master loop drives: :meth:`start` once per run, then
-    :meth:`next_step` once per accepted macro step."""
+    :meth:`next_step` once per accepted macro step.  Neither proposes a step
+    size below ``min_step``, so a run's horizon bounds its step count."""
 
     name: str = "policy"
+    min_step: float
 
     @abstractmethod
     def start(self, outputs: Sequence[float]) -> float:
@@ -165,20 +167,20 @@ class StepPolicy(ABC):
 
 
 class ConstantStep(StepPolicy):
-    """Fixed macro step size; the indicator is logged as 0."""
+    """Fixed macro step size ``dt``, its ``min_step``; the indicator is logged as 0."""
 
     name = "constant"
 
     def __init__(self, dt: float):
         if not (isfinite(dt) and dt > 0.0):
             raise ValueError(f"constant step size must be finite and positive, got {dt}")
-        self.dt = dt
+        self.min_step = dt
 
     def start(self, outputs):
-        return self.dt
+        return self.min_step
 
     def next_step(self, t_next, dt_used, bond_steps, outputs):
-        return self.dt, 0.0
+        return self.min_step, 0.0
 
 
 class ResidualEnergyIndicator:
@@ -277,6 +279,8 @@ class PIController(StepPolicy):
         self.indicator = indicator
         self.config = config
         self.dt0 = dt0
+        # pi_step_size clamps every proposal to at least dt_min; a None indicator keeps the step.
+        self.min_step = config.dt_min
         self.name = indicator.name
 
     def start(self, outputs):

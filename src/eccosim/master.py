@@ -23,8 +23,8 @@ from .model import PowerBond, SimulatorSlot, apply_connections, validate_graph
 
 #: Most macro steps one run may take: 14 doubles per single-bond step, so
 #: about 112 MB of rows, and 25 times the longest run any table, sweep or
-#: export makes.  A run that needs more is a step-size mistake, and fails
-#: before it exhausts memory.
+#: export makes.  A run whose policy's smallest step could take more is a
+#: step-size mistake, and is refused before its first step.
 MAX_MACRO_STEPS = 1_000_000
 
 #: Leading fields of every row.
@@ -71,9 +71,10 @@ class RunRecord:
             return self._probe_start + self.probe_names.index(name)
         raise KeyError(f"no column {name!r}; probes are {self.probe_names}")
 
-    def column(self, name: str, bond: int = 0) -> array:
-        """One value per step of a step field, a bond's ledger field, or a probe."""
-        return self.data[self._offset(name, bond) :: self.width]
+    def column(self, name: str, bond: int = 0, start: int = 0, stop: int | None = None) -> array:
+        """Steps ``start`` to ``stop`` of a step field, a bond's ledger field, or a probe."""
+        end = None if stop is None else stop * self.width
+        return self.data[start * self.width + self._offset(name, bond) : end : self.width]
 
     def last_probes(self) -> array:
         """Probe values of the last step, in ``probe_names`` order; empty before the first."""
@@ -200,11 +201,11 @@ def run_cosimulation(
     ``probe_names``, and fix the row layout for the run.
 
     Raises :class:`ValueError` before any step when ``t_end`` is negative,
-    not finite or too short for one macro step (within the end tolerance of
-    0) or a probe name is not unique among the record's columns, and before
-    the next step when the policy proposes a step size that is not finite
-    and positive or too small to advance the clock, or the run has already
-    taken ``MAX_MACRO_STEPS`` steps.  Raises :class:`SimulatorFailure`, with
+    not finite, too short for one macro step (within the end tolerance of 0)
+    or longer than ``MAX_MACRO_STEPS`` of the policy's ``min_step``, or a
+    probe name is not unique among the record's columns, and before the
+    next step when the policy proposes a step size that is not finite or is
+    below its ``min_step``.  Raises :class:`SimulatorFailure`, with
     the partial record attached (empty at t = 0), before the ledgers book a
     step in which a slot returns outputs or probes that are not a sequence,
     other than ``n_outputs`` outputs or one probe value per name, or a value
@@ -218,6 +219,12 @@ def run_cosimulation(
     if t_end <= t_tol:
         raise ValueError(f"t_end={t_end} is too short for one macro step; it must exceed {t_tol}")
     wiring = validate_graph(bonds, slots)
+    min_step = policy.min_step
+    if not t_end <= MAX_MACRO_STEPS * min_step:
+        raise ValueError(
+            f"t_end={t_end} exceeds MAX_MACRO_STEPS = {MAX_MACRO_STEPS} steps of {min_step}, "
+            f"the smallest step of policy {policy.name!r}; use a larger step or a shorter horizon"
+        )
     routes = wiring.routes
     probe_names = _probe_layout(slots)
     record = RunRecord(bond_count=len(routes), probe_names=tuple(chain(*probe_names)))
@@ -238,7 +245,6 @@ def run_cosimulation(
     next_step = policy.next_step
     widths = output_widths + [len(names) for names in probe_names]
     n_outputs = sum(output_widths)
-    max_steps = MAX_MACRO_STEPS
 
     signals, _, coupled = _check(0.0, get_outputs, routes, output_widths, probe_names, record)
     dt_next = policy.start(coupled)
@@ -247,20 +253,16 @@ def run_cosimulation(
     clock = 0.0
     clock_err = 0.0
     t_now = clock + clock_err
-    steps = 0
     while True:
         remaining = t_end - t_now
         if remaining <= t_tol:
             break
-        if steps >= max_steps:
-            raise ValueError(
-                f"run reached MAX_MACRO_STEPS = {max_steps} at t={t_now} "
-                f"of t_end={t_end}; use a larger step size or a shorter horizon"
-            )
-        if not 0.0 < dt_next < inf:
+        # After the bound above, each step but the last (> t_tol) is >= t_end / MAX_MACRO_STEPS:
+        # all advance a clock that never passes t_end, and at most MAX_MACRO_STEPS fit.
+        if not min_step <= dt_next < inf:
             raise ValueError(
                 f"policy {policy.name!r} proposed step size {dt_next} at t={t_now}; "
-                "it must be finite and positive"
+                f"it must be finite and at least its smallest step {min_step}"
             )
         # Truncate onto t_end; absorb a degenerate final sliver into this step.
         dt = remaining if dt_next >= remaining * (1.0 - 1e-9) else dt_next
@@ -273,11 +275,6 @@ def run_cosimulation(
             clock_err += (dt - total) + clock
         clock = total
         t_next = clock + clock_err
-        if t_next <= t_now:
-            raise ValueError(
-                f"policy {policy.name!r} step size {dt} at t={t_now} does not advance "
-                "the clock; use a larger minimum step size"
-            )
 
         inputs = apply_connections(wiring, signals)
         for set_u, u in zip(set_inputs, inputs):
@@ -302,7 +299,6 @@ def run_cosimulation(
                     )
         dt_next, eps = next_step(t_next, dt, bond_steps, coupled)
         append_row(pack_row(t_next, dt, eps, *ledger_fields, *values[n_outputs:]))
-        steps += 1
         if stop is not None and stop(record):
             record.complete = False
             break

@@ -53,13 +53,14 @@ def test_horizon_too_short_for_one_step_rejected_before_any_step(t_end):
 
 
 def test_macro_step_cap_stops_a_run_before_the_step_past_it(monkeypatch):
+    # a horizon of exactly the cap's steps runs; one that could take more is refused up front
     monkeypatch.setattr(master, "MAX_MACRO_STEPS", 50)
     slots, bonds = build_reticulation("A", LINEAR_PARAMS)
     assert run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.05).step_count == 50
     slots, bonds = build_reticulation("A", LINEAR_PARAMS)
     with pytest.raises(ValueError, match="MAX_MACRO_STEPS = 50"):
         run_cosimulation(slots, bonds, ConstantStep(1e-9), 4.0)
-    assert [slot.step_calls for slot in slots] == [50, 50]
+    assert [slot.step_calls for slot in slots] == [0, 0]
 
 
 def test_free_simulator_without_bonds_matches_standalone():
@@ -203,12 +204,12 @@ def test_simulator_failure_names_slot_and_signal(state, signal):
 
 
 class _Proposes(StepPolicy):
-    """Starts with ``first``, then proposes ``then`` after every step."""
+    """Starts with ``first``, then proposes ``then`` after every step; states ``min_step``."""
 
     name = "proposes"
 
-    def __init__(self, first, then):
-        self.first, self.then = first, then
+    def __init__(self, first, then, min_step=1e-4):
+        self.first, self.then, self.min_step = first, then, min_step
 
     def start(self, outputs):
         return self.first
@@ -221,26 +222,37 @@ class _Proposes(StepPolicy):
 def test_bad_policy_step_rejected_before_next_step(bad):
     # at the first proposal, before any step
     slots, bonds = build_reticulation("B", LINEAR_PARAMS)
-    with pytest.raises(ValueError, match="finite and positive"):
+    with pytest.raises(ValueError, match="finite and at least its smallest step 0.0001"):
         run_cosimulation(slots, bonds, _Proposes(bad, 1e-3), 1.0)
     assert [slot.step_calls for slot in slots] == [0, 0]
     # after an accepted step
     slots, bonds = build_reticulation("B", LINEAR_PARAMS)
-    with pytest.raises(ValueError, match="finite and positive"):
+    with pytest.raises(ValueError, match="finite and at least its smallest step 0.0001"):
         run_cosimulation(slots, bonds, _Proposes(1e-3, bad), 1.0)
     assert [slot.step_calls for slot in slots] == [1, 1]
 
 
 def test_step_that_does_not_advance_the_clock_rejected_before_the_slots_step():
-    # at t = 1e-3 a step of 1e-20 is less than half a unit in the last place of t
+    # at t = 1e-3 a step of 1e-20 is less than half a unit in the last place of t,
+    # and far below the smallest step the policy states
     slots, bonds = build_reticulation("B", LINEAR_PARAMS)
     with pytest.raises(ValueError) as info:
         run_cosimulation(slots, bonds, _Proposes(1e-3, 1e-20), 1.0)
     assert str(info.value) == (
-        "policy 'proposes' step size 1e-20 at t=0.001 does not advance the clock; "
-        "use a larger minimum step size"
+        "policy 'proposes' proposed step size 1e-20 at t=0.001; "
+        "it must be finite and at least its smallest step 0.0001"
     )
     assert [slot.step_calls for slot in slots] == [1, 1]
+
+
+@pytest.mark.parametrize("min_step", [0.0, -1e-3, float("nan"), 1e-7])
+def test_policy_whose_smallest_step_bounds_no_run_refused_before_any_step(min_step):
+    # a smallest step that is not positive, or too small for the horizon, admits runs
+    # that never end or outgrow MAX_MACRO_STEPS
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS)
+    with pytest.raises(ValueError, match="MAX_MACRO_STEPS = 1000000 steps of"):
+        run_cosimulation(slots, bonds, _Proposes(1e-3, 1e-3, min_step), 1.0)
+    assert [slot.step_calls for slot in slots] == [0, 0]
 
 
 def test_stop_hook_ends_run_at_first_true_row():
