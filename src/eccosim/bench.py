@@ -270,7 +270,7 @@ def stability_scan(
         raise ValueError(f"threshold must be finite and positive, got {threshold}")
 
     def beyond(record: RunRecord) -> bool:
-        return any(abs(v) > threshold for v in record.last_probes())
+        return max(map(abs, record.last_probes()), default=0.0) > threshold
 
     def diverges(dt: float) -> bool:
         try:

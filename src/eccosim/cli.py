@@ -1,8 +1,8 @@
 """Command-line front end: run experiments, reproduce the recorded benchmark
 tables, sweep the step size, and scan for stability onsets.
 
-Exit codes: 0 success, 1 configuration/usage error, 2 simulation failure
-(non-finite states), 3 measured results outside the expected tolerances.
+Exit codes: 0 success, 1 configuration/usage error, 2 simulation failure (a refused
+slot value, or non-finite states), 3 measured results outside the expected tolerances.
 """
 
 from __future__ import annotations

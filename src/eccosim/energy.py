@@ -21,13 +21,15 @@ class CompensatedSum:
         self._s = value
         self._c = 0.0
 
-    def add(self, x: float) -> None:
+    def add(self, x: float) -> float:
+        """Add ``x``; return the new :attr:`value`."""
         t = self._s + x
         if abs(self._s) >= abs(x):
             self._c += (self._s - t) + x
         else:
             self._c += (x - t) + self._s
         self._s = t
+        return t + self._c
 
     @property
     def value(self) -> float:
@@ -57,6 +59,4 @@ class BondLedger:
         p12 = self._sigma * (y1 * y2)
         dp = -(p1 + p2)
         de = dp * dt
-        accum = self._accum
-        accum.add(de)
-        return p1, p2, p12, dp, de, p12 * dt, accum.value
+        return p1, p2, p12, dp, de, p12 * dt, self._accum.add(de)

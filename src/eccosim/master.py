@@ -1,11 +1,11 @@
 """Jacobi co-simulation master loop.
 
 At every communication point all simulators receive inputs mapped from the
-previous outputs, then step independently over the same macro interval with
-those inputs held constant.  Afterwards one check reads the fresh outputs,
-the per-bond energy ledgers book the checked outputs against the held
-inputs, and the step policy proposes the next macro step size.  Macro steps
-are never repeated.
+previous coupling outputs, then step independently over the same macro
+interval with those inputs held constant.  Afterwards one check reads what
+they return and converts it to floats, the per-bond energy ledgers book the
+coupling outputs against the held inputs, and the step policy proposes the
+next macro step size.  Macro steps are never repeated.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from array import array
 from itertools import chain
 from math import inf, isfinite
+from operator import itemgetter
 from struct import Struct
 from typing import Callable, Sequence
 
@@ -99,11 +100,22 @@ class RunRecord:
         return self.data[len(self.data) - self.width + self._offset("E_res_accum", bond)]
 
 
+def _number(v) -> float:
+    """The rule for a value a slot returns: a number adds to a float and ``float()`` converts
+    it (keeping the sign of -0.0); the run uses that float, which must be finite."""
+    0.0 + v
+    return float(v)
+
+
+def _sequence(v) -> bool:
+    """The rule for a vector: sized and indexable (a set is not), and not a mapping."""
+    return hasattr(v, "__len__") and hasattr(v, "__getitem__") and not hasattr(v, "keys")
+
+
 def _diagnosis(t, outputs, probes, widths, probe_names) -> str:
     """Name what fails :func:`_check` first: probe values of the wrong count,
-    outputs that are not a sequence (a mapping is not one: it is read as its
-    keys), a value that is not a finite number, then an output vector of the
-    wrong length."""
+    outputs that are not a sequence, a value that is not a finite number,
+    an output vector of the wrong length, then probes that are not a sequence."""
     for i, (vector, names) in enumerate(zip(probes, probe_names)):
         sized = hasattr(vector, "__len__")
         if not sized or len(vector) != len(names):
@@ -111,13 +123,13 @@ def _diagnosis(t, outputs, probes, widths, probe_names) -> str:
             return f"slot {i} returned {got} at t={t} for its {len(names)} probe names {names}"
     bad = f"non-finite simulator output at t={t}: "
     for i, out in enumerate(outputs):
-        if hasattr(out, "keys") or not (hasattr(out, "__len__") and hasattr(out, "__getitem__")):
+        if not _sequence(out):
             return f"{bad}slot {i} outputs are {out!r}, not a sequence of numbers"
     outs = ((f"slot {i} output {k}", v) for i, out in enumerate(outputs) for k, v in enumerate(out))
     names = (f"slot {i} probe {name!r}" for i, keys in enumerate(probe_names) for name in keys)
     for signal, v in chain(outs, zip(names, chain(*probes))):
         try:
-            if not isfinite(0.0 + v * 1.0):  # the float arithmetic of the check
+            if not isfinite(_number(v)):
                 return bad + signal
         except TypeError:
             return f"{bad}{signal} is {v!r}, not a number"
@@ -126,38 +138,36 @@ def _diagnosis(t, outputs, probes, widths, probe_names) -> str:
     for i, (out, width) in enumerate(zip(outputs, widths)):
         if len(out) != width:
             return f"slot {i} returned {len(out)} outputs at t={t} for its {width} outputs"
+    for i, vector in enumerate(probes):
+        if not _sequence(vector):
+            return f"{bad}slot {i} probes are {vector!r}, not a sequence of numbers"
 
 
-def _check(t, readers, routes, widths, probe_names, record) -> tuple[list, list, list]:
+def _check(t, readers, widths, probe_names, record) -> Sequence[float]:
     """Call ``readers``, each slot's ``get_outputs`` and then, after a step, its
-    ``probes``; return what they returned, its values in one list, and as
-    floats the outputs the bonds of ``routes`` couple, bond by bond effort
-    then flow (the ledgers multiply two, and two ints could outgrow a float).
+    ``probes``; return every value they returned, in that order, as a float.
 
     Raises :class:`SimulatorFailure` at ``t``, naming what :func:`_diagnosis`
-    finds, unless each vector has its length in ``widths``, every value is a
-    finite number that adds to a float, and each coupling output multiplies
-    by a float and comes from a sequence, not a mapping.  One sum from 0.0
-    screens the values: it is finite unless a value is not, or the sum
-    overflows, which the values one by one tell apart.
+    finds, unless each vector is a :func:`_sequence` of its length in
+    ``widths`` and :func:`_number` converts each value to a finite float.
+    Tuples of floats, as :class:`SimulatorSlot` declares them, pass as they
+    are, screened by one sum from 0.0: it is finite unless a float is not, or
+    the sum overflows, which the floats one by one tell apart.
     """
     signals = [read() for read in readers]
-    values = []
-    coupled = []
     try:
-        for vector in signals:
-            values += vector
-        if widths == list(map(len, signals)) and (
-            isfinite(sum(values, 0.0)) or all(map(isfinite, values))
-        ):
-            for o_e, _, k_e, o_f, _, k_f, _ in routes:
-                effort, flow = signals[o_e], signals[o_f]
-                if hasattr(effort, "keys") or hasattr(flow, "keys"):  # the sum saw its keys
-                    break
-                coupled += (effort[k_e] * 1.0, flow[k_f] * 1.0)
-            else:
-                return signals, values, coupled
-    except (TypeError, OverflowError):  # not a number, or not a sequence
+        if widths == list(map(len, signals)):
+            try:
+                values = sum(signals, ())
+                if not {*map(type, values)} <= {float}:
+                    raise TypeError
+            except TypeError:  # not tuples of floats: the rule, value by value
+                if not all(map(_sequence, signals)):
+                    raise
+                values = list(map(_number, chain(*signals)))
+            if isfinite(sum(values, 0.0)) or all(map(isfinite, values)):
+                return values
+    except (TypeError, OverflowError):  # not a sequence, or not a number
         pass
     n = len(probe_names)
     raise SimulatorFailure(_diagnosis(t, signals[:n], signals[n:], widths, probe_names), record)
@@ -188,30 +198,22 @@ def run_cosimulation(
 ) -> RunRecord:
     """Run the Jacobi master loop from t = 0 to ``t_end``.
 
-    One check reads what the slots return: their first outputs at t = 0,
-    whose coupling outputs the policy's ``start`` sees to give the first step
-    size, then after each macro step their outputs and probes.  Per macro
-    step: inputs are set from the last checked outputs, all slots step over
-    the same interval, then the step is checked, booked by the bond ledgers
-    and given to the policy, which proposes the next step size.  The final
-    step is truncated to land exactly on ``t_end``.  No step is ever redone.
-    When ``stop`` is given, ``stop(record)`` is called after each row is
-    appended; if it returns true the run ends there with ``record.complete``
-    set to False.  The probe names are read once, from each slot's
-    ``probe_names``, and fix the row layout for the run.
+    The policy's ``start`` gives the first step size from the coupling outputs
+    :func:`_check` reads at t = 0, and the final step is truncated onto
+    ``t_end``.  ``stop(record)``, when given, is called after each row is
+    appended, and a true result ends the run with ``record.complete`` False.
+    The slots' ``probe_names``, read once, fix the row layout.
 
     Raises :class:`ValueError` before any step when ``t_end`` is negative,
     not finite, too short for one macro step (within the end tolerance of 0)
     or longer than ``MAX_MACRO_STEPS`` of the policy's ``min_step``, or a
     probe name is not unique among the record's columns, and before the
     next step when the policy proposes a step size that is not finite or is
-    below its ``min_step``.  Raises :class:`SimulatorFailure`, with
-    the partial record attached (empty at t = 0), before the ledgers book a
-    step in which a slot returns outputs or probes that are not a sequence,
-    other than ``n_outputs`` outputs or one probe value per name, or a value
-    that is not a finite number that adds to a float, and before the policy
-    sees a step whose booked bond power is not finite; the message names the
-    slot and signal, or the bond, that failed first.
+    below its ``min_step``.  Raises :class:`SimulatorFailure`, with the
+    partial record attached (empty at t = 0), before the ledgers book a step
+    that breaks the rule of :func:`_check`, and before the policy sees a step
+    whose booked bond power is not finite; the message names the slot and
+    signal, or the bond, that failed first.
     """
     if not (isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
@@ -234,10 +236,11 @@ def run_cosimulation(
     # Methods are looked up once per run instead of once per macro step.
     set_inputs = [slot.set_inputs for slot in slots]
     do_steps = [slot.do_step for slot in slots]
-    get_outputs = [slot.get_outputs for slot in slots]
-    readers = get_outputs + [slot.probes for slot in slots]
+    readers = [slot.get_outputs for slot in slots] + [slot.probes for slot in slots]
     output_widths = [slot.n_outputs for slot in slots]
-    # Bond j books its effort and flow outputs from coupled[2j] and coupled[2j + 1].
+    # pick(values) holds bond j's effort and flow outputs at 2j and 2j + 1.
+    picks = [sum(output_widths[:o]) + k for r in routes for o, k in ((r[0], r[2]), (r[3], r[5]))]
+    pick = itemgetter(*picks) if picks else lambda values: ()
     taps = [
         (BondLedger(sigma).record, o_e, i_e, 2 * j, o_f, i_f, 2 * j + 1)
         for j, (o_e, i_e, _, o_f, i_f, _, sigma) in enumerate(routes)
@@ -246,7 +249,8 @@ def run_cosimulation(
     widths = output_widths + [len(names) for names in probe_names]
     n_outputs = sum(output_widths)
 
-    signals, _, coupled = _check(0.0, get_outputs, routes, output_widths, probe_names, record)
+    values = _check(0.0, readers[: len(slots)], output_widths, probe_names, record)
+    coupled = pick(values)
     dt_next = policy.start(coupled)
 
     # The clock is a CompensatedSum of the step sizes, kept in two locals.
@@ -276,13 +280,14 @@ def run_cosimulation(
         clock = total
         t_next = clock + clock_err
 
-        inputs = apply_connections(wiring, signals)
+        inputs = apply_connections(wiring, coupled)
         for set_u, u in zip(set_inputs, inputs):
             set_u(u)
         for do_step in do_steps:
             do_step(t_now, dt)
 
-        signals, values, coupled = _check(t_next, readers, routes, widths, probe_names, record)
+        values = _check(t_next, readers, widths, probe_names, record)
+        coupled = pick(values)
         bond_steps = []
         ledger_fields = []
         for record_step, o_e, i_e, j_e, o_f, i_f, j_f in taps:

@@ -121,14 +121,11 @@ class SimulatorSlot(ABC):
 
 
 class Wiring(namedtuple("Wiring", "input_widths routes")):
-    """Validated routing table produced by :func:`validate_graph`.
-
-    Keeps the per-simulator input widths needed to materialize complete input
-    vectors and one flat route per bond, ``(o_e, i_e, k_e, o_f, i_f, k_f,
-    sigma)``: owner, input index and output index of the effort port, then of
-    the flow port, then the sign, so the per-step exchange reads plain
-    numbers instead of walking port objects.
-    """
+    """Validated routing table produced by :func:`validate_graph`: each
+    simulator's input width, and one flat route per bond, ``(o_e, i_e, k_e,
+    o_f, i_f, k_f, sigma)``: owner, input index and output index of the
+    effort port, then of the flow port, then the sign, so the per-step
+    exchange reads plain numbers instead of walking port objects."""
 
     __slots__ = ()
 
@@ -168,16 +165,14 @@ def validate_graph(bonds: Sequence[PowerBond], slots: Sequence[SimulatorSlot]) -
     return Wiring(input_widths=tuple(s.n_inputs for s in slots), routes=routes)
 
 
-def apply_connections(
-    wiring: Wiring, outputs: Sequence[Sequence[float]]
-) -> list[list[float]]:
-    """Map simulator outputs to inputs: per bond, u_effort = sigma*y_flow and
-    u_flow = -sigma*y_effort.
-
-    ``outputs`` holds one output vector per simulator; unbonded inputs are 0.
-    """
+def apply_connections(wiring: Wiring, coupled: Sequence[float]) -> list[list[float]]:
+    """Map coupling outputs to inputs: per bond, u_effort = sigma*y_flow and
+    u_flow = -sigma*y_effort.  ``coupled`` holds each bond's effort and flow
+    outputs as floats, bond by bond; unbonded inputs are 0."""
     inputs = [[0.0] * width for width in wiring.input_widths]
-    for o_e, i_e, k_e, o_f, i_f, k_f, sigma in wiring.routes:
-        inputs[o_e][i_e] = sigma * outputs[o_f][k_f]
-        inputs[o_f][i_f] = -sigma * outputs[o_e][k_e]
+    j = 0  # each bond's effort output is coupled[j], its flow output coupled[j + 1]
+    for o_e, i_e, _, o_f, i_f, _, sigma in wiring.routes:
+        inputs[o_e][i_e] = sigma * coupled[j + 1]
+        inputs[o_f][i_f] = -sigma * coupled[j]
+        j += 2
     return inputs

@@ -30,7 +30,7 @@ from eccosim import cli, master
 from eccosim.cli import EXPECTED_TABLES, _log_spaced, main
 from eccosim.control import NonFiniteIndicator
 from eccosim.master import RunRecord, SimulatorFailure
-from eccosim.quartercar import PRESETS, RETICULATIONS
+from eccosim.quartercar import PRESETS, RETICULATIONS, WheelOnly
 
 CONFIG_TEXT = """
 # benchmark configuration
@@ -486,6 +486,33 @@ def test_cli_failed_partial_write_still_exits_two(tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert "error: [Errno" in err and "simulation failure: slot 1 output 0" in err
     assert "Traceback" not in err
+
+
+class _AddsOnly:
+    def __radd__(self, other):
+        return other
+
+    def __repr__(self):
+        return "_AddsOnly()"
+
+
+def test_cli_probe_that_is_not_a_number_exits_two(tmp_path, monkeypatch, capsys):
+    # the record cannot pack a value without __float__: the check refuses it before
+    real = WheelOnly.probes
+
+    def probes(self):
+        return (_AddsOnly(), self.v_w) if self.step_calls >= 2 else real(self)
+
+    monkeypatch.setattr(WheelOnly, "probes", probes)
+    out = tmp_path / "p.csv"
+    argv = ["run", "--reticulation", "B", "--controller", "constant", "--t-end", "0.01"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"partial trajectory written to {out}",
+        "simulation failure: non-finite simulator output at t=0.002: "
+        "slot 1 probe 'z_w' is _AddsOnly(), not a number",
+    ]
+    assert len(out.read_text().splitlines()) == 2  # the header and step 1
 
 
 def test_cli_reproduce_unknown_table_exits_one(capsys):

@@ -5,9 +5,12 @@ import io
 import math
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
+from functools import cache
 from itertools import chain, product
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from eccosim.bench import ExperimentConfig, run_experiment, write_trajectory_csv
 from eccosim.control import (
@@ -637,3 +640,196 @@ def test_run_record_keeps_at_most_160_bytes_per_step():
         tracemalloc.stop()
     assert record.step_count >= 10_000
     assert retained / record.step_count <= 160
+
+
+class _MulText(_AddsOnly):
+    """Adds to a float, but multiplies into text."""
+
+    def __mul__(self, other):
+        return "x"
+
+    def __repr__(self):
+        return "_MulText()"
+
+
+class _FloatOnly:
+    def __float__(self):
+        return 1.0
+
+    def __repr__(self):
+        return "_FloatOnly()"
+
+
+class _OneOutput(SimulatorSlot):
+    """A slot with one output and no inputs, to run without bonds."""
+
+    n_outputs = 1
+
+    def __init__(self, outputs):
+        self.outputs = outputs
+
+    def set_inputs(self, u):
+        pass
+
+    def do_step(self, t, dt):
+        pass
+
+    def get_outputs(self):
+        return self.outputs
+
+
+class _RaddProbe(MonolithicQuarterCar):
+    def probes(self):
+        return (_AddsOnly(), *super().probes()[1:])
+
+
+def test_values_the_check_once_let_through_fail_naming_the_slot():
+    # a probe without __float__, which the record could not pack
+    with pytest.raises(SimulatorFailure) as info:
+        run_cosimulation([_RaddProbe(LINEAR_PARAMS)], (), ConstantStep(1e-3), 0.01)
+    assert str(info.value) == (
+        "non-finite simulator output at t=0.001: slot 0 probe 'z_c' is _AddsOnly(), not a number"
+    )
+    assert info.value.record.step_count == 0
+    assert info.value.record.complete is False
+    # a set is not a sequence, whether a bond reads it or not
+    with pytest.raises(SimulatorFailure) as info:
+        run_cosimulation([_OneOutput({0.5})], (), ConstantStep(1e-3), 0.01)
+    assert str(info.value) == (
+        "non-finite simulator output at t=0.0: slot 0 outputs are {0.5}, not a sequence of numbers"
+    )
+    assert info.value.record.step_count == 0
+    assert info.value.record.complete is False
+    # a coupling output that adds to a float but multiplies into text, from the third call
+    message, _ = _fail_with_wheel_outputs(lambda v_w: (_MulText(),), 2)
+    assert message == (
+        "non-finite simulator output at t=0.002: slot 1 output 0 is _MulText(), not a number"
+    )
+
+
+def test_negative_zero_keeps_its_sign_in_the_record_and_the_next_input():
+    # a conversion by 0.0 + v would turn -0.0 into 0.0, and the CSV field "-0.0" into "0.0"
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS)
+    chassis, wheel = slots
+    real_outputs, real_probes, real_set_inputs = wheel.get_outputs, wheel.probes, chassis.set_inputs
+    wheel.get_outputs = lambda: (-0.0,) if wheel.step_calls == 2 else real_outputs()
+    wheel.probes = lambda: (-0.0, wheel.v_w) if wheel.step_calls == 2 else real_probes()
+    received = []
+    chassis.set_inputs = lambda u: received.append(u[0]) or real_set_inputs(u)
+    record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.005)
+    assert math.copysign(1.0, record.column("z_w")[1]) == -1.0
+    assert _csv_bytes(record).splitlines()[2].split(",")[-2] == "-0.0"
+    # the chassis's input for step 3 is sigma * y_flow, from the wheel's step 2 outputs
+    (bond,) = bonds
+    assert (bond.effort.owner, bond.flow.owner) == (0, 1)
+    assert received[2].hex() == (bond.sigma * -0.0).hex() == "-0x0.0p+0"
+
+
+# What a slot returns in place of a vector of width n, or of one value v (n = 1).
+def _empty(v, n):
+    return ()
+
+
+def _set(v, n):
+    return set(range(n))
+
+
+def _adds_only(v, n):
+    return _AddsOnly()
+
+
+def _mul_text(v, n):
+    return _MulText()
+
+
+_NOT_NUMBERS = (
+    lambda v, n: None,
+    _empty,
+    _set,
+    lambda v, n: dict.fromkeys(range(n), v),
+    lambda v, n: {"v": v},
+    lambda v, n: Decimal(v),
+    lambda v, n: "1.5",  # float() would read it; 3 long, so no vector's width
+    lambda v, n: b"1.5",
+    lambda v, n: complex(v),
+    lambda v, n: math.nan,
+    lambda v, n: math.inf,
+    lambda v, n: -math.inf,
+    lambda v, n: 10**400,
+    lambda v, n: (v for _ in range(n)),
+    _adds_only,
+    _mul_text,
+    lambda v, n: _FloatOnly(),
+)
+_NUMBERS = (
+    lambda v, n: Fraction(v),
+    lambda v, n: v != 0.0,
+    lambda v, n: round(v),
+    lambda v, n: -0.0,
+)
+
+
+def _boundary_run(kind):
+    if kind == "monolithic":
+        return [MonolithicQuarterCar(LINEAR_PARAMS)], ()
+    return build_reticulation(kind, LINEAR_PARAMS)
+
+
+@cache
+def _undisturbed(kind):
+    return run_cosimulation(*_boundary_run(kind), ConstantStep(1e-3), 0.006)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(("A", "B", "monolithic")),
+    slot=st.integers(0, 1),
+    signal=st.sampled_from(("outputs", "output", "probes", "probe")),
+    index=st.integers(0, 3),
+    make=st.sampled_from(_NOT_NUMBERS + _NUMBERS),
+    k=st.integers(0, 4),
+)
+@example(kind="monolithic", slot=0, signal="probe", index=0, make=_adds_only, k=1)
+@example(kind="monolithic", slot=0, signal="probes", index=0, make=_set, k=1)
+@example(kind="B", slot=1, signal="output", index=0, make=_mul_text, k=2)
+def test_a_value_either_runs_as_a_float_or_fails_naming_its_slot(kind, slot, signal, index, make, k):
+    # once the slot has taken k steps, one of its signals returns make's value instead
+    slots, bonds = _boundary_run(kind)
+    slot %= len(slots)
+    target = slots[slot]
+    method = "get_outputs" if signal.startswith("output") else "probes"
+    real = getattr(target, method)
+    width = len(real())
+    whole = signal.endswith("s")
+    assume(whole or width > 0)
+    index %= max(width, 1)
+
+    def read():
+        vector = real()
+        if target.step_calls != k:
+            return vector
+        if whole:
+            return make(vector[0] if vector else 0.0, width)
+        return (*vector[:index], make(vector[index], 1), *vector[index + 1 :])
+
+    setattr(target, method, read)
+    received = []
+    for each in slots:
+        each.set_inputs = lambda u, real_set=each.set_inputs: received.extend(u) or real_set(u)
+    valid = make in _NUMBERS if not whole else make is _empty and width == 0
+    read_at_k = method == "get_outputs" or k > 0  # probes are first read after a step
+    undisturbed = _undisturbed(kind)
+    try:
+        record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.006)
+    except SimulatorFailure as failure:
+        assert not valid and read_at_k, str(failure)
+        t = undisturbed.column("t")[k - 1] if k else 0.0
+        assert f"at t={t}" in str(failure) and f"slot {slot} " in str(failure)
+        assert failure.record.complete is False
+        rows = failure.record.data.tobytes()
+        assert rows == undisturbed.data[: max(k - 1, 0) * undisturbed.width].tobytes()
+    else:
+        assert valid or not read_at_k
+        assert record.complete and record.step_count == undisturbed.step_count
+        assert all(map(math.isfinite, record.data))
+        assert {type(u) for u in received} <= {float}

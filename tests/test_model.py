@@ -86,23 +86,25 @@ def test_duplicate_connection_rejected():
 def test_empty_graph_two_slots_is_valid():
     wiring = validate_graph((), dummy_slots(2))
     assert wiring.routes == ()
-    assert apply_connections(wiring, [[], []]) == [[], []]
+    assert apply_connections(wiring, []) == [[], []]
 
 
 def test_apply_connections_example():
     bond = two_port_bond(sigma=-1)
     slots = [OnePortSlot(), OnePortSlot()]
     wiring = validate_graph((bond,), slots)
-    u = apply_connections(wiring, [[2.0], [50.0]])
+    # the coupling outputs, effort then flow: y_effort = 2, y_flow = 50
+    u = apply_connections(wiring, [2.0, 50.0])
     assert u == [[-50.0], [2.0]]
-    assert apply_connections(wiring, [[0.0], [0.0]]) == [[0.0], [0.0]]
+    assert apply_connections(wiring, [0.0, 0.0]) == [[0.0], [0.0]]
 
 
 def test_reticulation_b_initial_outputs_map_to_zero_inputs():
     slots, bonds = build_reticulation("B", LINEAR_PARAMS)
     wiring = validate_graph(bonds, slots)
-    y0 = [list(s.get_outputs()) for s in slots]
-    assert y0 == [[0.0], [0.0]]
+    ((o_e, _, k_e, o_f, _, k_f, _),) = wiring.routes
+    y0 = [slots[o_e].get_outputs()[k_e], slots[o_f].get_outputs()[k_f]]
+    assert y0 == [0.0, 0.0]
     assert apply_connections(wiring, y0) == [[0.0], [0.0]]
 
 
@@ -114,9 +116,9 @@ def test_apply_connections_is_linear(y1, y2, y1b, y2b, a, b):
     bond = two_port_bond(sigma=-1)
     slots = [OnePortSlot(), OnePortSlot()]
     wiring = validate_graph((bond,), slots)
-    combined = apply_connections(wiring, [[a * y1 + b * y1b], [a * y2 + b * y2b]])
-    ua = apply_connections(wiring, [[y1], [y2]])
-    ub = apply_connections(wiring, [[y1b], [y2b]])
+    combined = apply_connections(wiring, [a * y1 + b * y1b, a * y2 + b * y2b])
+    ua = apply_connections(wiring, [y1, y2])
+    ub = apply_connections(wiring, [y1b, y2b])
     # coefficients are +/-1, so both sides round identically
     assert combined[0][0] == a * ua[0][0] + b * ub[0][0]
     assert combined[1][0] == a * ua[1][0] + b * ub[1][0]
