@@ -15,6 +15,7 @@ bytes.
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 from functools import reduce
 from itertools import repeat
@@ -63,8 +64,10 @@ class Setting(
     __slots__ = ()
 
 
-#: The one declaration of each ExperimentConfig field, in field order; the
-#: config-file parser and the CLI flags are derived from it.
+_PI, _ECCO, _PC = PIConfig(), ResidualEnergyIndicator(), OutputExtrapolationIndicator()
+
+#: The one declaration of each ExperimentConfig field, in field order, with the library's
+#: controller defaults; the config-file parser and the CLI flags are derived from it.
 SETTINGS = (
     Setting("preset", "linear", "model.preset", "--preset", str, "damping law", tuple(PRESETS)),
     Setting("reticulation", "A", "model.reticulation", "--reticulation", str, "splitting",
@@ -75,16 +78,20 @@ SETTINGS = (
             "micro steps per macro step in S2"),
     Setting("controller", "constant", "controller.type", "--controller", str, "step policy",
             CONTROLLERS),
-    Setting("r", 1e-5, "controller.r", "--r", float, "residual-energy relative tolerance"),
-    Setting("e0", 750.0, "controller.E0", "--e0", float, "residual-energy scale [J]"),
-    Setting("tol", 1.0, "controller.TOL", "--tol", float, "predictor/corrector tolerance"),
-    Setting("rho", 1e-4, "controller.rho", "--rho", float,
+    Setting("r", _ECCO.rel_tol, "controller.r", "--r", float,
+            "residual-energy relative tolerance"),
+    Setting("e0", _ECCO.energy_scale, "controller.E0", "--e0", float,
+            "residual-energy scale [J]"),
+    Setting("tol", _PC.tol, "controller.TOL", "--tol", float, "predictor/corrector tolerance"),
+    Setting("rho", _PC.rho, "controller.rho", "--rho", float,
             "predictor/corrector relative-error weight"),
-    Setting("alpha_s", 0.8, "controller.alpha_s", "--alpha-s", float, "safety factor"),
-    Setting("dt_min", 1e-4, "controller.dt_min", "--dt-min", float, "min step [s]"),
-    Setting("dt_max", 1e-2, "controller.dt_max", "--dt-max", float, "max step [s]"),
-    Setting("theta_min", 0.2, "controller.theta_min", "--theta-min", float, "min step ratio"),
-    Setting("theta_max", 1.5, "controller.theta_max", "--theta-max", float, "max step ratio"),
+    Setting("alpha_s", _PI.alpha_s, "controller.alpha_s", "--alpha-s", float, "safety factor"),
+    Setting("dt_min", _PI.dt_min, "controller.dt_min", "--dt-min", float, "min step [s]"),
+    Setting("dt_max", _PI.dt_max, "controller.dt_max", "--dt-max", float, "max step [s]"),
+    Setting("theta_min", _PI.theta_min, "controller.theta_min", "--theta-min", float,
+            "min step ratio"),
+    Setting("theta_max", _PI.theta_max, "controller.theta_max", "--theta-max", float,
+            "max step ratio"),
     Setting("t_end", None, "sim.t_end", "--t-end", float, "horizon [s] (default: the preset's)"),
     Setting("dt0", None, "sim.dt0", "--dt0", float,
             "first step [s] (default: 1 ms constant, dt_min adaptive)"),
@@ -118,6 +125,8 @@ class ExperimentConfig(Frozen):
             raise ConfigError(f"micro step ratios must be in 1..{MAX_MICRO_STEPS}")
         if self.t_end is not None and not self.t_end > 0.0:
             raise ConfigError(f"t_end must be finite and positive, got {self.t_end}")
+        if os.path.abspath(self.resolved_summary_path) == os.path.abspath(self.out_path):
+            raise ConfigError(f"summary path {self.resolved_summary_path!r} is the trajectory path")
 
     @property
     def resolved_t_end(self) -> float:

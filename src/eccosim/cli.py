@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import namedtuple
-from math import log10
+from math import inf, log10
 
 from .bench import (
     SETTINGS,
@@ -434,8 +434,8 @@ def cmd_sweep(args) -> int:
     try:
         lo_str, _, hi_str = args.dt.partition("..")
         lo, hi = float(lo_str), float(hi_str)
-        if not 0 < lo < hi:
-            raise ValueError("need 0 < low < high")
+        if not 0 < lo < hi < inf:
+            raise ValueError("need finite bounds" if hi == inf else "need 0 < low < high")
     except ValueError as exc:
         raise ConfigError(f"bad --dt range {args.dt!r}: {exc}") from None
     if not 1 <= args.points <= MAX_SWEEP_POINTS:
@@ -458,6 +458,7 @@ def cmd_sweep(args) -> int:
 
 #: (stable, divergent) bracket ends [s], in ``RETICULATIONS`` order
 _SCAN_RANGES = dict(zip(RETICULATIONS, ((0.040, 0.080), (0.005, 0.020))))
+_SCAN_THRESHOLD, _SCAN_RESOLUTION = stability_scan.__defaults__
 
 
 def cmd_scan(args) -> int:
@@ -509,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--lo", type=float, help="stable bracket end [s]")
     p_scan.add_argument("--hi", type=float, help="divergent bracket end [s]")
     p_scan.add_argument("--t-scan", type=float, dest="t_scan", default=100.0)
-    p_scan.add_argument("--threshold", type=float, default=1e6)
-    p_scan.add_argument("--resolution", type=float, default=1e-4)
+    p_scan.add_argument("--threshold", type=float, default=_SCAN_THRESHOLD)
+    p_scan.add_argument("--resolution", type=float, default=_SCAN_RESOLUTION)
     _add_field_flag(p_scan, "out_path", help="optional CSV output path")
     p_scan.set_defaults(func=cmd_scan)
     return parser

@@ -17,8 +17,8 @@ class CompensatedSum:
 
     __slots__ = ("_s", "_c")
 
-    def __init__(self, value: float = 0.0):
-        self._s = value
+    def __init__(self):
+        self._s = 0.0
         self._c = 0.0
 
     def add(self, x: float) -> float:

@@ -18,7 +18,7 @@ from struct import Struct
 from typing import Callable, Sequence
 
 from .control import StepPolicy
-from .energy import BOND_FIELDS, BondLedger
+from .energy import BOND_FIELDS, BondLedger, CompensatedSum
 from .model import PowerBond, SimulatorSlot, apply_connections, validate_graph
 
 
@@ -253,10 +253,8 @@ def run_cosimulation(
     coupled = pick(values)
     dt_next = policy.start(coupled)
 
-    # The clock is a CompensatedSum of the step sizes, kept in two locals.
-    clock = 0.0
-    clock_err = 0.0
-    t_now = clock + clock_err
+    clock = CompensatedSum().add  # clock(dt) is the time after a step of dt
+    t_now = 0.0
     while True:
         remaining = t_end - t_now
         if remaining <= t_tol:
@@ -270,15 +268,7 @@ def run_cosimulation(
             )
         # Truncate onto t_end; absorb a degenerate final sliver into this step.
         dt = remaining if dt_next >= remaining * (1.0 - 1e-9) else dt_next
-
-        # CompensatedSum.add(dt), then .value
-        total = clock + dt
-        if abs(clock) >= abs(dt):
-            clock_err += (clock - total) + dt
-        else:
-            clock_err += (dt - total) + clock
-        clock = total
-        t_next = clock + clock_err
+        t_next = clock(dt)
 
         inputs = apply_connections(wiring, coupled)
         for set_u, u in zip(set_inputs, inputs):

@@ -1,6 +1,7 @@
 """Configuration parsing, CSV schemas, and CLI exit codes."""
 
 import gc
+import inspect
 import io
 import math
 import os
@@ -22,13 +23,20 @@ from eccosim.bench import (
     load_config,
     parse_config_text,
     run_experiment,
+    stability_scan,
     summarize_experiment,
     write_summary_csv,
     write_trajectory_csv,
 )
-from eccosim import cli, master
+from eccosim import bench, cli, master
 from eccosim.cli import EXPECTED_TABLES, _log_spaced, main
-from eccosim.control import NonFiniteIndicator
+from eccosim.control import (
+    ConstantStep,
+    NonFiniteIndicator,
+    OutputExtrapolationIndicator,
+    PIConfig,
+    ResidualEnergyIndicator,
+)
 from eccosim.master import RunRecord, SimulatorFailure
 from eccosim.quartercar import PRESETS, RETICULATIONS, WheelOnly
 
@@ -97,6 +105,8 @@ def test_config_validation_errors():
             ExperimentConfig(**{name: float("nan")})
     with pytest.raises(ConfigError):
         ExperimentConfig(t_end=float("-inf"))
+    with pytest.raises(ConfigError, match="is the trajectory path"):
+        ExperimentConfig(out_path=os.path.abspath("a.csv"), summary_path="a.csv")
 
 
 def test_resolved_defaults():
@@ -439,6 +449,53 @@ def test_empty_output_paths_rejected_before_any_step(tmp_path, monkeypatch, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.cfg"]
 
 
+def _no_run(*args, **kwargs):
+    raise AssertionError("the run started")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--out", "a.csv", "--summary-out", "a.csv"],
+    ["--summary-out", "run.csv"],
+    ["--config", "same.cfg"],
+], ids=["flags", "default-out", "config-file"])
+def test_summary_path_equal_to_trajectory_path_exits_one_before_any_step(
+    argv, tmp_path, monkeypatch, capsys
+):
+    # the summary would overwrite the trajectory it summarizes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "same.cfg").write_text("output.path = b.csv\noutput.summary_path = ./b.csv\n")
+    monkeypatch.setattr(cli, "run_experiment", _no_run)
+    assert main(["run", "--t-end", "0.01", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: summary path ") and err.endswith(" is the trajectory path\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["same.cfg"]
+
+
+@pytest.mark.parametrize("controller, indicator, fields", [
+    ("ecco", ResidualEnergyIndicator, ("rel_tol", "energy_scale")),
+    ("predictor_corrector", OutputExtrapolationIndicator, ("tol", "rho")),
+])
+def test_cli_controller_defaults_are_the_librarys(controller, indicator, fields):
+    args = cli.build_parser().parse_args(["run", "--controller", controller])
+    cfg = cli._config_from_args(args)
+    assert cfg == ExperimentConfig(controller=controller)
+    policy = build_policy(cfg)
+    assert policy.config == PIConfig()
+    assert type(policy.indicator) is indicator
+    for name in fields:
+        assert getattr(policy.indicator, name) == getattr(indicator(), name)
+    assert cfg.dt0 is None and policy.dt0 == PIConfig().dt_min
+
+
+def test_cli_constant_step_and_scan_defaults():
+    policy = build_policy(cli._config_from_args(cli.build_parser().parse_args(["run"])))
+    assert type(policy) is ConstantStep and policy.min_step == 1e-3
+    args = cli.build_parser().parse_args(["scan", "--reticulation", "A"])
+    scan_defaults = inspect.signature(stability_scan).parameters
+    assert args.threshold == scan_defaults["threshold"].default == 1e6
+    assert args.resolution == scan_defaults["resolution"].default == 1e-4
+
+
 def test_cli_unwritable_output_exits_one(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     for argv in (
@@ -564,6 +621,13 @@ def test_default_sweep_step_sizes_match_geomspace():
 def test_cli_sweep_bad_range_exits_one():
     assert main(["sweep", "--dt", "1e-2..1e-4"]) == 1
     assert main(["sweep", "--dt", "oops"]) == 1
+
+
+@pytest.mark.parametrize("bounds", ["1e-3..inf", "1e-3..1e400"])
+def test_cli_sweep_non_finite_bound_exits_one_before_any_run(bounds, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "run_experiment", _no_run)
+    assert main(["sweep", "--dt", bounds]) == 1
+    assert capsys.readouterr().err == f"error: bad --dt range {bounds!r}: need finite bounds\n"
 
 
 def test_cli_scan_no_onset_exits_one():

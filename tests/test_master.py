@@ -725,6 +725,31 @@ def test_negative_zero_keeps_its_sign_in_the_record_and_the_next_input():
     assert received[2].hex() == (bond.sigma * -0.0).hex() == "-0x0.0p+0"
 
 
+
+@pytest.mark.parametrize("reticulation", ["A", "B"])
+def test_slots_returning_lists_run_as_their_tuples_do(reticulation, monkeypatch):
+    # lists take the check's value-by-value path, over a whole adaptive run
+    def run(slots, bonds):
+        return run_cosimulation(slots, bonds, PIController(ResidualEnergyIndicator()), 1.0)
+
+    tuples = run(*build_reticulation(reticulation, LINEAR_PARAMS))
+    slots, bonds = build_reticulation(reticulation, LINEAR_PARAMS)
+    received = []
+    for slot in slots:
+        outputs, probes, set_inputs = slot.get_outputs, slot.probes, slot.set_inputs
+        slot.get_outputs = lambda outputs=outputs: list(outputs())
+        slot.probes = lambda probes=probes: list(probes())
+        slot.set_inputs = lambda u, set_inputs=set_inputs: received.extend(u) or set_inputs(u)
+    converted = []
+    number = master._number
+    monkeypatch.setattr(master, "_number", lambda v: converted.append(v) or number(v))
+    lists = run(slots, bonds)
+    assert lists.data.tobytes() == tuples.data.tobytes()
+    assert _csv_bytes(lists) == _csv_bytes(tuples)
+    assert len(converted) == lists.step_count * 6 + 2  # two outputs, four probes per step
+    assert len(received) == 2 * lists.step_count and {type(u) for u in received} == {float}
+
+
 # What a slot returns in place of a vector of width n, or of one value v (n = 1).
 def _empty(v, n):
     return ()
