@@ -40,8 +40,10 @@ class BondLedger:
     """Running residual energy of one bond of sign ``sigma``; :meth:`record`
     returns each step's values."""
 
+    __slots__ = ("_add", "_sigma")
+
     def __init__(self, sigma: int):
-        self._accum = CompensatedSum()
+        self._add = CompensatedSum().add
         self._sigma = sigma
 
     def record(self, dt: float, u1: float, u2: float, y1: float, y2: float) -> tuple[float, ...]:
@@ -59,4 +61,4 @@ class BondLedger:
         p12 = self._sigma * (y1 * y2)
         dp = -(p1 + p2)
         de = dp * dt
-        return p1, p2, p12, dp, de, p12 * dt, self._accum.add(de)
+        return p1, p2, p12, dp, de, p12 * dt, self._add(de)

@@ -143,29 +143,18 @@ def _diagnosis(t, outputs, probes, widths, probe_names) -> str:
             return f"{bad}slot {i} probes are {vector!r}, not a sequence of numbers"
 
 
-def _check(t, readers, widths, probe_names, record) -> Sequence[float]:
-    """Call ``readers``, each slot's ``get_outputs`` and then, after a step, its
-    ``probes``; return every value they returned, in that order, as a float.
+def _check(t, signals, widths, probe_names, record) -> list[float]:
+    """The rule for ``signals``, each slot's outputs and then, after a step, its
+    probes: every value they hold, in that order, as a float.
 
     Raises :class:`SimulatorFailure` at ``t``, naming what :func:`_diagnosis`
     finds, unless each vector is a :func:`_sequence` of its length in
     ``widths`` and :func:`_number` converts each value to a finite float.
-    Tuples of floats, as :class:`SimulatorSlot` declares them, pass as they
-    are, screened by one sum from 0.0: it is finite unless a float is not, or
-    the sum overflows, which the floats one by one tell apart.
     """
-    signals = [read() for read in readers]
     try:
-        if widths == list(map(len, signals)):
-            try:
-                values = sum(signals, ())
-                if not {*map(type, values)} <= {float}:
-                    raise TypeError
-            except TypeError:  # not tuples of floats: the rule, value by value
-                if not all(map(_sequence, signals)):
-                    raise
-                values = list(map(_number, chain(*signals)))
-            if isfinite(sum(values, 0.0)) or all(map(isfinite, values)):
+        if widths == list(map(len, signals)) and all(map(_sequence, signals)):
+            values = list(map(_number, chain(*signals)))
+            if all(map(isfinite, values)):
                 return values
     except (TypeError, OverflowError):  # not a sequence, or not a number
         pass
@@ -199,7 +188,7 @@ def run_cosimulation(
     """Run the Jacobi master loop from t = 0 to ``t_end``.
 
     The policy's ``start`` gives the first step size from the coupling outputs
-    :func:`_check` reads at t = 0, and the final step is truncated onto
+    :func:`_check` converts at t = 0, and the final step is truncated onto
     ``t_end``.  ``stop(record)``, when given, is called after each row is
     appended, and a true result ends the run with ``record.complete`` False.
     The slots' ``probe_names``, read once, fix the row layout.
@@ -236,8 +225,12 @@ def run_cosimulation(
     # Methods are looked up once per run instead of once per macro step.
     set_inputs = [slot.set_inputs for slot in slots]
     do_steps = [slot.do_step for slot in slots]
-    readers = [slot.get_outputs for slot in slots] + [slot.probes for slot in slots]
     output_widths = [slot.n_outputs for slot in slots]
+    widths = output_widths + [len(names) for names in probe_names]
+    outputs = [slot.get_outputs for slot in slots]
+    readers = outputs + [slot.probes for slot in slots]
+    n_outputs = sum(output_widths)
+    shape = widths + [float] * sum(widths)  # each vector's width, then each value's type
     # pick(values) holds bond j's effort and flow outputs at 2j and 2j + 1.
     picks = [sum(output_widths[:o]) + k for r in routes for o, k in ((r[0], r[2]), (r[3], r[5]))]
     pick = itemgetter(*picks) if picks else lambda values: ()
@@ -246,11 +239,9 @@ def run_cosimulation(
         for j, (o_e, i_e, _, o_f, i_f, _, sigma) in enumerate(routes)
     ]
     next_step = policy.next_step
-    widths = output_widths + [len(names) for names in probe_names]
-    n_outputs = sum(output_widths)
 
-    values = _check(0.0, readers[: len(slots)], output_widths, probe_names, record)
-    coupled = pick(values)
+    signals = [read() for read in outputs]
+    coupled = pick(_check(0.0, signals, output_widths, probe_names, record))
     dt_next = policy.start(coupled)
 
     clock = CompensatedSum().add  # clock(dt) is the time after a step of dt
@@ -271,12 +262,24 @@ def run_cosimulation(
         t_next = clock(dt)
 
         inputs = apply_connections(wiring, coupled)
-        for set_u, u in zip(set_inputs, inputs):
+        for set_u, do_step, u in zip(set_inputs, do_steps, inputs):
             set_u(u)
-        for do_step in do_steps:
             do_step(t_now, dt)
 
-        values = _check(t_next, readers, widths, probe_names, record)
+        signals = []  # plain loops: in CPython 3.11 a list comprehension is a function call
+        for read in readers:
+            signals.append(read())
+        # What SimulatorSlot declares, tuples of finite floats of their widths, is what
+        # _check returns unchanged: one screen passes it, and _check takes the rest.
+        try:
+            values = sum(signals, ())
+            if not (
+                [*map(len, signals), *map(type, values)] == shape
+                and isfinite(sum(values, 0.0))  # unless a float is not, or only this sum overflows
+            ):
+                raise TypeError
+        except TypeError:
+            values = _check(t_next, signals, widths, probe_names, record)
         coupled = pick(values)
         bond_steps = []
         ledger_fields = []

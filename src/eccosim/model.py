@@ -120,11 +120,12 @@ class SimulatorSlot(ABC):
         return ()
 
 
-class Wiring(namedtuple("Wiring", "input_widths routes")):
+class Wiring(namedtuple("Wiring", "zero_inputs routes")):
     """Validated routing table produced by :func:`validate_graph`: each
-    simulator's input width, and one flat route per bond, ``(o_e, i_e, k_e,
-    o_f, i_f, k_f, sigma)``: owner, input index and output index of the
-    effort port, then of the flow port, then the sign, so the per-step
+    simulator's input vector with every input 0.0, the template
+    :func:`apply_connections` copies, and one flat route per bond, ``(o_e,
+    i_e, k_e, o_f, i_f, k_f, sigma)``: owner, input index and output index of
+    the effort port, then of the flow port, then the sign, so the per-step
     exchange reads plain numbers instead of walking port objects."""
 
     __slots__ = ()
@@ -162,16 +163,17 @@ def validate_graph(bonds: Sequence[PowerBond], slots: Sequence[SimulatorSlot]) -
             used_inputs.add(in_key)
             used_outputs.add(out_key)
     routes = tuple((*b.effort, *b.flow, b.sigma) for b in bonds)
-    return Wiring(input_widths=tuple(s.n_inputs for s in slots), routes=routes)
+    return Wiring(zero_inputs=tuple((0.0,) * s.n_inputs for s in slots), routes=routes)
 
 
 def apply_connections(wiring: Wiring, coupled: Sequence[float]) -> list[list[float]]:
     """Map coupling outputs to inputs: per bond, u_effort = sigma*y_flow and
     u_flow = -sigma*y_effort.  ``coupled`` holds each bond's effort and flow
     outputs as floats, bond by bond; unbonded inputs are 0."""
-    inputs = [[0.0] * width for width in wiring.input_widths]
+    zero_inputs, routes = wiring
+    inputs = [*map(list, zero_inputs)]
     j = 0  # each bond's effort output is coupled[j], its flow output coupled[j + 1]
-    for o_e, i_e, _, o_f, i_f, _, sigma in wiring.routes:
+    for o_e, i_e, _, o_f, i_f, _, sigma in routes:
         inputs[o_e][i_e] = sigma * coupled[j + 1]
         inputs[o_f][i_f] = -sigma * coupled[j]
         j += 2

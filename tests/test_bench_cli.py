@@ -334,14 +334,22 @@ def test_cli_check_passing_row(tmp_path):
     ["scan", "--reticulation", "A", "--t-scan", "0"],
     ["run", "--micro-s2", "1000000000"],
     ["run", "--micro-s1", "1001"],
+    ["scan", "--reticulation", "B", "--hi", "inf"],
+    ["scan", "--reticulation", "B", "--hi", "1e400"],
 ])
-def test_cli_bad_horizon_or_value_exits_one(argv, tmp_path, capsys):
+def test_cli_bad_horizon_or_value_exits_one(argv, tmp_path, monkeypatch, capsys):
     # each of these once hung or exited 0 or 2; now all are config errors
+    runs = []
+    real_run = bench.run_experiment
+    monkeypatch.setattr(bench, "run_experiment", lambda *a, **k: runs.append(a) or real_run(*a, **k))
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert not (tmp_path / "x.csv").exists()
+    assert runs == []  # no scan or sweep run was made before the error
     flags = dict(zip(argv, argv[1:]))
+    if "--hi" in flags:  # once a full stable run, then an error naming dt0
+        assert err == "error: upper bound dt_hi must be finite, got inf\n"
     horizon = float(flags.get("--t-end", flags.get("--t-scan", "nan")))
     if horizon <= 0.0:  # every command words an empty horizon alike
         assert err == f"error: t_end must be finite and positive, got {horizon}\n"

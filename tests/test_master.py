@@ -586,6 +586,47 @@ def test_two_bonds_in_one_run_match_their_single_bond_runs():
     assert both.column("v_w_B").tobytes() == alone.column("v_w").tobytes()
 
 
+class _CountedStep(ConstantStep):
+    def __init__(self, dt):
+        super().__init__(dt)
+        self.calls = 0
+
+    def next_step(self, t_next, dt_used, bond_steps, outputs):
+        self.calls += 1
+        return super().next_step(t_next, dt_used, bond_steps, outputs)
+
+
+def _two_bond_run():
+    slots, (bond_a,) = build_reticulation("A", LINEAR_PARAMS)
+    slots += [_ChassisB(LINEAR_PARAMS), _WheelB(LINEAR_PARAMS)]
+    return slots, (bond_a, PowerBond(PowerPort(2, 0, 0), PowerPort(3, 0, 0), sigma=1))
+
+
+@pytest.mark.parametrize("build, stop, steps", [
+    (lambda: build_reticulation("B", LINEAR_PARAMS), None, 100),
+    (_two_bond_run, None, 100),
+    (lambda: build_reticulation("A", LINEAR_PARAMS), lambda record: record.step_count == 7, 7),
+], ids=["one-bond", "two-bond", "stopped"])
+def test_each_step_makes_one_exchange_one_policy_call_and_one_ledger_call_per_bond(
+    build, stop, steps, monkeypatch
+):
+    # the per-layer trace divides by these counts
+    booked, exchanges = [], []
+    real_record, real_exchange = BondLedger.record, master.apply_connections
+    monkeypatch.setattr(
+        BondLedger, "record", lambda self, *a: booked.append(self) or real_record(self, *a)
+    )
+    monkeypatch.setattr(
+        master, "apply_connections", lambda *a: exchanges.append(a) or real_exchange(*a)
+    )
+    slots, bonds = build()
+    policy = _CountedStep(1e-3)
+    record = run_cosimulation(slots, bonds, policy, 0.1, stop=stop)
+    assert record.step_count == steps and record.complete is (stop is None)
+    assert len(booked) == len(bonds) * steps and len(set(booked)) == len(bonds)
+    assert policy.calls == len(exchanges) == steps
+
+
 def test_finite_values_whose_sum_overflows_pass():
     huge = (1.5e308, 1.5e308)
     record = run_cosimulation([_Probed(huge)], (), ConstantStep(1e-3), 0.004)
