@@ -398,6 +398,21 @@ def test_probe_values_of_the_wrong_count_fail_naming_the_slot(later):
     assert info.value.record.complete is False
 
 
+class _ProbedUV(_Probed):
+    probe_names = ("u", "v")
+
+
+def test_probe_counts_that_only_add_up_fail_naming_the_slot():
+    # one value too many and one too few: the total is right, each width is not
+    slots = [_Probed((1.0, 2.0, 3.0)), _ProbedUV((4.0,))]
+    with pytest.raises(SimulatorFailure) as info:
+        run_cosimulation(slots, (), ConstantStep(1e-3), 0.01)
+    assert str(info.value) == (
+        "slot 0 returned 3 probe values at t=0.003 for its 2 probe names ('x', 'y')"
+    )
+    assert info.value.record.step_count == 2
+
+
 class _DictProbes(MonolithicQuarterCar):
     """Still written to the old contract: ``probes()`` returns a dict."""
 

@@ -42,13 +42,14 @@ def test_block_check_matches_a_check_after_every_row_at_every_bisection_point(
         assert verdict == _diverges_row_by_row(cfg, dt), dt
 
 
-class _Ramp(SimulatorSlot):
-    """No inputs or outputs; its one probe reads ``sign`` times the steps taken."""
+class _Spike(SimulatorSlot):
+    """No inputs or outputs; its one probe reads ``value`` after step ``at``, 0 after the others."""
 
     probe_names = ("x",)
 
-    def __init__(self, sign):
-        self.sign = sign
+    def __init__(self, at, value):
+        self.at = at
+        self.value = value
         self.steps = 0
 
     def set_inputs(self, u):
@@ -61,36 +62,37 @@ class _Ramp(SimulatorSlot):
         return ()
 
     def probes(self):
-        return (self.sign * float(self.steps),)
+        return (self.value if self.steps == self.at else 0.0,)
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("value", [2.0, -2.0])
 @pytest.mark.parametrize(
-    "first_beyond, steps, rows_run",
+    "beyond, steps, rows_run",
     [
-        (64, 200, 64),  # at a block boundary: the run stops there
-        (65, 200, 128),  # one row after it: the next block stops the run
+        (64, 200, 64),  # the last row of a block: the run stops there
+        (65, 200, 128),  # the first row of the next block: that block stops the run
         (99, 100, 100),  # only in the final, partial block of a complete run
         (101, 100, 100),  # never: stable
     ],
 )
-def test_block_check_finds_the_first_row_beyond_wherever_it_falls(
-    first_beyond, steps, rows_run, sign, monkeypatch
+def test_block_check_finds_a_single_row_beyond_wherever_it_falls(
+    beyond, steps, rows_run, value, monkeypatch
 ):
-    # row k probes sign * k, so row first_beyond is the first beyond the threshold
+    # row `beyond` alone probes +-2, beyond the threshold 1; every other row probes 0
     ran = []
 
-    def ramp_run(cfg, stop=None):
-        record = run_cosimulation([_Ramp(sign)], (), ConstantStep(cfg.dt0), cfg.t_end, stop=stop)
+    def spike_run(cfg, stop=None):
+        record = run_cosimulation(
+            [_Spike(beyond, value)], (), ConstantStep(cfg.dt0), cfg.t_end, stop=stop
+        )
         ran.append(record.step_count)
         return record
 
-    monkeypatch.setattr(bench, "run_experiment", ramp_run)
+    monkeypatch.setattr(bench, "run_experiment", spike_run)
     cfg = ExperimentConfig(t_end=steps * 0.5)
-    threshold = first_beyond - 0.5
-    verdict = first_beyond <= steps
-    assert _diverges_row_by_row(cfg, 0.5, threshold) is verdict
-    assert _diverges(cfg, 0.5, threshold) is verdict
+    verdict = beyond <= steps
+    assert _diverges_row_by_row(cfg, 0.5, 1.0) is verdict
+    assert _diverges(cfg, 0.5, 1.0) is verdict
     assert ran[-1] == rows_run
 
 
