@@ -162,7 +162,8 @@ def validate_graph(bonds: Sequence[PowerBond], slots: Sequence[SimulatorSlot]) -
                 raise DuplicateConnection(f"output {out_key} wired twice")
             used_inputs.add(in_key)
             used_outputs.add(out_key)
-    routes = tuple((*b.effort, *b.flow, b.sigma) for b in bonds)
+    # the sign as a float: the exchange and the ledgers then multiply floats only
+    routes = tuple((*b.effort, *b.flow, float(b.sigma)) for b in bonds)
     return Wiring(zero_inputs=tuple((0.0,) * s.n_inputs for s in slots), routes=routes)
 
 
