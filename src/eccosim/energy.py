@@ -42,7 +42,7 @@ class BondLedger:
 
     __slots__ = ("_add", "_sigma")
 
-    def __init__(self, sigma: int):
+    def __init__(self, sigma: float):
         self._add = CompensatedSum().add
         self._sigma = sigma
 

@@ -125,8 +125,8 @@ class Wiring(namedtuple("Wiring", "zero_inputs routes")):
     simulator's input vector with every input 0.0, the template
     :func:`apply_connections` copies, and one flat route per bond, ``(o_e,
     i_e, k_e, o_f, i_f, k_f, sigma)``: owner, input index and output index of
-    the effort port, then of the flow port, then the sign, so the per-step
-    exchange reads plain numbers instead of walking port objects."""
+    the effort port, then of the flow port, then the sign as a float, so the
+    per-step exchange reads plain numbers instead of walking port objects."""
 
     __slots__ = ()
 
@@ -162,7 +162,7 @@ def validate_graph(bonds: Sequence[PowerBond], slots: Sequence[SimulatorSlot]) -
                 raise DuplicateConnection(f"output {out_key} wired twice")
             used_inputs.add(in_key)
             used_outputs.add(out_key)
-    # the sign as a float: the exchange and the ledgers then multiply floats only
+    # float(sigma): the exchange and the ledgers then multiply floats only
     routes = tuple((*b.effort, *b.flow, float(b.sigma)) for b in bonds)
     return Wiring(zero_inputs=tuple((0.0,) * s.n_inputs for s in slots), routes=routes)
 
