@@ -8,6 +8,7 @@ slot value, or non-finite states), 3 measured results outside the expected toler
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import namedtuple
 from math import inf, log10
@@ -30,19 +31,14 @@ from .master import SimulatorFailure
 from .quartercar import RETICULATIONS
 
 
-class Cell(namedtuple("Cell", "metric expected rel_tol", defaults=(None,))):
-    """One expected table cell: metric name, expected value, tolerance band.
-
-    ``rel_tol`` of None marks a display-only cell.  ``total_residual`` cells
-    compare |measured| against the expected value: the tables print the
-    residual energy as a magnitude.
-    """
-
-    __slots__ = ()
+#: The quantities of each table row, in the paper's column order: mean step [ms], mean
+#: bond power, mean absolute power error and residual energy, printed as a magnitude.
+METRICS = ("mean_dt_ms", "mean_P12", "mean_abs_dP", "total_residual")
 
 
-class Row(namedtuple("Row", "label config cells")):
-    """One table row: its label, the experiment it runs, and its expected cells."""
+class Row(namedtuple("Row", "label config expected bands")):
+    """One table row: its label, the experiment it runs, and per :data:`METRICS` its
+    expected value and relative tolerance band; a band of None marks a display-only cell."""
 
     __slots__ = ()
 
@@ -54,128 +50,48 @@ class Table(namedtuple("Table", "title rows residual_reduction_min", defaults=(N
     __slots__ = ()
 
 
-def _cfg(preset, reticulation, controller, **kw) -> ExperimentConfig:
-    return ExperimentConfig(preset=preset, reticulation=reticulation, controller=controller, **kw)
+def _row(label, preset, reticulation, controller, expected, bands, **kw) -> Row:
+    cfg = ExperimentConfig(preset=preset, reticulation=reticulation, controller=controller, **kw)
+    return Row(label, cfg, expected, bands)
+
+
+def _pc_row(label, preset, reticulation, tol, expected) -> Row:
+    """A predictor/corrector row: the tables band only its power error and residual."""
+    return _row(label, preset, reticulation, "predictor_corrector", expected,
+                (None, None, 0.35, 0.35), tol=tol, rho=1e-4)
 
 
 _T3_ROWS = (
-    Row(
-        "constant",
-        _cfg("linear", "A", "constant", dt0=1e-3),
-        (
-            Cell("mean_dt_ms", 1.0),
-            Cell("mean_P12", 0.4, 0.30),
-            Cell("mean_abs_dP", 1.3, 0.30),
-            Cell("total_residual", 6.4, 0.15),
-        ),
-    ),
-    Row(
-        "ecco-2.8e-6",
-        _cfg("linear", "A", "ecco", r=2.8e-6),
-        (
-            Cell("mean_dt_ms", 1.0, 0.20),
-            Cell("mean_P12", 0.0),
-            Cell("mean_abs_dP", 0.4, 0.30),
-            Cell("total_residual", 1.6, 0.25),
-        ),
-    ),
-    Row(
-        "ecco-3.1e-5",
-        _cfg("linear", "A", "ecco", r=3.1e-5),
-        (
-            Cell("mean_dt_ms", 2.9, 0.20),
-            Cell("mean_P12", 0.1),
-            Cell("mean_abs_dP", 1.3),
-            Cell("total_residual", 5.0, 0.25),
-        ),
-    ),
+    _row("constant", "linear", "A", "constant",
+         (1.0, 0.4, 1.3, 6.4), (None, 0.30, 0.30, 0.15), dt0=1e-3),
+    _row("ecco-2.8e-6", "linear", "A", "ecco",
+         (1.0, 0.0, 0.4, 1.6), (0.20, None, 0.30, 0.25), r=2.8e-6),
+    _row("ecco-3.1e-5", "linear", "A", "ecco",
+         (2.9, 0.1, 1.3, 5.0), (0.20, None, None, 0.25), r=3.1e-5),
 )
-
 
 _T7_ROWS = (
-    Row(
-        "constant",
-        _cfg("nonlinear", "A", "constant", dt0=1e-3),
-        (
-            Cell("mean_dt_ms", 1.0),
-            Cell("mean_P12", 1.0),
-            Cell("mean_abs_dP", 4.0, 0.30),
-            Cell("total_residual", 5.0, 0.30),
-        ),
-    ),
-    Row(
-        "ecco-7.5e-6",
-        _cfg("nonlinear", "A", "ecco", r=7.5e-6),
-        (
-            Cell("mean_dt_ms", 1.0),
-            Cell("mean_P12", 0.0),
-            Cell("mean_abs_dP", 1.1, 0.30),
-            Cell("total_residual", 1.6, 0.30),
-        ),
-    ),
-    Row(
-        "ecco-1.0e-4",
-        _cfg("nonlinear", "A", "ecco", r=1.0e-4),
-        (
-            Cell("mean_dt_ms", 3.1, 0.30),
-            Cell("mean_P12", 0.0),
-            Cell("mean_abs_dP", 4.0),
-            Cell("total_residual", 6.0),
-        ),
-    ),
+    _row("constant", "nonlinear", "A", "constant",
+         (1.0, 1.0, 4.0, 5.0), (None, None, 0.30, 0.30), dt0=1e-3),
+    _row("ecco-7.5e-6", "nonlinear", "A", "ecco",
+         (1.0, 0.0, 1.1, 1.6), (None, None, 0.30, 0.30), r=7.5e-6),
+    _row("ecco-1.0e-4", "nonlinear", "A", "ecco",
+         (3.1, 0.0, 4.0, 6.0), (0.30, None, None, None), r=1.0e-4),
 )
-
 
 _T8_ROWS = (
-    Row(
-        "constant",
-        _cfg("linear", "B", "constant", dt0=1e-3),
-        (
-            Cell("mean_dt_ms", 1.0),
-            Cell("mean_P12", -192.0, 0.20),
-            Cell("mean_abs_dP", 12.0, 0.20),
-            Cell("total_residual", 23.0, 0.20),
-        ),
-    ),
-    Row(
-        "ecco-9.1e-7",
-        _cfg("linear", "B", "ecco", r=9.1e-7),
-        (
-            Cell("mean_dt_ms", 1.0),
-            Cell("mean_P12", -187.9, 0.20),
-            Cell("mean_abs_dP", 1.3, 0.20),
-            Cell("total_residual", 1.6, 0.20),
-        ),
-    ),
+    _row("constant", "linear", "B", "constant",
+         (1.0, -192.0, 12.0, 23.0), (None, 0.20, 0.20, 0.20), dt0=1e-3),
+    _row("ecco-9.1e-7", "linear", "B", "ecco",
+         (1.0, -187.9, 1.3, 1.6), (None, 0.20, 0.20, 0.20), r=9.1e-7),
 )
-
 
 _T9_ROWS = (
-    Row(
-        "constant",
-        _cfg("nonlinear", "B", "constant", dt0=1e-3),
-        (
-            Cell("mean_dt_ms", 1.0),
-            Cell("mean_P12", -390.0, 0.30),
-            Cell("mean_abs_dP", 30.0, 0.30),
-            Cell("total_residual", 50.0, 0.30),
-        ),
-    ),
-    Row(
-        "ecco-2.4e-5",
-        _cfg("nonlinear", "B", "ecco", r=2.4e-5),
-        (
-            Cell("mean_dt_ms", 1.0),
-            Cell("mean_P12", -377.0, 0.30),
-            Cell("mean_abs_dP", 5.0, 0.30),
-            Cell("total_residual", 5.0, 0.30),
-        ),
-    ),
+    _row("constant", "nonlinear", "B", "constant",
+         (1.0, -390.0, 30.0, 50.0), (None, 0.30, 0.30, 0.30), dt0=1e-3),
+    _row("ecco-2.4e-5", "nonlinear", "B", "ecco",
+         (1.0, -377.0, 5.0, 5.0), (None, 0.30, 0.30, 0.30), r=2.4e-5),
 )
-
-
-def _pc_row(label, preset, reticulation, tol, cells) -> Row:
-    return Row(label, _cfg(preset, reticulation, "predictor_corrector", tol=tol, rho=1e-4), cells)
 
 
 EXPECTED_TABLES: dict[str, Table] = {
@@ -186,80 +102,32 @@ EXPECTED_TABLES: dict[str, Table] = {
     "T10": Table(
         "linear quarter car, reticulation B, single micro step in S2",
         (
-            Row(
-                "constant",
-                _cfg("linear", "B", "constant", dt0=1e-3, micro_ratio_s2=1),
-                (
-                    Cell("mean_dt_ms", 1.0),
-                    Cell("mean_P12", -220.0, 0.30),
-                    Cell("mean_abs_dP", 40.0, 0.30),
-                    Cell("total_residual", 30.0, 0.30),
-                ),
-            ),
-            Row(
-                "ecco-1.0e-6",
-                _cfg("linear", "B", "ecco", r=1.0e-6, micro_ratio_s2=1),
-                (
-                    Cell("mean_dt_ms", 1.0),
-                    Cell("mean_P12", -190.0, 0.30),
-                    Cell("mean_abs_dP", 4.0, 0.30),
-                    Cell("total_residual", 2.0, 0.30),
-                ),
-            ),
+            _row("constant", "linear", "B", "constant",
+                 (1.0, -220.0, 40.0, 30.0), (None, 0.30, 0.30, 0.30), dt0=1e-3, micro_ratio_s2=1),
+            _row("ecco-1.0e-6", "linear", "B", "ecco",
+                 (1.0, -190.0, 4.0, 2.0), (None, 0.30, 0.30, 0.30), r=1.0e-6, micro_ratio_s2=1),
         ),
         residual_reduction_min=0.85,
     ),
     "PC-linear": Table(
         "linear quarter car, reticulation A, controller comparison",
-        (
-            _T3_ROWS[0],
-            _pc_row("pc-6.7e-1", "linear", "A", 6.7e-1, (
-                Cell("mean_dt_ms", 1.0),
-                Cell("mean_P12", 0.3),
-                Cell("mean_abs_dP", 0.7, 0.35),
-                Cell("total_residual", 2.9, 0.35),
-            )),
-            _T3_ROWS[1],
-        ),
+        (_T3_ROWS[0], _pc_row("pc-6.7e-1", "linear", "A", 6.7e-1, (1.0, 0.3, 0.7, 2.9)),
+         _T3_ROWS[1]),
     ),
     "PC-nonlinear": Table(
         "nonlinear quarter car, reticulation A, controller comparison",
-        (
-            _T7_ROWS[0],
-            _pc_row("pc-2.1", "nonlinear", "A", 2.1, (
-                Cell("mean_dt_ms", 1.0),
-                Cell("mean_P12", 0.4),
-                Cell("mean_abs_dP", 1.9, 0.35),
-                Cell("total_residual", 3.1, 0.35),
-            )),
-            _T7_ROWS[1],
-        ),
+        (_T7_ROWS[0], _pc_row("pc-2.1", "nonlinear", "A", 2.1, (1.0, 0.4, 1.9, 3.1)),
+         _T7_ROWS[1]),
     ),
     "PC-altA": Table(
         "linear quarter car, reticulation B, controller comparison",
-        (
-            _T8_ROWS[0],
-            _pc_row("pc-6.0e-1", "linear", "B", 6.0e-1, (
-                Cell("mean_dt_ms", 1.0),
-                Cell("mean_P12", -187.7),
-                Cell("mean_abs_dP", 1.3, 0.35),
-                Cell("total_residual", 1.7, 0.35),
-            )),
-            _T8_ROWS[1],
-        ),
+        (_T8_ROWS[0], _pc_row("pc-6.0e-1", "linear", "B", 6.0e-1, (1.0, -187.7, 1.3, 1.7)),
+         _T8_ROWS[1]),
     ),
     "PC-altB": Table(
         "nonlinear quarter car, reticulation B, controller comparison",
-        (
-            _T9_ROWS[0],
-            _pc_row("pc-6.5", "nonlinear", "B", 6.5, (
-                Cell("mean_dt_ms", 1.0),
-                Cell("mean_P12", -392.0),
-                Cell("mean_abs_dP", 18.0, 0.35),
-                Cell("total_residual", 21.0, 0.35),
-            )),
-            _T9_ROWS[1],
-        ),
+        (_T9_ROWS[0], _pc_row("pc-6.5", "nonlinear", "B", 6.5, (1.0, -392.0, 18.0, 21.0)),
+         _T9_ROWS[1]),
     ),
 }
 
@@ -269,27 +137,21 @@ def check_row(row: Row, summary) -> int:
 
     Display-only cells never fail.
     """
-    metrics = {
-        "mean_dt_ms": summary.mean_dt * 1e3,
-        "mean_P12": summary.mean_P12,
-        "mean_abs_dP": summary.mean_abs_dP,
-        "total_residual": summary.total_residual,
-    }
+    measured = (
+        summary.mean_dt * 1e3, summary.mean_P12, summary.mean_abs_dP, abs(summary.total_residual)
+    )
     failures = 0
-    for cell in row.cells:
-        value = metrics[cell.metric]
-        if cell.metric == "total_residual":
-            value = abs(value)
-        if cell.rel_tol is None:
+    for metric, value, expected, rel_tol in zip(METRICS, measured, row.expected, row.bands):
+        if rel_tol is None:
             status, band = "info", ""
         else:
-            ok = abs(value - cell.expected) <= cell.rel_tol * abs(cell.expected)
+            ok = abs(value - expected) <= rel_tol * abs(expected)
             status = "ok" if ok else "FAIL"
-            band = f"+/-{cell.rel_tol:.0%}"
+            band = f"+/-{rel_tol:.0%}"
             failures += not ok
         print(
-            f"  {row.label:<14} {cell.metric:<16} measured {value:>12.5g}"
-            f"  expected {cell.expected:>10g} {band:<8} {status}"
+            f"  {row.label:<14} {metric:<16} measured {value:>12.5g}"
+            f"  expected {expected:>10g} {band:<8} {status}"
         )
     return failures
 
@@ -354,9 +216,20 @@ def _find_row(key: str) -> Row:
     raise ConfigError(f"unknown row {label!r} in {table_id}; valid: {labels}")
 
 
+def _refuse_unwritable(*paths: str | None) -> None:
+    """Refuse, before any run, an output path that is a directory or whose directory
+    does not exist: the run would be lost when its output is written."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise ConfigError(f"output path {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"directory of output path {path!r} does not exist")
+
+
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
     row = _find_row(args.check) if args.check else None
+    _refuse_unwritable(cfg.out_path, cfg.resolved_summary_path)
     try:
         record = run_experiment(cfg)
     except SimulatorFailure as exc:
@@ -440,7 +313,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad --dt range {args.dt!r}: {exc}") from None
     if not 1 <= args.points <= MAX_SWEEP_POINTS:
         raise ConfigError(f"--points must be in 1..{MAX_SWEEP_POINTS}, got {args.points}")
-    cfg = ExperimentConfig(preset=args.preset, reticulation=args.reticulation, t_end=args.t_end)
+    _refuse_unwritable(args.out_path)
+    cfg = load_config(
+        None, {"preset": args.preset, "reticulation": args.reticulation, "t_end": args.t_end}
+    )
     points = step_size_sweep(cfg, _log_spaced(lo, hi, args.points))
     lines = ["dt,mean_abs_dP,residual_estimate"]
     for p in points:
@@ -465,7 +341,10 @@ def cmd_scan(args) -> int:
     lo, hi = _SCAN_RANGES[args.reticulation]
     lo = args.lo if args.lo is not None else lo
     hi = args.hi if args.hi is not None else hi
-    cfg = ExperimentConfig(preset=args.preset, reticulation=args.reticulation, t_end=args.t_scan)
+    _refuse_unwritable(args.out_path)
+    cfg = load_config(
+        None, {"preset": args.preset, "reticulation": args.reticulation, "t_end": args.t_scan}
+    )
     onset = stability_scan(cfg, lo, hi, threshold=args.threshold, resolution=args.resolution)
     print(f"reticulation {args.reticulation}: instability onset at dt = {onset * 1e3:.2f} ms")
     if args.out_path:
@@ -498,15 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="constant-step error sweep (two curves)")
     p_sweep.add_argument("--dt", default="1e-4..1e-2", help="range low..high [s]")
     p_sweep.add_argument("--points", type=int, default=9)
-    _add_field_flag(p_sweep, "preset", default="linear")
-    _add_field_flag(p_sweep, "reticulation", default="A")
+    _add_field_flag(p_sweep, "preset")
+    _add_field_flag(p_sweep, "reticulation")
     _add_field_flag(p_sweep, "t_end")
     _add_field_flag(p_sweep, "out_path", help="output CSV path (default: print)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_scan = sub.add_parser("scan", help="bisect the constant-step stability onset")
     _add_field_flag(p_scan, "reticulation", required=True)
-    _add_field_flag(p_scan, "preset", default="linear")
+    _add_field_flag(p_scan, "preset")
     p_scan.add_argument("--lo", type=float, help="stable bracket end [s]")
     p_scan.add_argument("--hi", type=float, help="divergent bracket end [s]")
     p_scan.add_argument("--t-scan", type=float, dest="t_scan", default=100.0)

@@ -1,6 +1,7 @@
 """Configuration parsing, CSV schemas, and CLI exit codes."""
 
 import gc
+import hashlib
 import inspect
 import io
 import math
@@ -29,7 +30,7 @@ from eccosim.bench import (
     write_trajectory_csv,
 )
 from eccosim import bench, cli, master
-from eccosim.cli import EXPECTED_TABLES, _log_spaced, main
+from eccosim.cli import EXPECTED_TABLES, METRICS, _log_spaced, check_row, main
 from eccosim.control import (
     ConstantStep,
     NonFiniteIndicator,
@@ -39,6 +40,7 @@ from eccosim.control import (
 )
 from eccosim.master import RunRecord, SimulatorFailure
 from eccosim.quartercar import PRESETS, RETICULATIONS, WheelOnly
+from eccosim.reference import ErrorSummary
 
 CONFIG_TEXT = """
 # benchmark configuration
@@ -209,10 +211,34 @@ def test_expected_tables_well_formed():
         "T3", "T7", "T8", "T9", "T10",
         "PC-linear", "PC-nonlinear", "PC-altA", "PC-altB",
     }
-    for table in EXPECTED_TABLES.values():
+    assert METRICS == ("mean_dt_ms", "mean_P12", "mean_abs_dP", "total_residual")
+    for table_id, table in EXPECTED_TABLES.items():
+        labels = [row.label for row in table.rows]
+        assert len(set(labels)) == len(labels)
         for row in table.rows:
-            metrics = {c.metric for c in row.cells}
-            assert metrics <= {"mean_dt_ms", "mean_P12", "mean_abs_dP", "total_residual"}
+            assert len(row.expected) == len(row.bands) == len(METRICS)
+            assert all(band is None or 0 < band < 1 for band in row.bands)
+            assert cli._find_row(f"{table_id}:{row.label}") is row
+
+
+#: sha256 of the lines ``check_row`` prints for every row of every table, each row
+#: followed by its table and failure count, measured against all-1.0 and all-(-1.0) summaries
+EXPECTED_TABLE_LINES_SHA256 = "a45de73fba1c447d1e3bc1df5a4e3ef7c06b18b8fef29089ee037cd53fcaf21e"
+
+
+def test_table_expectations_print_pinned_lines():
+    # pins every expected value, band and status column that ``reproduce`` prints, with no oracle
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        for value in (1.0, -1.0):
+            summary = ErrorSummary(value, value, value, value, 1)
+            for table_id, table in EXPECTED_TABLES.items():
+                for row in table.rows:
+                    print(table_id, check_row(row, summary))
+    text = buf.getvalue()
+    assert {"ok", "FAIL", "info"} <= {line.split()[-1] for line in text.splitlines()}
+    assert len(text.splitlines()) == 240
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPECTED_TABLE_LINES_SHA256
 
 
 def test_cli_run_exit_zero(tmp_path):
@@ -495,24 +521,52 @@ def test_cli_controller_defaults_are_the_librarys(controller, indicator, fields)
     assert cfg.dt0 is None and policy.dt0 == PIConfig().dt_min
 
 
-def test_cli_constant_step_and_scan_defaults():
+def test_cli_constant_step_and_scan_defaults(monkeypatch):
     policy = build_policy(cli._config_from_args(cli.build_parser().parse_args(["run"])))
     assert type(policy) is ConstantStep and policy.min_step == 1e-3
     args = cli.build_parser().parse_args(["scan", "--reticulation", "A"])
     scan_defaults = inspect.signature(stability_scan).parameters
     assert args.threshold == scan_defaults["threshold"].default == 1e6
     assert args.resolution == scan_defaults["resolution"].default == 1e-4
+    # sweep and scan take the model they run from the library's defaults
+    configs = []
+    monkeypatch.setattr(cli, "step_size_sweep", lambda cfg, dts: configs.append(cfg) or [])
+    monkeypatch.setattr(cli, "stability_scan", lambda cfg, *a, **kw: configs.append(cfg) or 0.05)
+    assert main(["sweep"]) == 0
+    assert main(["scan", "--reticulation", "B"]) == 0
+    default = ExperimentConfig()
+    assert [(c.preset, c.reticulation) for c in configs] == [
+        (default.preset, default.reticulation), (default.preset, "B")
+    ]
 
 
-def test_cli_unwritable_output_exits_one(tmp_path, capsys):
-    out = tmp_path / "missing" / "x.csv"
-    for argv in (
+def test_cli_unwritable_output_exits_one(tmp_path, monkeypatch, capsys):
+    # refused before any run: a run would be lost when its output is written
+    for worker in ("run_experiment", "step_size_sweep", "stability_scan"):
+        monkeypatch.setattr(cli, worker, _no_run)
+    monkeypatch.setattr(bench, "run_experiment", _no_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    missing = str(tmp_path / "missing" / "x.csv")
+    for command in (
         ["run", "--t-end", "0.01"],
         ["sweep", "--dt", "1e-3..2e-3", "--points", "2", "--t-end", "0.2"],
         ["scan", "--reticulation", "B", "--resolution", "0.02"],
     ):
-        assert main([*argv, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        for out, why in ((missing, "does not exist"), ("missing/x.csv", "does not exist"),
+                         ("adir", "is a directory")):
+            assert main([*command, "--out", out]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and why in err
+    for argv, why in (
+        (["--out", "ok.csv", "--summary-out", "missing/s.csv"], "does not exist"),
+        (["--out", "ok.csv", "--summary-out", "adir"], "is a directory"),
+    ):
+        assert main(["run", "--t-end", "0.01", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and why in err
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+    assert not any((tmp_path / "adir").iterdir())
 
 
 @pytest.mark.parametrize("argv, worker", [
@@ -543,11 +597,16 @@ def test_cli_main_maps_each_error_to_its_exit_code(
 
 
 def test_cli_failed_partial_write_still_exits_two(tmp_path, monkeypatch, capsys):
+    # the output directory passes the up-front check and is gone when the run fails
+    out_dir = tmp_path / "gone"
+    out_dir.mkdir()
+
     def fail(cfg):
+        out_dir.rmdir()
         raise SimulatorFailure("slot 1 output 0", RunRecord(complete=False))
 
     monkeypatch.setattr(cli, "run_experiment", fail)
-    assert main(["run", "--out", str(tmp_path / "missing" / "p.csv")]) == 2
+    assert main(["run", "--out", str(out_dir / "p.csv")]) == 2
     err = capsys.readouterr().err
     assert "error: [Errno" in err and "simulation failure: slot 1 output 0" in err
     assert "Traceback" not in err
