@@ -15,6 +15,8 @@ integrating that held input alongside its own states.
 
 from __future__ import annotations
 
+from math import isfinite
+
 from .model import Frozen, PowerBond, PowerPort, SimulatorSlot
 
 
@@ -34,7 +36,10 @@ class QuarterCarParams(Frozen):
 
     def __init__(self, **values: float):
         super().__init__(**values)
-        object.__setattr__(self, "damping_exponent", 2.0 / (1.0 + 2.0 * self.n_d))
+        n_d = self.n_d
+        if not (isfinite(n_d) and 1.0 + 2.0 * n_d > 0.0):
+            raise ValueError(f"n_d must be finite with 1 + 2*n_d > 0, got {n_d!r}")
+        object.__setattr__(self, "damping_exponent", 2.0 / (1.0 + 2.0 * n_d))
 
 
 LINEAR_PARAMS = QuarterCarParams()
@@ -67,7 +72,10 @@ def spring_damper_force(
     """Suspension force k_c*(z_c - z_w) + d_c*sign(dv)*|dv|^(2/(1+2*n_d)).
 
     The damping term is defined as exactly 0 at dv = 0 so the fractional
-    exponent never produces a NaN.
+    exponent never produces a NaN.  At exponent 1 (``n_d = 0.5``) the law is
+    bit for bit ``k_c*(z_c - z_w) + (d_c*dv if dv > 0 or dv < 0 else 0.0)``,
+    NaN ``dv`` included; the micro-step loops of ``WheelAssembly`` and
+    ``ChassisSpringDamper`` rely on that to evaluate the linear law in-line.
     """
     dv = v_c - v_w
     if dv > 0.0:
@@ -148,13 +156,19 @@ class WheelAssembly(QuarterCarSlot):
         n = self.micro_step_ratio
         h = dt / n
         u = self.u
-        k_w, m_w = p.k_w, p.m_w
+        hu = h * u
+        k_c, d_c, k_w, m_w = p.k_c, p.d_c, p.k_w, p.m_w
+        linear = p.damping_exponent == 1.0
         road = ROAD_HEIGHT
         z_c_int, z_w, v_w = self.z_c_int, self.z_w, self.v_w
         for _ in range(n):
-            f_c = spring_damper_force(z_c_int, z_w, u, v_w, p)
+            if linear:
+                dv = u - v_w
+                f_c = k_c * (z_c_int - z_w) + (d_c * dv if dv > 0.0 or dv < 0.0 else 0.0)
+            else:
+                f_c = spring_damper_force(z_c_int, z_w, u, v_w, p)
             f_w = k_w * (z_w - road)
-            z_c_int += h * u
+            z_c_int += hu
             z_w += h * v_w
             v_w += h * (f_c - f_w) / m_w
         self.z_c_int, self.z_w, self.v_w = z_c_int, z_w, v_w
@@ -189,13 +203,19 @@ class ChassisSpringDamper(QuarterCarSlot):
         n = self.micro_step_ratio
         h = dt / n
         u = self.u
-        m_c = p.m_c
+        hu = h * u
+        k_c, d_c, m_c = p.k_c, p.d_c, p.m_c
+        linear = p.damping_exponent == 1.0
         z_c, v_c, z_w_int = self.z_c, self.v_c, self.z_w_int
         for _ in range(n):
-            f_c = spring_damper_force(z_c, z_w_int, v_c, u, p)
+            if linear:
+                dv = v_c - u
+                f_c = k_c * (z_c - z_w_int) + (d_c * dv if dv > 0.0 or dv < 0.0 else 0.0)
+            else:
+                f_c = spring_damper_force(z_c, z_w_int, v_c, u, p)
             z_c += h * v_c
             v_c += h * (-f_c) / m_c
-            z_w_int += h * u
+            z_w_int += hu
         self.z_c, self.v_c, self.z_w_int = z_c, v_c, z_w_int
 
     def get_outputs(self):

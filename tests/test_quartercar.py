@@ -1,8 +1,11 @@
 """Quarter-car model pieces: forces, the road height, slot stepping."""
 
-import pytest
-from hypothesis import given, strategies as st
+import struct
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from eccosim import quartercar
 from eccosim.control import ConstantStep
 from eccosim.master import run_cosimulation
 from eccosim.quartercar import (
@@ -45,6 +48,13 @@ def test_params_are_values_of_their_six_knobs():
         twin.n_d = 0.5
     with pytest.raises(TypeError):
         QuarterCarParams(c_d=900.0)
+
+
+@pytest.mark.parametrize("n_d", [-0.5, -1.0, float("nan"), float("inf")])
+def test_params_refuse_an_exponent_that_is_not_finite_and_positive(n_d):
+    # 2 / (1 + 2*n_d) would divide by zero, turn negative, be NaN, or be 0
+    with pytest.raises(ValueError, match="n_d"):
+        QuarterCarParams(n_d=n_d)
 
 
 def test_spring_damper_force_examples():
@@ -142,6 +152,64 @@ def test_chassis_spring_damper_first_substep():
     assert s1.get_outputs() == (pytest.approx(expected_force),)
     s1.do_step(0.0, 1e-3)
     assert s1.v_c == pytest.approx(-1e-3 * expected_force / 400.0, rel=1e-12)
+
+
+def _bits(*values):
+    return [struct.pack("d", v) for v in values]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    params=st.sampled_from([LINEAR_PARAMS, NONLINEAR_PARAMS]),
+    a=st.floats(),
+    b=st.floats(),
+    v=st.floats(),
+    u=st.floats(),
+    dt=st.floats(min_value=1e-6, max_value=0.1),
+)
+@example(params=LINEAR_PARAMS, a=0.01, b=0.0, v=0.3, u=float("nan"), dt=1e-3)
+@example(params=LINEAR_PARAMS, a=-0.0, b=0.0, v=0.0, u=-0.0, dt=1e-3)
+@example(params=LINEAR_PARAMS, a=5e-324, b=-5e-324, v=5e-324, u=-5e-324, dt=1e-3)
+@example(params=NONLINEAR_PARAMS, a=-0.0, b=0.0, v=-5e-324, u=0.0, dt=1e-3)
+def test_one_micro_step_equals_the_law_bit_for_bit(params, a, b, v, u, dt):
+    # the same Euler step written with spring_damper_force; packing counts -0.0 and NaN
+    p, h = params, dt
+    s2 = WheelAssembly(p, micro_steps=1)
+    s2.z_c_int, s2.z_w, s2.v_w = a, b, v
+    s2.set_inputs([u])
+    s2.do_step(0.0, dt)
+    f_c = spring_damper_force(a, b, u, v, p)
+    f_w = p.k_w * (b - ROAD_HEIGHT)
+    expected = (a + h * u, b + h * v, v + h * (f_c - f_w) / p.m_w)
+    assert _bits(s2.z_c_int, s2.z_w, s2.v_w) == _bits(*expected)
+
+    s1 = ChassisSpringDamper(p, micro_steps=1)
+    s1.z_c, s1.v_c, s1.z_w_int = a, v, b
+    s1.set_inputs([u])
+    s1.do_step(0.0, dt)
+    f_c = spring_damper_force(a, b, v, u, p)
+    expected = (a + h * v, v + h * (-f_c) / p.m_c, b + h * u)
+    assert _bits(s1.z_c, s1.v_c, s1.z_w_int) == _bits(*expected)
+
+
+@pytest.mark.parametrize("reticulation", ["A", "B"])
+@pytest.mark.parametrize("params", [LINEAR_PARAMS, NONLINEAR_PARAMS])
+def test_linear_micro_steps_make_no_law_calls(monkeypatch, reticulation, params):
+    # the force-output slot's get_outputs calls the law once per step and once at t = 0;
+    # only the nonlinear micro steps call it too
+    calls = []
+    law = quartercar.spring_damper_force
+
+    def counted(*args):
+        calls.append(args)
+        return law(*args)
+
+    monkeypatch.setattr(quartercar, "spring_damper_force", counted)
+    slots, bonds = build_reticulation(reticulation, params)
+    record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.05)
+    assert record.step_count == 50
+    per_step = 1 if params is LINEAR_PARAMS else 10 + 1
+    assert len(calls) == 50 * per_step + 1
 
 
 def test_micro_step_halving_is_first_order():
