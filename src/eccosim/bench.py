@@ -19,7 +19,7 @@ import os
 from collections import namedtuple
 from functools import reduce
 from itertools import repeat
-from math import isfinite
+from math import ceil, isfinite, log2
 from operator import add
 from typing import IO, Callable, Mapping, Sequence
 
@@ -33,8 +33,9 @@ from .control import (
 )
 from .energy import BOND_FIELDS
 from .master import STEP_FIELDS, RunRecord, SimulatorFailure, run_cosimulation
+from .master import check_plan, micro_step_plan
 from .model import Frozen
-from .quartercar import MAX_MICRO_STEPS, PRESETS, RETICULATIONS, build_reticulation, preset_params
+from .quartercar import PRESETS, RETICULATIONS, build_reticulation, preset_params
 from .reference import ErrorSummary, reference_solve, summarize
 
 #: Default horizons per preset.  The nonlinear model settles fast and is run
@@ -121,8 +122,8 @@ class ExperimentConfig(Frozen):
                 raise ConfigError(f"{s.name} must be finite, got {value}")
             if value == "":
                 raise ConfigError(f"{s.name} must not be empty")
-        if not all(1 <= n <= MAX_MICRO_STEPS for n in (self.micro_ratio_s1, self.micro_ratio_s2)):
-            raise ConfigError(f"micro step ratios must be in 1..{MAX_MICRO_STEPS}")
+        if not all(n >= 1 for n in (self.micro_ratio_s1, self.micro_ratio_s2)):
+            raise ConfigError("micro step ratios must be at least 1")
         if self.t_end is not None and not self.t_end > 0.0:
             raise ConfigError(f"t_end must be finite and positive, got {self.t_end}")
         if os.path.abspath(self.resolved_summary_path) == os.path.abspath(self.out_path):
@@ -210,16 +211,23 @@ def run_experiment(
     ``stop`` is passed on to :func:`run_cosimulation`, which calls it with the
     record after each step and ends the run at the first step it returns
     true for, and which raises ``ValueError`` for a horizon too short for one
-    macro step.
+    macro step or a run over the micro-step budget.
     """
+    return run_cosimulation(*_build(cfg), cfg.resolved_t_end, stop=stop)
+
+
+def _build(cfg: ExperimentConfig):
+    """The slots, bonds and step policy of ``cfg``."""
     slots, bonds = build_reticulation(
-        cfg.reticulation,
-        preset_params(cfg.preset),
-        micro_s1=cfg.micro_ratio_s1,
-        micro_s2=cfg.micro_ratio_s2,
+        cfg.reticulation, preset_params(cfg.preset), cfg.micro_ratio_s1, cfg.micro_ratio_s2
     )
-    policy = build_policy(cfg)
-    return run_cosimulation(slots, bonds, policy, cfg.resolved_t_end, stop=stop)
+    return slots, bonds, build_policy(cfg)
+
+
+def experiment_plan(cfg: ExperimentConfig) -> float:
+    """The micro steps a run of ``cfg`` plans; see :func:`~eccosim.master.micro_step_plan`."""
+    slots, _, policy = _build(cfg)
+    return micro_step_plan(slots, policy, cfg.resolved_t_end)
 
 
 def summarize_experiment(cfg: ExperimentConfig, record: RunRecord) -> ErrorSummary:
@@ -251,8 +259,11 @@ def step_size_sweep(cfg: ExperimentConfig, dt_values: Sequence[float]) -> list[S
     Each run is summarized as soon as it ends, so the sweep holds one run's
     record at a time.  A step size that diverges fails the sweep when its run
     does, after the earlier points have paid for the reference solution.
+    Their plans must add up to at most the budget before the first run starts.
     """
-    return [_sweep_point(cfg.replace(controller="constant", dt0=dt)) for dt in dt_values]
+    runs = [cfg.replace(controller="constant", dt0=dt) for dt in dt_values]
+    check_plan(sum(map(experiment_plan, runs)), f"a sweep of {len(runs)} runs")
+    return [_sweep_point(run) for run in runs]
 
 
 #: Rows a scan run checks against its threshold at once, as each block completes.
@@ -319,7 +330,8 @@ def stability_scan(
     per step, for the same verdicts.  The initial range must bracket the
     onset: ``dt_lo`` stable, ``dt_hi`` divergent and finite.  The bisection
     also ends when the two ends are adjacent floats, so any positive
-    ``resolution`` terminates.
+    ``resolution`` terminates.  Before the first run, its runs must fit the
+    budget: the two bracket runs and the bisection's, each planned at ``dt_lo``.
     """
     if not 0.0 < dt_lo < dt_hi:
         raise ValueError("require 0 < dt_lo < dt_hi")
@@ -329,6 +341,9 @@ def stability_scan(
         raise ValueError("resolution must be positive")
     if not (isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"threshold must be finite and positive, got {threshold}")
+    runs = 2 + ceil(max(0.0, log2(dt_hi - dt_lo) - log2(resolution)))
+    check_plan(runs * experiment_plan(cfg.replace(controller="constant", dt0=dt_lo)),
+               f"a scan of up to {runs} runs")
 
     if _diverges(cfg, dt_lo, threshold):
         raise NoOnsetInRange(f"lower bound {dt_lo} already diverges")

@@ -17,6 +17,7 @@ from .bench import (
     SETTINGS,
     ConfigError,
     ExperimentConfig,
+    experiment_plan,
     format_number,
     load_config,
     run_experiment,
@@ -27,7 +28,7 @@ from .bench import (
     write_trajectory_csv,
 )
 from .control import NonFiniteIndicator
-from .master import SimulatorFailure
+from .master import SimulatorFailure, check_plan
 from .quartercar import RETICULATIONS
 
 
@@ -299,10 +300,6 @@ def _log_spaced(lo: float, hi: float, count: int) -> list[float]:
     return [lo] + [10.0 ** (i * step + start) for i in range(1, count - 1)] + [hi]
 
 
-#: Most ``sweep --points``; each point is a full run, summarized before the next starts.
-MAX_SWEEP_POINTS = 1000
-
-
 def cmd_sweep(args) -> int:
     try:
         lo_str, _, hi_str = args.dt.partition("..")
@@ -311,12 +308,14 @@ def cmd_sweep(args) -> int:
             raise ValueError("need finite bounds" if hi == inf else "need 0 < low < high")
     except ValueError as exc:
         raise ConfigError(f"bad --dt range {args.dt!r}: {exc}") from None
-    if not 1 <= args.points <= MAX_SWEEP_POINTS:
-        raise ConfigError(f"--points must be in 1..{MAX_SWEEP_POINTS}, got {args.points}")
+    if not args.points >= 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
     _refuse_unwritable(args.out_path)
     cfg = load_config(
         None, {"preset": args.preset, "reticulation": args.reticulation, "t_end": args.t_end}
     )
+    # No run plans less than the one at ``hi``: refuse before listing the step sizes.
+    check_plan(args.points * experiment_plan(cfg.replace(dt0=hi)), f"a sweep of {args.points} runs")
     points = step_size_sweep(cfg, _log_spaced(lo, hi, args.points))
     lines = ["dt,mean_abs_dP,residual_estimate"]
     for p in points:

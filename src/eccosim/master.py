@@ -22,11 +22,15 @@ from .energy import BOND_FIELDS, BondLedger, CompensatedSum
 from .model import PowerBond, SimulatorSlot, apply_connections, validate_graph
 
 
-#: Most macro steps one run may take: 14 doubles per single-bond step, so
-#: about 112 MB of rows, and 25 times the longest run any table, sweep or
-#: export makes.  A run whose policy's smallest step could take more is a
-#: step-size mistake, and is refused before its first step.
+#: Most macro steps, so most rows, one run may record: 14 doubles per
+#: single-bond step, so about 112 MB of rows, and 25 times the longest run any
+#: table, sweep or export makes.  A run whose policy's smallest step could take
+#: more is a step-size mistake, and is refused before its first step.
 MAX_MACRO_STEPS = 1_000_000
+
+#: Most micro steps a run, or a sweep's or scan's runs together, may plan: MAX_MACRO_STEPS
+#: at the shipped 10 + 10 micro ratios.  See :func:`micro_step_plan`.
+MICRO_STEP_BUDGET = 20_000_000
 
 #: Leading fields of every row.
 STEP_FIELDS = ("t", "dt", "eps")
@@ -178,6 +182,21 @@ def _probe_layout(slots: Sequence[SimulatorSlot]) -> list[tuple[str, ...]]:
     return names
 
 
+def micro_step_plan(slots: Sequence[SimulatorSlot], policy: StepPolicy, t_end: float) -> float:
+    """Most micro steps a run can take: ``t_end / policy.min_step`` macro steps, as none is
+    repeated, each costing the ``micro_step_ratio`` every slot declares."""
+    return t_end / policy.min_step * sum(slot.micro_step_ratio for slot in slots)
+
+
+def check_plan(plan: float, what: str) -> None:
+    """Raise ``ValueError`` if ``what`` plans more than ``MICRO_STEP_BUDGET`` micro steps."""
+    if not plan <= MICRO_STEP_BUDGET:
+        raise ValueError(
+            f"{what} plans {plan:.4g} micro steps, over MICRO_STEP_BUDGET = {MICRO_STEP_BUDGET}; "
+            "use larger steps, fewer micro steps or a shorter horizon"
+        )
+
+
 def run_cosimulation(
     slots: Sequence[SimulatorSlot],
     bonds: Sequence[PowerBond],
@@ -195,7 +214,8 @@ def run_cosimulation(
 
     Raises :class:`ValueError` before any step when ``t_end`` is negative,
     not finite, too short for one macro step (within the end tolerance of 0)
-    or longer than ``MAX_MACRO_STEPS`` of the policy's ``min_step``, or a
+    or longer than ``MAX_MACRO_STEPS`` of the policy's ``min_step``, or its
+    :func:`micro_step_plan` exceeds ``MICRO_STEP_BUDGET`` (:func:`check_plan`), or a
     probe name is not unique among the record's columns, and before the
     next step when the policy proposes a step size that is not finite or is
     below its ``min_step``.  Raises :class:`SimulatorFailure`, with the
@@ -216,6 +236,8 @@ def run_cosimulation(
             f"t_end={t_end} exceeds MAX_MACRO_STEPS = {MAX_MACRO_STEPS} steps of {min_step}, "
             f"the smallest step of policy {policy.name!r}; use a larger step or a shorter horizon"
         )
+    what = f"t_end={t_end} at {min_step}, the smallest step of policy {policy.name!r},"
+    check_plan(micro_step_plan(slots, policy, t_end), what)
     routes = wiring.routes
     probe_names = _probe_layout(slots)
     record = RunRecord(bond_count=len(routes), probe_names=tuple(chain(*probe_names)))

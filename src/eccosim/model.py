@@ -96,6 +96,8 @@ class SimulatorSlot(ABC):
 
     ``probe_names`` names the diagnostic values ``probes`` returns, in order;
     they fix the trajectory record's probe columns for a whole run.
+    ``micro_step_ratio`` is the work of one ``do_step`` in micro steps: the master
+    plans a run's work from it before the first step.
     """
 
     n_inputs: int = 0

@@ -97,8 +97,8 @@ def test_config_validation_errors():
         ExperimentConfig(controller="pid")
     with pytest.raises(ConfigError):
         ExperimentConfig(micro_ratio_s1=0)
-    with pytest.raises(ConfigError, match="micro step ratios must be in 1..1000"):
-        ExperimentConfig(micro_ratio_s2=1001)
+    with pytest.raises(ConfigError, match="micro step ratios must be at least 1"):
+        ExperimentConfig(micro_ratio_s2=0)
     with pytest.raises(ConfigError):
         load_config(None, {"nonexistent": 1})
     for name in ("r", "e0", "tol", "rho", "alpha_s", "dt_min", "dt_max",
@@ -359,9 +359,11 @@ def test_cli_check_passing_row(tmp_path):
     ["scan", "--reticulation", "A", "--t-scan", "-1"],
     ["scan", "--reticulation", "A", "--t-scan", "0"],
     ["run", "--micro-s2", "1000000000"],
-    ["run", "--micro-s1", "1001"],
     ["scan", "--reticulation", "B", "--hi", "inf"],
     ["scan", "--reticulation", "B", "--hi", "1e400"],
+    ["run", "--reticulation", "B", "--controller", "constant", "--dt0", "1e-4",
+     "--micro-s1", "1000", "--micro-s2", "1000", "--t-end", "100"],
+    ["sweep", "--points", "1000"],
 ])
 def test_cli_bad_horizon_or_value_exits_one(argv, tmp_path, monkeypatch, capsys):
     # each of these once hung or exited 0 or 2; now all are config errors

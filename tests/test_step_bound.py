@@ -1,8 +1,10 @@
-"""The step bound: shipped runs fit it; a run that cannot is refused before its first step."""
+"""The step bound and the micro-step budget: shipped runs, sweeps and scans fit them; a run,
+sweep or scan that cannot is refused before its first step."""
 
 import pytest
 
-from eccosim.bench import ExperimentConfig, build_policy
+from eccosim import bench
+from eccosim.bench import ExperimentConfig, build_policy, experiment_plan, stability_scan
 from eccosim.cli import (
     _SCAN_RANGES,
     EXPECTED_TABLES,
@@ -11,7 +13,7 @@ from eccosim.cli import (
     build_parser,
     main,
 )
-from eccosim.master import run_cosimulation
+from eccosim.master import MICRO_STEP_BUDGET, run_cosimulation
 from eccosim.quartercar import RETICULATIONS, build_reticulation, preset_params
 
 
@@ -68,3 +70,82 @@ def test_cli_run_that_cannot_finish_exits_one(name, tmp_path, capsys):
     assert err.startswith("error: ") and f"the smallest step of policy '{name}'" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", list(_SHIPPED))
+def test_shipped_runs_fit_the_micro_step_budget(key):
+    # the largest: T8 / PC-altA on reticulation B, 4 s at dt_min 1e-4 with 10 + 10 micro steps
+    assert experiment_plan(_SHIPPED[key]) <= 8e5 < MICRO_STEP_BUDGET
+
+
+class _Planned(Exception):
+    """Raised in place of the budget check, to stop a command before its first run."""
+
+
+def _plan(monkeypatch, command, *args):
+    """The plan a sweep or scan checks, read in place of its check."""
+    plans = []
+
+    def check_plan(plan, what):
+        plans.append(plan)
+        raise _Planned
+
+    monkeypatch.setattr(bench, "check_plan", check_plan)
+    with pytest.raises(_Planned):
+        command(*args)
+    return plans[0]
+
+
+def test_default_sweep_and_scans_fit_the_micro_step_budget(monkeypatch):
+    # a run plans t_end / dt macro steps of 1 + 10 micro steps on A, 10 + 10 on B
+    sweep = build_parser().parse_args(["sweep"])
+    dts = _log_spaced(*map(float, sweep.dt.split("..")), sweep.points)
+    plan = _plan(monkeypatch, bench.step_size_sweep, ExperimentConfig(), dts)
+    assert plan == pytest.approx(sum(4.0 / dt * 11 for dt in dts), rel=1e-12)
+    assert plan == pytest.approx(1.0e6, rel=0.01)
+    # the bracket ends and ceil(log2((hi - lo) / 1e-4)) bisections, each planned at lo
+    for ret, runs, ratio in (("A", 2 + 9, 11), ("B", 2 + 8, 20)):
+        t_scan = build_parser().parse_args(["scan", "--reticulation", ret]).t_scan
+        cfg = ExperimentConfig(reticulation=ret, t_end=t_scan)
+        lo, hi = _SCAN_RANGES[ret]
+        plan = _plan(monkeypatch, stability_scan, cfg, lo, hi)
+        assert plan == pytest.approx(runs * t_scan / lo * ratio, rel=1e-12)
+        assert plan <= 4e6 < MICRO_STEP_BUDGET
+
+
+#: A run, sweep and scan that each plan more than MICRO_STEP_BUDGET micro steps.
+OVER_BUDGET = {
+    "run": ["run", "--reticulation", "B", "--controller", "constant", "--dt0", "1e-4",
+            "--micro-s1", "1000", "--micro-s2", "1000", "--t-end", "100"],  # 2e9
+    "sweep": ["sweep", "--points", "1000"],  # 9.5e7
+    "scan": ["scan", "--reticulation", "B", "--lo", "1e-4"],  # 10 runs of 2e7
+}
+
+
+def test_run_over_the_micro_step_budget_refused_before_any_step():
+    cfg = _config_from_args(build_parser().parse_args(OVER_BUDGET["run"]))
+    slots, bonds = build_reticulation(
+        cfg.reticulation, preset_params(cfg.preset), cfg.micro_ratio_s1, cfg.micro_ratio_s2
+    )
+    assert [slot.micro_step_ratio for slot in slots] == [1000, 1000]
+    with pytest.raises(ValueError, match=r"plans 2e\+09 micro steps, over MICRO_STEP_BUDGET = "):
+        run_cosimulation(slots, bonds, build_policy(cfg), cfg.resolved_t_end)
+    assert [slot.step_calls for slot in slots] == [0, 0]
+
+
+@pytest.mark.parametrize("name", list(OVER_BUDGET))
+def test_cli_over_budget_exits_one_before_any_run(name, tmp_path, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(bench, "run_experiment", lambda *a, **k: runs.append(a))
+    out = tmp_path / "x.csv"
+    assert main([*OVER_BUDGET[name], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "over MICRO_STEP_BUDGET = 20000000; " in err
+    assert runs == []  # no sweep or scan run; a run is refused before its first step
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reticulation_a_chassis_declares_one_micro_step():
+    # --micro-s1 costs nothing on A: its chassis is solved exactly
+    cfg = ExperimentConfig(micro_ratio_s1=1000)
+    assert experiment_plan(cfg) == experiment_plan(ExperimentConfig()) == 4.0 / 1e-3 * 11
