@@ -19,9 +19,9 @@ import os
 from collections import namedtuple
 from functools import reduce
 from itertools import repeat
-from math import ceil, isfinite, log2
+from math import ceil, isfinite, log2, ulp
 from operator import add
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 from .control import (
     ConstantStep,
@@ -213,21 +213,28 @@ def run_experiment(
     true for, and which raises ``ValueError`` for a horizon too short for one
     macro step or a run over the micro-step budget.
     """
-    return run_cosimulation(*_build(cfg), cfg.resolved_t_end, stop=stop)
-
-
-def _build(cfg: ExperimentConfig):
-    """The slots, bonds and step policy of ``cfg``."""
     slots, bonds = build_reticulation(
+        cfg.reticulation,
+        preset_params(cfg.preset),
+        micro_s1=cfg.micro_ratio_s1,
+        micro_s2=cfg.micro_ratio_s2,
+    )
+    policy = build_policy(cfg)
+    return run_cosimulation(slots, bonds, policy, cfg.resolved_t_end, stop=stop)
+
+
+#: Micro steps a sweep or scan charges each run on top of its plan, for building, starting
+#: and summarizing it: about 65 us, the time of 100 to 200 micro steps.
+RUN_CHARGE = 200
+
+
+def constant_step_plan(cfg: ExperimentConfig, dt_values: Iterable[float]) -> int:
+    """Micro steps constant-step runs of ``cfg`` at ``dt_values`` plan together, each with
+    ``RUN_CHARGE``; see :func:`~eccosim.master.micro_step_plan`."""
+    slots, _ = build_reticulation(
         cfg.reticulation, preset_params(cfg.preset), cfg.micro_ratio_s1, cfg.micro_ratio_s2
     )
-    return slots, bonds, build_policy(cfg)
-
-
-def experiment_plan(cfg: ExperimentConfig) -> float:
-    """The micro steps a run of ``cfg`` plans; see :func:`~eccosim.master.micro_step_plan`."""
-    slots, _, policy = _build(cfg)
-    return micro_step_plan(slots, policy, cfg.resolved_t_end)
+    return sum(micro_step_plan(slots, dt, cfg.resolved_t_end) + RUN_CHARGE for dt in dt_values)
 
 
 def summarize_experiment(cfg: ExperimentConfig, record: RunRecord) -> ErrorSummary:
@@ -261,9 +268,8 @@ def step_size_sweep(cfg: ExperimentConfig, dt_values: Sequence[float]) -> list[S
     does, after the earlier points have paid for the reference solution.
     Their plans must add up to at most the budget before the first run starts.
     """
-    runs = [cfg.replace(controller="constant", dt0=dt) for dt in dt_values]
-    check_plan(sum(map(experiment_plan, runs)), f"a sweep of {len(runs)} runs")
-    return [_sweep_point(run) for run in runs]
+    check_plan(constant_step_plan(cfg, dt_values), f"a sweep of {len(dt_values)} runs")
+    return [_sweep_point(cfg.replace(controller="constant", dt0=dt)) for dt in dt_values]
 
 
 #: Rows a scan run checks against its threshold at once, as each block completes.
@@ -331,7 +337,7 @@ def stability_scan(
     onset: ``dt_lo`` stable, ``dt_hi`` divergent and finite.  The bisection
     also ends when the two ends are adjacent floats, so any positive
     ``resolution`` terminates.  Before the first run, its runs must fit the
-    budget: the two bracket runs and the bisection's, each planned at ``dt_lo``.
+    budget: the bracket runs and the bisection's, each planned at ``dt_lo``.
     """
     if not 0.0 < dt_lo < dt_hi:
         raise ValueError("require 0 < dt_lo < dt_hi")
@@ -341,9 +347,9 @@ def stability_scan(
         raise ValueError("resolution must be positive")
     if not (isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"threshold must be finite and positive, got {threshold}")
-    runs = 2 + ceil(max(0.0, log2(dt_hi - dt_lo) - log2(resolution)))
-    check_plan(runs * experiment_plan(cfg.replace(controller="constant", dt0=dt_lo)),
-               f"a scan of up to {runs} runs")
+    # Bisect to resolution or to adjacent floats, at least ulp(dt_lo) apart; one run of slack.
+    runs = 3 + ceil(max(0.0, log2(dt_hi - dt_lo) - log2(max(resolution, ulp(dt_lo)))))
+    check_plan(constant_step_plan(cfg, [dt_lo] * runs), f"a scan of up to {runs} runs")
 
     if _diverges(cfg, dt_lo, threshold):
         raise NoOnsetInRange(f"lower bound {dt_lo} already diverges")

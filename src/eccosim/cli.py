@@ -17,7 +17,7 @@ from .bench import (
     SETTINGS,
     ConfigError,
     ExperimentConfig,
-    experiment_plan,
+    constant_step_plan,
     format_number,
     load_config,
     run_experiment,
@@ -315,7 +315,7 @@ def cmd_sweep(args) -> int:
         None, {"preset": args.preset, "reticulation": args.reticulation, "t_end": args.t_end}
     )
     # No run plans less than the one at ``hi``: refuse before listing the step sizes.
-    check_plan(args.points * experiment_plan(cfg.replace(dt0=hi)), f"a sweep of {args.points} runs")
+    check_plan(args.points * constant_step_plan(cfg, [hi]), f"a sweep of {args.points} runs")
     points = step_size_sweep(cfg, _log_spaced(lo, hi, args.points))
     lines = ["dt,mean_abs_dP,residual_estimate"]
     for p in points:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain
-from math import inf, isfinite
+from math import ceil, inf, isfinite
 from operator import itemgetter
 from struct import Struct
 from typing import Callable, Sequence
@@ -182,10 +182,11 @@ def _probe_layout(slots: Sequence[SimulatorSlot]) -> list[tuple[str, ...]]:
     return names
 
 
-def micro_step_plan(slots: Sequence[SimulatorSlot], policy: StepPolicy, t_end: float) -> float:
-    """Most micro steps a run can take: ``t_end / policy.min_step`` macro steps, as none is
-    repeated, each costing the ``micro_step_ratio`` every slot declares."""
-    return t_end / policy.min_step * sum(slot.micro_step_ratio for slot in slots)
+def micro_step_plan(slots: Sequence[SimulatorSlot], min_step: float, t_end: float) -> float:
+    """Most micro steps a run can take: ``ceil(t_end / min_step)`` macro steps, as none is
+    repeated and one past ``t_end`` is cut onto it, each of the slots' ``micro_step_ratio``."""
+    steps = t_end / min_step
+    return (ceil(steps) if steps < inf else steps) * sum(slot.micro_step_ratio for slot in slots)
 
 
 def check_plan(plan: float, what: str) -> None:
@@ -237,7 +238,7 @@ def run_cosimulation(
             f"the smallest step of policy {policy.name!r}; use a larger step or a shorter horizon"
         )
     what = f"t_end={t_end} at {min_step}, the smallest step of policy {policy.name!r},"
-    check_plan(micro_step_plan(slots, policy, t_end), what)
+    check_plan(micro_step_plan(slots, min_step, t_end), what)
     routes = wiring.routes
     probe_names = _probe_layout(slots)
     record = RunRecord(bond_count=len(routes), probe_names=tuple(chain(*probe_names)))

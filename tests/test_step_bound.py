@@ -1,10 +1,12 @@
 """The step bound and the micro-step budget: shipped runs, sweeps and scans fit them; a run,
 sweep or scan that cannot is refused before its first step."""
 
+from math import nextafter
+
 import pytest
 
 from eccosim import bench
-from eccosim.bench import ExperimentConfig, build_policy, experiment_plan, stability_scan
+from eccosim.bench import RUN_CHARGE, ExperimentConfig, build_policy, stability_scan
 from eccosim.cli import (
     _SCAN_RANGES,
     EXPECTED_TABLES,
@@ -13,7 +15,7 @@ from eccosim.cli import (
     build_parser,
     main,
 )
-from eccosim.master import MICRO_STEP_BUDGET, run_cosimulation
+from eccosim.master import MICRO_STEP_BUDGET, micro_step_plan, run_cosimulation
 from eccosim.quartercar import RETICULATIONS, build_reticulation, preset_params
 
 
@@ -75,50 +77,94 @@ def test_cli_run_that_cannot_finish_exits_one(name, tmp_path, capsys):
 @pytest.mark.parametrize("key", list(_SHIPPED))
 def test_shipped_runs_fit_the_micro_step_budget(key):
     # the largest: T8 / PC-altA on reticulation B, 4 s at dt_min 1e-4 with 10 + 10 micro steps
-    assert experiment_plan(_SHIPPED[key]) <= 8e5 < MICRO_STEP_BUDGET
+    cfg = _SHIPPED[key]
+    slots, _ = build_reticulation(
+        cfg.reticulation, preset_params(cfg.preset), cfg.micro_ratio_s1, cfg.micro_ratio_s2
+    )
+    plan = micro_step_plan(slots, build_policy(cfg).min_step, cfg.resolved_t_end)
+    assert plan <= 8e5 < MICRO_STEP_BUDGET
+
+
+def test_plan_counts_whole_macro_steps():
+    slots, _ = build_reticulation("B", preset_params("linear"))
+    assert micro_step_plan(slots, 1e-3, 4.0) == 4000 * 20
+    # a step past the horizon is cut onto it: one whole macro step, not a fraction of one
+    assert micro_step_plan(slots, 1000.0, 0.01) == micro_step_plan(slots, 0.3, 1.0) / 4 == 20
+    assert micro_step_plan(slots, 5e-324, 4.0) == float("inf")
 
 
 class _Planned(Exception):
     """Raised in place of the budget check, to stop a command before its first run."""
 
 
-def _plan(monkeypatch, command, *args):
-    """The plan a sweep or scan checks, read in place of its check."""
+def _plan(monkeypatch, command, *args, **kwargs):
+    """The plan and the message a sweep or scan checks, read in place of its check."""
     plans = []
 
     def check_plan(plan, what):
-        plans.append(plan)
+        plans.append((plan, what))
         raise _Planned
 
     monkeypatch.setattr(bench, "check_plan", check_plan)
     with pytest.raises(_Planned):
-        command(*args)
+        command(*args, **kwargs)
     return plans[0]
 
 
 def test_default_sweep_and_scans_fit_the_micro_step_budget(monkeypatch):
-    # a run plans t_end / dt macro steps of 1 + 10 micro steps on A, 10 + 10 on B
+    # a run plans ceil(t_end / dt) macro steps of 1 + 10 micro steps on A, 10 + 10 on B,
+    # and a sweep or scan charges each of its runs RUN_CHARGE more
     sweep = build_parser().parse_args(["sweep"])
     dts = _log_spaced(*map(float, sweep.dt.split("..")), sweep.points)
-    plan = _plan(monkeypatch, bench.step_size_sweep, ExperimentConfig(), dts)
-    assert plan == pytest.approx(sum(4.0 / dt * 11 for dt in dts), rel=1e-12)
+    plan, _ = _plan(monkeypatch, bench.step_size_sweep, ExperimentConfig(), dts)
+    assert plan == sum(-(-4.0 // dt) * 11 + RUN_CHARGE for dt in dts)
     assert plan == pytest.approx(1.0e6, rel=0.01)
-    # the bracket ends and ceil(log2((hi - lo) / 1e-4)) bisections, each planned at lo
-    for ret, runs, ratio in (("A", 2 + 9, 11), ("B", 2 + 8, 20)):
+    # the bracket ends, ceil(log2((hi - lo) / 1e-4)) bisections and one of slack, each at lo
+    for ret, runs, ratio in (("A", 3 + 9, 11), ("B", 3 + 8, 20)):
         t_scan = build_parser().parse_args(["scan", "--reticulation", ret]).t_scan
         cfg = ExperimentConfig(reticulation=ret, t_end=t_scan)
         lo, hi = _SCAN_RANGES[ret]
-        plan = _plan(monkeypatch, stability_scan, cfg, lo, hi)
-        assert plan == pytest.approx(runs * t_scan / lo * ratio, rel=1e-12)
-        assert plan <= 4e6 < MICRO_STEP_BUDGET
+        plan, what = _plan(monkeypatch, stability_scan, cfg, lo, hi)
+        assert what == f"a scan of up to {runs} runs"
+        assert plan == runs * (round(t_scan / lo) * ratio + RUN_CHARGE)
+        assert plan <= 4.5e6 < MICRO_STEP_BUDGET
 
 
-#: A run, sweep and scan that each plan more than MICRO_STEP_BUDGET micro steps.
+@pytest.mark.parametrize("lo, hi, resolution", [
+    (0.04, 0.08, 1e-4),
+    (0.04, 0.08, 5e-324),  # the bisection ends at adjacent floats
+    (0.005, 0.02, 1e-300),
+    (1e-300, 1e300, 5e-324),
+    (1.0, 1.0 + 2**-40, 1e-30),
+])
+def test_scan_plans_at_least_the_runs_it_makes(lo, hi, resolution, monkeypatch):
+    planned = []
+    monkeypatch.setattr(bench, "check_plan", lambda plan, what: planned.append(what))
+    for onset in (nextafter(lo, hi), *(lo + (hi - lo) * f for f in (0.1, 0.3, 0.5, 0.77, 1.0))):
+        calls = []
+        monkeypatch.setattr(bench, "_diverges", lambda cfg, dt, thr: calls.append(dt) or dt >= onset)
+        stability_scan(ExperimentConfig(), lo, hi, resolution=resolution)
+        assert len(calls) <= int(planned[-1].split()[-2])
+
+
+def test_scan_below_float_spacing_fits_the_budget(monkeypatch):
+    # the parent of the budget ran this scan to its end; 56 runs of 2,500 steps of 11
+    t_scan = build_parser().parse_args(["scan", "--reticulation", "A"]).t_scan
+    cfg = ExperimentConfig(reticulation="A", t_end=t_scan)
+    plan, what = _plan(monkeypatch, stability_scan, cfg, *_SCAN_RANGES["A"], resolution=5e-324)
+    assert what == "a scan of up to 56 runs" and plan <= MICRO_STEP_BUDGET
+
+
+#: Runs, sweeps and scans that each plan more than MICRO_STEP_BUDGET micro steps.
 OVER_BUDGET = {
     "run": ["run", "--reticulation", "B", "--controller", "constant", "--dt0", "1e-4",
             "--micro-s1", "1000", "--micro-s2", "1000", "--t-end", "100"],  # 2e9
+    "run-past-horizon": ["run", "--reticulation", "B", "--controller", "constant", "--dt0",
+                         "1000", "--micro-s2", "1000000000000", "--t-end", "0.01"],  # 1e12
     "sweep": ["sweep", "--points", "1000"],  # 9.5e7
-    "scan": ["scan", "--reticulation", "B", "--lo", "1e-4"],  # 10 runs of 2e7
+    "sweep-narrow": ["sweep", "--dt", "1e-3..2e-3", "--points", "100000000000"],
+    "sweep-wide": ["sweep", "--dt", "1e-4..1e6", "--points", "100000000000"],
+    "scan": ["scan", "--reticulation", "B", "--lo", "1e-4"],  # 11 runs of 2e7
 }
 
 
@@ -147,5 +193,5 @@ def test_cli_over_budget_exits_one_before_any_run(name, tmp_path, monkeypatch, c
 
 def test_reticulation_a_chassis_declares_one_micro_step():
     # --micro-s1 costs nothing on A: its chassis is solved exactly
-    cfg = ExperimentConfig(micro_ratio_s1=1000)
-    assert experiment_plan(cfg) == experiment_plan(ExperimentConfig()) == 4.0 / 1e-3 * 11
+    slots, _ = build_reticulation("A", preset_params("linear"), micro_s1=1000)
+    assert micro_step_plan(slots, 1e-3, 4.0) == 4000 * 11
