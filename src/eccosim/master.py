@@ -5,15 +5,17 @@ previous coupling outputs, then step independently over the same macro
 interval with those inputs held constant.  Afterwards one check reads what
 they return and converts it to floats, the per-bond energy ledgers book the
 coupling outputs against the held inputs, and the step policy proposes the
-next macro step size.  Macro steps are never repeated.
+next macro step size.  Macro steps are never repeated.  The steps after t = 0
+run in a loop compiled once per run shape, with a local for each signal.
 """
 
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 from itertools import chain
 from math import ceil, inf, isfinite
-from operator import itemgetter
+from operator import index
 from struct import Struct
 from typing import Callable, Sequence
 
@@ -169,16 +171,28 @@ def _check(t, signals, widths, probe_names, record) -> list[float]:
 def _probe_layout(slots: Sequence[SimulatorSlot]) -> list[tuple[str, ...]]:
     """Each slot's ``probe_names``.
 
-    Raises ``ValueError`` for a name that two slots share or that names a
-    step or ledger field, since :meth:`RunRecord.column` could not tell them apart.
+    Raises ``ValueError`` for ``probe_names`` that is a ``str`` (one name per
+    character), a name that is not a ``str``, and a name that a slot repeats,
+    that two slots share or that names a step or ledger field, since
+    :meth:`RunRecord.column` could not tell them apart.
     """
-    names = [tuple(slot.probe_names) for slot in slots]
+    names = []
     owner = dict.fromkeys(STEP_FIELDS + BOND_FIELDS, "the record")
-    for i, keys in enumerate(names):
+    for i, slot in enumerate(slots):
+        if isinstance(slot.probe_names, str):
+            raise ValueError(
+                f"slot {i} probe_names is the str {slot.probe_names!r}, not a tuple of names"
+            )
+        keys = tuple(slot.probe_names)
         for name in keys:
+            if not isinstance(name, str):
+                raise ValueError(f"slot {i} probe name {name!r} is not a str")
+            if owner.get(name) == f"slot {i}":
+                raise ValueError(f"slot {i} probe {name!r} is named twice in its probe_names")
             if name in owner:
                 raise ValueError(f"slot {i} probe {name!r} is also a column of {owner[name]}")
             owner[name] = f"slot {i}"
+        names.append(keys)
     return names
 
 
@@ -198,6 +212,130 @@ def check_plan(plan: float, what: str) -> None:
         )
 
 
+def _refuse_step(policy: StepPolicy, dt: float, t: float, min_step: float) -> None:
+    """Raise ``ValueError``: the step size ``policy`` proposed at ``t`` is not finite or is
+    below its smallest step."""
+    raise ValueError(
+        f"policy {policy.name!r} proposed step size {dt} at t={t}; "
+        f"it must be finite and at least its smallest step {min_step}"
+    )
+
+
+def _bond_failure(t, routes, bond_steps, record) -> None:
+    """Raise :class:`SimulatorFailure` at ``t`` naming the first bond that booked a
+    value that is not finite; return if none did, and only their sum overflowed."""
+    for j, ((o_e, _, k_e, o_f, _, k_f, _), step) in enumerate(zip(routes, bond_steps)):
+        if not all(map(isfinite, step)):
+            raise SimulatorFailure(
+                f"non-finite bond power at t={t}: bond {j} "
+                f"(slot {o_e} output {k_e}, slot {o_f} output {k_f})",
+                record,
+            )
+
+
+# The macro-step loop, filled in per run shape by _step_loop.  Each step calls every
+# slot's set_inputs and do_step in slot order, reads all outputs and then all probes,
+# and screens them: what SimulatorSlot declares, tuples of finite floats of their
+# widths, unpacks into locals unchanged, and anything else goes through check.  Then
+# the ledgers book the step, the policy sees it and the row is packed.  After the
+# bounds run_cosimulation checks first, each step but the last (> t_tol) is at least
+# t_end / MAX_MACRO_STEPS: all advance a clock that never passes t_end.
+_LOOP = """\
+def step_loop(
+    t_end, t_tol, min_step, dt_next, coupled, wiring, slot_calls, books, clock, next_step,
+    pack_row, append_row, stop, record, policy, apply_connections, check, widths,
+    probe_names, refuse_step, bond_failure,
+):
+    {calls} = slot_calls
+    {books} = books
+    t_now = 0.0
+    while True:
+        remaining = t_end - t_now
+        if remaining <= t_tol:
+            return
+        if not min_step <= dt_next < inf:
+            refuse_step(policy, dt_next, t_now, min_step)
+        if dt_next >= remaining * (1.0 - 1e-9):  # cut onto t_end, absorbing a final sliver
+            dt = remaining
+            t_next = t_end
+        else:
+            dt = dt_next
+            t_next = clock(dt)
+        {inputs} = apply_connections(wiring, coupled)
+        {step}
+        {read}
+        try:
+            if not ({tuples}):
+                raise ValueError
+            {unpack}
+            if not ({floats} and isfinite({value_sum})):
+                raise ValueError
+        except ValueError:
+            {values} = check(t_next, [{vectors}], widths, probe_names, record)
+        coupled = {coupled}
+        {book}
+        if not isfinite({field_sum}):
+            bond_failure(t_next, wiring.routes, {bond_steps}, record)
+        dt_next, eps = next_step(t_next, dt, {bond_steps}, coupled)
+        append_row(pack_row(t_next, dt, eps, {row}))
+        if stop is not None and stop(record):
+            record.complete = False
+            return
+        t_now = t_next
+"""
+
+
+def _tuple(names: Sequence[str]) -> str:
+    """``names`` as a tuple display, which is also an unpacking target."""
+    return f"({', '.join(names)},)" if names else "()"
+
+
+@lru_cache(maxsize=32)
+def _step_loop(output_widths: tuple[int, ...], probe_counts: tuple[int, ...], ports: tuple):
+    """The loop of :data:`_LOOP` for runs of one shape, compiled once per shape.
+
+    The shape is each slot's output width and probe count and, per bond, the
+    owner, input index and output index of its effort port and then of its
+    flow port.  These ints are all the source holds: no text a slot supplies
+    is compiled, and every callable the loop uses is an argument of each run.
+    """
+    slots = range(len(output_widths))
+    outs = [[f"y{i}_{k}" for k in range(n)] for i, n in enumerate(output_widths)]
+    probes = [[f"p{i}_{k}" for k in range(n)] for i, n in enumerate(probe_counts)]
+    vectors = [f"Y{i}" for i in slots] + [f"P{i}" for i in slots]
+    values = [*chain(*outs), *chain(*probes)]
+    steps = [f"b{j}" for j in range(len(ports))]
+    fields = [[f"b{j}_{f}" for f in range(len(BOND_FIELDS))] for j in range(len(ports))]
+    coupled = [outs[o][k] for p in ports for o, k in ((p[0], p[2]), (p[3], p[5]))]
+    unpacks = [f"{_tuple(names)} = {vector}" for names, vector in zip(outs + probes, vectors)]
+    books = [
+        f"b{j} = book{j}(dt, u{o_e}[{i_e}], u{o_f}[{i_f}], {coupled[2 * j]}, {coupled[2 * j + 1]})"
+        for j, (o_e, i_e, _, o_f, i_f, _) in enumerate(ports)
+    ]
+    line = "\n        "  # a new line in the loop's body
+    source = _LOOP.format(
+        calls=_tuple([f"{call}{i}" for i in slots for call in ("set", "do", "out", "probe")]),
+        books=_tuple([f"book{j}" for j in range(len(ports))]),
+        inputs=_tuple([f"u{i}" for i in slots]),
+        step=line.join(f"set{i}(u{i}){line}do{i}(t_now, dt)" for i in slots),
+        read=line.join([f"Y{i} = out{i}()" for i in slots] + [f"P{i} = probe{i}()" for i in slots]),
+        tuples=" and ".join(f"type({v}) is tuple" for v in vectors) or "True",
+        unpack=(line + "    ").join(unpacks),
+        floats=" and ".join(f"type({v}) is float" for v in values) or "True",
+        value_sum=" + ".join(values) or "0.0",
+        values=_tuple(values),
+        vectors=", ".join(vectors),
+        coupled=_tuple(coupled),
+        book=line.join(f"{book}{line}{_tuple(f)} = {b}" for book, f, b in zip(books, fields, steps)),
+        field_sum=" + ".join(chain(*fields)) or "0.0",
+        bond_steps=_tuple(steps),
+        row=", ".join([*chain(*fields), *chain(*probes)]),
+    )
+    namespace = {"inf": inf, "isfinite": isfinite}
+    exec(compile(source, "<eccosim.master step loop>", "exec"), namespace)
+    return namespace["step_loop"]
+
+
 def run_cosimulation(
     slots: Sequence[SimulatorSlot],
     bonds: Sequence[PowerBond],
@@ -208,16 +346,20 @@ def run_cosimulation(
     """Run the Jacobi master loop from t = 0 to ``t_end``.
 
     The policy's ``start`` gives the first step size from the coupling outputs
-    :func:`_check` converts at t = 0, and the final step is truncated onto
-    ``t_end``.  ``stop(record)``, when given, is called after each row is
-    appended, and a true result ends the run with ``record.complete`` False.
-    The slots' ``probe_names``, read once, fix the row layout.
+    :func:`_check` converts at t = 0, and the final step is cut onto
+    ``t_end``: its row's ``t`` is ``t_end`` itself.  ``stop(record)``, when
+    given, is called after each row is appended, and a true result ends the
+    run with ``record.complete`` False.  The slots' ``probe_names``, read
+    once, fix the row layout.  The steps run in the loop :func:`_step_loop`
+    compiles for the run's shape (its slots' output widths and probe counts
+    and its bonds' ports); the slots' methods, the ledgers, the policy and
+    ``apply_connections`` are looked up once per run and handed to it.
 
     Raises :class:`ValueError` before any step when ``t_end`` is negative,
     not finite, too short for one macro step (within the end tolerance of 0)
     or longer than ``MAX_MACRO_STEPS`` of the policy's ``min_step``, or its
     :func:`micro_step_plan` exceeds ``MICRO_STEP_BUDGET`` (:func:`check_plan`), or a
-    probe name is not unique among the record's columns, and before the
+    probe name is not a ``str`` unique among the record's columns, and before the
     next step when the policy proposes a step size that is not finite or is
     below its ``min_step``.  Raises :class:`SimulatorFailure`, with the
     partial record attached (empty at t = 0), before the ledgers book a step
@@ -242,86 +384,31 @@ def run_cosimulation(
     routes = wiring.routes
     probe_names = _probe_layout(slots)
     record = RunRecord(bond_count=len(routes), probe_names=tuple(chain(*probe_names)))
-    append_row = record.data.frombytes
-    pack_row = Struct(f"{record.width}d").pack
 
     # Methods are looked up once per run instead of once per macro step.
-    set_inputs = [slot.set_inputs for slot in slots]
-    do_steps = [slot.do_step for slot in slots]
+    slot_calls = [
+        call
+        for slot in slots
+        for call in (slot.set_inputs, slot.do_step, slot.get_outputs, slot.probes)
+    ]
     output_widths = [slot.n_outputs for slot in slots]
     widths = output_widths + [len(names) for names in probe_names]
-    outputs = [slot.get_outputs for slot in slots]
-    readers = outputs + [slot.probes for slot in slots]
-    n_outputs = sum(output_widths)
-    shape = widths + [float] * sum(widths)  # each vector's width, then each value's type
-    # pick(values) holds bond j's effort and flow outputs at 2j and 2j + 1.
+    # Bond j's effort and flow outputs are values[picks[2j]] and values[picks[2j + 1]].
     picks = [sum(output_widths[:o]) + k for r in routes for o, k in ((r[0], r[2]), (r[3], r[5]))]
-    pick = itemgetter(*picks) if picks else lambda values: ()
-    taps = [
-        (BondLedger(sigma).record, o_e, i_e, 2 * j, o_f, i_f, 2 * j + 1)
-        for j, (o_e, i_e, _, o_f, i_f, _, sigma) in enumerate(routes)
-    ]
-    next_step = policy.next_step
 
-    signals = [read() for read in outputs]
-    coupled = pick(_check(0.0, signals, output_widths, probe_names, record))
+    values = _check(0.0, [slot.get_outputs() for slot in slots], output_widths, probe_names, record)
+    coupled = tuple(values[p] for p in picks)
     dt_next = policy.start(coupled)
 
-    clock = CompensatedSum().add  # clock(dt) is the time after a step of dt
-    t_now = 0.0
-    while True:
-        remaining = t_end - t_now
-        if remaining <= t_tol:
-            break
-        # After the bound above, each step but the last (> t_tol) is >= t_end / MAX_MACRO_STEPS:
-        # all advance a clock that never passes t_end, and at most MAX_MACRO_STEPS fit.
-        if not min_step <= dt_next < inf:
-            raise ValueError(
-                f"policy {policy.name!r} proposed step size {dt_next} at t={t_now}; "
-                f"it must be finite and at least its smallest step {min_step}"
-            )
-        # Truncate onto t_end; absorb a degenerate final sliver into this step.
-        dt = remaining if dt_next >= remaining * (1.0 - 1e-9) else dt_next
-        t_next = clock(dt)
-
-        inputs = apply_connections(wiring, coupled)
-        for set_u, do_step, u in zip(set_inputs, do_steps, inputs):
-            set_u(u)
-            do_step(t_now, dt)
-
-        signals = []  # plain loops: in CPython 3.11 a list comprehension is a function call
-        for read in readers:
-            signals.append(read())
-        # What SimulatorSlot declares, tuples of finite floats of their widths, is what
-        # _check returns unchanged: one screen passes it, and _check takes the rest.
-        try:
-            values = sum(signals, ())
-            if not (
-                [*map(len, signals), *map(type, values)] == shape
-                and isfinite(sum(values, 0.0))  # unless a float is not, or only this sum overflows
-            ):
-                raise TypeError
-        except TypeError:
-            values = _check(t_next, signals, widths, probe_names, record)
-        coupled = pick(values)
-        bond_steps = []
-        ledger_fields = []
-        for record_step, o_e, i_e, j_e, o_f, i_f, j_f in taps:
-            step = record_step(dt, inputs[o_e][i_e], inputs[o_f][i_f], coupled[j_e], coupled[j_f])
-            bond_steps.append(step)
-            ledger_fields += step
-        if not isfinite(sum(ledger_fields, 0.0)):  # a bond has blown up, or only this sum overflowed
-            for j, (o_e, _, k_e, o_f, _, k_f, _) in enumerate(routes):
-                if not all(map(isfinite, bond_steps[j])):
-                    raise SimulatorFailure(
-                        f"non-finite bond power at t={t_next}: bond {j} "
-                        f"(slot {o_e} output {k_e}, slot {o_f} output {k_f})",
-                        record,
-                    )
-        dt_next, eps = next_step(t_next, dt, bond_steps, coupled)
-        append_row(pack_row(t_next, dt, eps, *ledger_fields, *values[n_outputs:]))
-        if stop is not None and stop(record):
-            record.complete = False
-            break
-        t_now = t_next
+    step_loop = _step_loop(
+        tuple(map(index, output_widths)),
+        tuple(map(len, probe_names)),
+        tuple(tuple(map(index, route[:6])) for route in routes),
+    )
+    step_loop(
+        t_end, t_tol, min_step, dt_next, coupled, wiring, slot_calls,
+        [BondLedger(route[6]).record for route in routes], CompensatedSum().add,
+        policy.next_step, Struct(f"{record.width}d").pack, record.data.frombytes, stop, record,
+        policy, apply_connections, _check, widths, probe_names, _refuse_step, _bond_failure,
+    )
     return record

@@ -3,20 +3,27 @@
 The matrix-exponential solution of the linear preset, a scipy DOP853 solution
 of either preset and the damper's dissipated energy, all computed with
 numpy / scipy from outside the oracle, the oracle's bond power at a
-tolerance of the caller's choice, and the Dormand-Prince solve written as a
+tolerance of the caller's choice, the Dormand-Prince solve written as a
 generic loop over the tableau rows, which the oracle's straight-line step
-must match bit for bit.
+must match bit for bit, and the co-simulation master written as a generic
+loop over slots and bonds, which the loop compiled per run shape must match
+in the same way.
 """
 
 from array import array
 from functools import reduce
-from math import isfinite
-from operator import add, mul
+from itertools import chain
+from math import inf, isfinite
+from operator import add, itemgetter, mul
+from struct import Struct
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from eccosim.energy import BondLedger, CompensatedSum
+from eccosim.master import RunRecord, SimulatorFailure, _check, _probe_layout
+from eccosim.model import apply_connections, validate_graph
 from eccosim.quartercar import ROAD_HEIGHT, QuarterCarParams, spring_damper_force
 from eccosim.reference import _DP_A, _DP_D, _DP_E, _DP_H0, _STEP_WIDTH, ReferenceTrajectory, _solve
 
@@ -150,3 +157,71 @@ def generic_solve(params: QuarterCarParams, t_end: float, tol: float) -> tuple[a
             k_first = [ks[-1] for ks in stages]
         h *= min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
     return steps[::_STEP_WIDTH], steps
+
+
+def generic_cosimulation(slots, bonds, policy, t_end: float) -> RunRecord:
+    """The record of ``master.run_cosimulation``, from one loop for every run shape.
+
+    It keeps lists of the slots' signals, screens them by comparing their
+    lengths and value types with the run's as one list, and picks the
+    coupling outputs and books the bonds by looping over the routes.  It
+    checks none of the bounds the master checks before a run; like the
+    master, it records ``t_end`` itself as the time of a step cut onto it.
+    """
+    t_tol = 1e-12 * max(t_end, 1.0)
+    wiring = validate_graph(bonds, slots)
+    routes = wiring.routes
+    probe_names = _probe_layout(slots)
+    record = RunRecord(bond_count=len(routes), probe_names=tuple(chain(*probe_names)))
+    pack_row = Struct(f"{record.width}d").pack
+    output_widths = [slot.n_outputs for slot in slots]
+    widths = output_widths + [len(names) for names in probe_names]
+    readers = [slot.get_outputs for slot in slots] + [slot.probes for slot in slots]
+    n_outputs = sum(output_widths)
+    shape = widths + [float] * sum(widths)  # each vector's width, then each value's type
+    picks = [sum(output_widths[:o]) + k for r in routes for o, k in ((r[0], r[2]), (r[3], r[5]))]
+    pick = itemgetter(*picks) if picks else lambda values: ()
+    ledgers = [BondLedger(route[6]) for route in routes]
+
+    signals = [slot.get_outputs() for slot in slots]
+    coupled = pick(_check(0.0, signals, output_widths, probe_names, record))
+    dt_next = policy.start(coupled)
+    clock = CompensatedSum().add
+    t_now = 0.0
+    while t_end - t_now > t_tol:
+        remaining = t_end - t_now
+        if not policy.min_step <= dt_next < inf:
+            raise ValueError(f"policy {policy.name!r} proposed step size {dt_next} at t={t_now}")
+        if dt_next >= remaining * (1.0 - 1e-9):
+            dt, t_next = remaining, t_end
+        else:
+            dt, t_next = dt_next, clock(dt_next)
+        inputs = apply_connections(wiring, coupled)
+        for slot, u in zip(slots, inputs):
+            slot.set_inputs(u)
+            slot.do_step(t_now, dt)
+        signals = [read() for read in readers]
+        try:
+            values = sum(signals, ())
+            if not (
+                [*map(len, signals), *map(type, values)] == shape and isfinite(sum(values, 0.0))
+            ):
+                raise TypeError
+        except TypeError:
+            values = _check(t_next, signals, widths, probe_names, record)
+        coupled = pick(values)
+        bond_steps = [
+            ledger.record(dt, inputs[o_e][i_e], inputs[o_f][i_f], coupled[2 * j], coupled[2 * j + 1])
+            for j, (ledger, (o_e, i_e, _, o_f, i_f, _, _)) in enumerate(zip(ledgers, routes))
+        ]
+        for j, (o_e, _, k_e, o_f, _, k_f, _) in enumerate(routes):
+            if not all(map(isfinite, bond_steps[j])):
+                raise SimulatorFailure(
+                    f"non-finite bond power at t={t_next}: bond {j} "
+                    f"(slot {o_e} output {k_e}, slot {o_f} output {k_f})",
+                    record,
+                )
+        dt_next, eps = policy.next_step(t_next, dt, bond_steps, coupled)
+        record.data.frombytes(pack_row(t_next, dt, eps, *chain(*bond_steps), *values[n_outputs:]))
+        t_now = t_next
+    return record

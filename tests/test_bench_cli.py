@@ -542,6 +542,13 @@ def test_cli_constant_step_and_scan_defaults(monkeypatch):
     ]
 
 
+def test_cli_run_whose_last_step_is_cut_onto_t_end_ends_there(tmp_path, capsys):
+    # the compensated clock put the cut step one ulp past t_end, outside the oracle's range
+    out = tmp_path / "end.csv"
+    assert main(["run", "--t-end", "0.9625791", "--dt0", "0.003", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[-1].split(",")[0] == "0.9625791"
+
+
 def test_cli_unwritable_output_exits_one(tmp_path, monkeypatch, capsys):
     # refused before any run: a run would be lost when its output is written
     for worker in ("run_experiment", "step_size_sweep", "stability_scan"):

@@ -129,6 +129,16 @@ def test_final_step_truncates_onto_horizon():
     assert record.column("t")[-1] == pytest.approx(0.0105, rel=1e-12)
 
 
+def test_a_step_cut_onto_the_horizon_records_the_horizon_itself():
+    # the compensated clock puts this cut step one ulp past t_end, at 0.9625791000000001,
+    # where the reference oracle of `eccosim run` has no samples
+    slots, bonds = build_reticulation("A", LINEAR_PARAMS)
+    record = run_cosimulation(slots, bonds, ConstantStep(0.003), 0.9625791)
+    assert record.step_count == 321
+    assert record.column("dt")[-1] < 0.003
+    assert record.column("t")[-1] == 0.9625791
+
+
 def test_horizon_shorter_than_minimum_step_still_lands_exactly():
     # truncation overrides the controller's lower bound on the (only) step
     slots, bonds = build_reticulation("A", LINEAR_PARAMS)
@@ -617,11 +627,44 @@ def _two_bond_run():
     return slots, (bond_a, PowerBond(PowerPort(2, 0, 0), PowerPort(3, 0, 0), sigma=1))
 
 
+class _Rotor(SimulatorSlot):
+    """Two integrators, each driven by its own input; a bond between its two
+    ports makes them rotate.  Its third input is left unbonded."""
+
+    n_inputs = 3
+    n_outputs = 2
+    probe_names = ("a", "b")
+
+    def __init__(self):
+        self.state = (1.0, 0.0)
+        self.u = (0.0, 0.0, 0.0)
+
+    def set_inputs(self, u):
+        self.u = u
+
+    def do_step(self, t, dt):
+        a, b = self.state
+        self.state = (a + dt * self.u[0], b + dt * self.u[1])
+
+    def get_outputs(self):
+        return self.state
+
+    def probes(self):
+        return self.state
+
+
+def _three_slot_run():
+    slots, (bond_a,) = build_reticulation("A", LINEAR_PARAMS)
+    slots.append(_Rotor())
+    return slots, (bond_a, PowerBond(PowerPort(2, 0, 0), PowerPort(2, 1, 1), sigma=-1))
+
+
 @pytest.mark.parametrize("build, stop, steps", [
     (lambda: build_reticulation("B", LINEAR_PARAMS), None, 100),
     (_two_bond_run, None, 100),
+    (_three_slot_run, None, 100),
     (lambda: build_reticulation("A", LINEAR_PARAMS), lambda record: record.step_count == 7, 7),
-], ids=["one-bond", "two-bond", "stopped"])
+], ids=["one-bond", "two-bond", "three-slot-unbonded-input", "stopped"])
 def test_each_step_makes_one_exchange_one_policy_call_and_one_ledger_call_per_bond(
     build, stop, steps, monkeypatch
 ):
@@ -678,6 +721,31 @@ def test_probe_names_that_clash_are_rejected_before_the_first_step():
     with pytest.raises(ValueError, match="slot 0 probe 'dt' is also a column of the record"):
         run_cosimulation([slot], (), ConstantStep(1e-3), 0.01)
     assert slot.steps == 0
+
+
+class _OneName(_Probed):
+    probe_names = "w"  # a str, not the tuple ("w",)
+
+
+class _NumberName(_Probed):
+    probe_names = ("x", 2)
+
+
+class _RepeatedName(_Probed):
+    probe_names = ("a", "a")
+
+
+@pytest.mark.parametrize("slot, message", [
+    (_OneName, "slot 1 probe_names is the str 'w', not a tuple of names"),
+    (_NumberName, "slot 1 probe name 2 is not a str"),
+    (_RepeatedName, "slot 1 probe 'a' is named twice in its probe_names"),
+], ids=["str", "not-a-str", "repeated"])
+def test_probe_names_that_are_not_distinct_strs_are_rejected_before_the_first_step(slot, message):
+    slots = [MonolithicQuarterCar(LINEAR_PARAMS), slot()]
+    with pytest.raises(ValueError) as info:
+        run_cosimulation(slots, (), ConstantStep(1e-3), 0.01)
+    assert str(info.value) == message
+    assert slots[0].step_calls == slots[1].steps == 0
 
 
 def test_run_record_keeps_at_most_160_bytes_per_step():
