@@ -3,7 +3,6 @@ adaptive macro step control, plus the quarter-car benchmark harness."""
 
 from .control import (
     ConstantStep,
-    NonFiniteIndicator,
     OutputExtrapolationIndicator,
     PIConfig,
     PIController,

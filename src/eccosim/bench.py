@@ -20,7 +20,7 @@ from collections import namedtuple
 from functools import reduce
 from itertools import repeat
 from math import ceil, isfinite, log2, ulp
-from operator import add
+from operator import add, index
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
 from .control import (
@@ -122,8 +122,15 @@ class ExperimentConfig(Frozen):
                 raise ConfigError(f"{s.name} must be finite, got {value}")
             if value == "":
                 raise ConfigError(f"{s.name} must not be empty")
-        if not all(n >= 1 for n in (self.micro_ratio_s1, self.micro_ratio_s2)):
-            raise ConfigError("micro step ratios must be at least 1")
+        s1, s2 = self.micro_ratio_s1, self.micro_ratio_s2
+        try:
+            valid = index(s1) >= 1 and index(s2) >= 1
+        except TypeError:  # not an integer
+            valid = False
+        if not valid:
+            raise ConfigError(
+                f"micro step ratios must be at least 1 and integers, got {s1!r} and {s2!r}"
+            )
         if self.t_end is not None and not self.t_end > 0.0:
             raise ConfigError(f"t_end must be finite and positive, got {self.t_end}")
         if os.path.abspath(self.resolved_summary_path) == os.path.abspath(self.out_path):

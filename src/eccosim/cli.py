@@ -1,8 +1,8 @@
 """Command-line front end: run experiments, reproduce the recorded benchmark
 tables, sweep the step size, and scan for stability onsets.
 
-Exit codes: 0 success, 1 configuration/usage error, 2 simulation failure (a refused
-slot value, or non-finite states), 3 measured results outside the expected tolerances.
+Exit codes: 0 success, 1 configuration/usage error, 2 simulation failure (a refused slot value,
+or a non-finite bond power or indicator), 3 measured results outside the expected tolerances.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .bench import (
     summarize_experiment,
     write_trajectory_csv,
 )
-from .control import NonFiniteIndicator
 from .master import SimulatorFailure, check_plan
 from .quartercar import RETICULATIONS
 
@@ -403,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SimulatorFailure, NonFiniteIndicator) as exc:
+    except SimulatorFailure as exc:
         print(f"simulation failure: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from math import isfinite, sqrt
 from typing import Sequence
 
 from .energy import BOND_FIELDS
-from .model import Frozen
+from .model import Frozen, SimulatorFailure
 
 # Where the residual-energy indicator finds its values in a ledger step.
 _DE_RES, _E_STEP = BOND_FIELDS.index("dE_res"), BOND_FIELDS.index("E_step")
@@ -23,10 +23,6 @@ _DE_RES, _E_STEP = BOND_FIELDS.index("dE_res"), BOND_FIELDS.index("E_step")
 # Indicators are clamped below this before exponentiation so a vanishing
 # residual cannot divide by zero; growth is then limited by theta_max anyway.
 EPS_FLOOR = 1e-12
-
-
-class NonFiniteIndicator(RuntimeError):
-    """The error indicator evaluated to NaN or infinity."""
 
 
 def _broadcast(value, n: int, name: str) -> tuple[float, ...]:
@@ -269,7 +265,7 @@ class PIController(StepPolicy):
     ``config.dt_min`` and must lie in ``[dt_min, dt_max]``.  :meth:`start`
     binds the indicator's call, and the gains and ``PIConfig`` bounds in
     ``pi_step_size``'s argument order, once per run, and resets the previous
-    error to 1.
+    error to 1.  An error that is not finite raises :class:`SimulatorFailure`.
     """
 
     def __init__(self, indicator, config: PIConfig = PIConfig(), dt0: float | None = None):
@@ -298,7 +294,7 @@ class PIController(StepPolicy):
         if eps is None:
             return dt_used, 0.0
         if not isfinite(eps):
-            raise NonFiniteIndicator(f"{self.name} indicator is {eps} at t={t_next}")
+            raise SimulatorFailure(f"{self.name} indicator is {eps} at t={t_next}")
         dt_next = pi_step_size(eps, self.eps_prev, dt_used, *self.bound)
         self.eps_prev = eps if eps > EPS_FLOOR else EPS_FLOOR
         return dt_next, eps

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from .control import StepPolicy
 from .energy import BOND_FIELDS, BondLedger, CompensatedSum
-from .model import PowerBond, SimulatorSlot, apply_connections, validate_graph
+from .model import PowerBond, SimulatorFailure, SimulatorSlot, apply_connections, validate_graph
 
 
 #: Most macro steps, so most rows, one run may record: 14 doubles per
@@ -36,16 +36,6 @@ MICRO_STEP_BUDGET = 20_000_000
 
 #: Leading fields of every row.
 STEP_FIELDS = ("t", "dt", "eps")
-
-
-class SimulatorFailure(RuntimeError):
-    """A slot returned a signal the master cannot use; marks the record it carries incomplete."""
-
-    def __init__(self, message: str, record: "RunRecord | None" = None):
-        super().__init__(message)
-        if record is not None:
-            record.complete = False
-        self.record = record
 
 
 class RunRecord:
@@ -149,7 +139,7 @@ def _diagnosis(t, outputs, probes, widths, probe_names) -> str:
             return f"{bad}slot {i} probes are {vector!r}, not a sequence of numbers"
 
 
-def _check(t, signals, widths, probe_names, record) -> list[float]:
+def _check(t, signals, widths, probe_names) -> list[float]:
     """The rule for ``signals``, each slot's outputs and then, after a step, its
     probes: every value they hold, in that order, as a float.
 
@@ -165,7 +155,7 @@ def _check(t, signals, widths, probe_names, record) -> list[float]:
     except (TypeError, OverflowError):  # not a sequence, or not a number
         pass
     n = len(probe_names)
-    raise SimulatorFailure(_diagnosis(t, signals[:n], signals[n:], widths, probe_names), record)
+    raise SimulatorFailure(_diagnosis(t, signals[:n], signals[n:], widths, probe_names))
 
 
 def _probe_layout(slots: Sequence[SimulatorSlot]) -> list[tuple[str, ...]]:
@@ -221,30 +211,28 @@ def _refuse_step(policy: StepPolicy, dt: float, t: float, min_step: float) -> No
     )
 
 
-def _bond_failure(t, routes, bond_steps, record) -> None:
+def _bond_failure(t, routes, bond_steps) -> None:
     """Raise :class:`SimulatorFailure` at ``t`` naming the first bond that booked a
     value that is not finite; return if none did, and only their sum overflowed."""
     for j, ((o_e, _, k_e, o_f, _, k_f, _), step) in enumerate(zip(routes, bond_steps)):
         if not all(map(isfinite, step)):
             raise SimulatorFailure(
                 f"non-finite bond power at t={t}: bond {j} "
-                f"(slot {o_e} output {k_e}, slot {o_f} output {k_f})",
-                record,
+                f"(slot {o_e} output {k_e}, slot {o_f} output {k_f})"
             )
 
 
 # The macro-step loop, filled in per run shape by _step_loop.  Each step calls every
 # slot's set_inputs and do_step in slot order, reads all outputs and then all probes,
 # and screens them: what SimulatorSlot declares, tuples of finite floats of their
-# widths, unpacks into locals unchanged, and anything else goes through check.  Then
+# widths, unpacks into locals unchanged, and anything else goes through _check.  Then
 # the ledgers book the step, the policy sees it and the row is packed.  After the
 # bounds run_cosimulation checks first, each step but the last (> t_tol) is at least
 # t_end / MAX_MACRO_STEPS: all advance a clock that never passes t_end.
 _LOOP = """\
 def step_loop(
     t_end, t_tol, min_step, dt_next, coupled, wiring, slot_calls, books, clock, next_step,
-    pack_row, append_row, stop, record, policy, apply_connections, check, widths,
-    probe_names, refuse_step, bond_failure,
+    pack_row, append_row, stop, record, policy, apply_connections, widths, probe_names,
 ):
     {calls} = slot_calls
     {books} = books
@@ -254,7 +242,7 @@ def step_loop(
         if remaining <= t_tol:
             return
         if not min_step <= dt_next < inf:
-            refuse_step(policy, dt_next, t_now, min_step)
+            _refuse_step(policy, dt_next, t_now, min_step)
         if dt_next >= remaining * (1.0 - 1e-9):  # cut onto t_end, absorbing a final sliver
             dt = remaining
             t_next = t_end
@@ -271,11 +259,11 @@ def step_loop(
             if not ({floats} and isfinite({value_sum})):
                 raise ValueError
         except ValueError:
-            {values} = check(t_next, [{vectors}], widths, probe_names, record)
+            {values} = _check(t_next, [{vectors}], widths, probe_names)
         coupled = {coupled}
         {book}
         if not isfinite({field_sum}):
-            bond_failure(t_next, wiring.routes, {bond_steps}, record)
+            _bond_failure(t_next, wiring.routes, {bond_steps})
         dt_next, eps = next_step(t_next, dt, {bond_steps}, coupled)
         append_row(pack_row(t_next, dt, eps, {row}))
         if stop is not None and stop(record):
@@ -297,7 +285,8 @@ def _step_loop(output_widths: tuple[int, ...], probe_counts: tuple[int, ...], po
     The shape is each slot's output width and probe count and, per bond, the
     owner, input index and output index of its effort port and then of its
     flow port.  These ints are all the source holds: no text a slot supplies
-    is compiled, and every callable the loop uses is an argument of each run.
+    is compiled, and each callable the loop uses, bar the failure helpers it names,
+    is an argument of each run.
     """
     slots = range(len(output_widths))
     outs = [[f"y{i}_{k}" for k in range(n)] for i, n in enumerate(output_widths)]
@@ -331,9 +320,8 @@ def _step_loop(output_widths: tuple[int, ...], probe_counts: tuple[int, ...], po
         bond_steps=_tuple(steps),
         row=", ".join([*chain(*fields), *chain(*probes)]),
     )
-    namespace = {"inf": inf, "isfinite": isfinite}
-    exec(compile(source, "<eccosim.master step loop>", "exec"), namespace)
-    return namespace["step_loop"]
+    exec(compile(source, "<eccosim.master step loop>", "exec"), globals(), loop := {})
+    return loop["step_loop"]
 
 
 def run_cosimulation(
@@ -361,11 +349,11 @@ def run_cosimulation(
     :func:`micro_step_plan` exceeds ``MICRO_STEP_BUDGET`` (:func:`check_plan`), or a
     probe name is not a ``str`` unique among the record's columns, and before the
     next step when the policy proposes a step size that is not finite or is
-    below its ``min_step``.  Raises :class:`SimulatorFailure`, with the
-    partial record attached (empty at t = 0), before the ledgers book a step
-    that breaks the rule of :func:`_check`, and before the policy sees a step
-    whose booked bond power is not finite; the message names the slot and
-    signal, or the bond, that failed first.
+    below its ``min_step``.  Raises :class:`SimulatorFailure` before the ledgers book a
+    step that breaks the rule of :func:`_check`, before the policy sees a step whose
+    booked bond power is not finite, and when its indicator is not finite, naming what
+    failed first; its ``record`` is then the incomplete record of the rows before that
+    step (empty at t = 0).
     """
     if not (isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
@@ -396,19 +384,23 @@ def run_cosimulation(
     # Bond j's effort and flow outputs are values[picks[2j]] and values[picks[2j + 1]].
     picks = [sum(output_widths[:o]) + k for r in routes for o, k in ((r[0], r[2]), (r[3], r[5]))]
 
-    values = _check(0.0, [slot.get_outputs() for slot in slots], output_widths, probe_names, record)
-    coupled = tuple(values[p] for p in picks)
-    dt_next = policy.start(coupled)
-
-    step_loop = _step_loop(
-        tuple(map(index, output_widths)),
-        tuple(map(len, probe_names)),
-        tuple(tuple(map(index, route[:6])) for route in routes),
-    )
-    step_loop(
-        t_end, t_tol, min_step, dt_next, coupled, wiring, slot_calls,
-        [BondLedger(route[6]).record for route in routes], CompensatedSum().add,
-        policy.next_step, Struct(f"{record.width}d").pack, record.data.frombytes, stop, record,
-        policy, apply_connections, _check, widths, probe_names, _refuse_step, _bond_failure,
-    )
+    try:
+        values = _check(0.0, [slot.get_outputs() for slot in slots], output_widths, probe_names)
+        coupled = tuple(values[p] for p in picks)
+        dt_next = policy.start(coupled)
+        step_loop = _step_loop(
+            tuple(map(index, output_widths)),
+            tuple(map(len, probe_names)),
+            tuple(tuple(map(index, route[:6])) for route in routes),
+        )
+        step_loop(
+            t_end, t_tol, min_step, dt_next, coupled, wiring, slot_calls,
+            [BondLedger(route[6]).record for route in routes], CompensatedSum().add,
+            policy.next_step, Struct(f"{record.width}d").pack, record.data.frombytes, stop,
+            record, policy, apply_connections, widths, probe_names,
+        )
+    except SimulatorFailure as exc:  # every failure at a step carries the rows before it
+        exc.record = record
+        record.complete = False
+        raise
     return record

@@ -122,6 +122,15 @@ class SimulatorSlot(ABC):
         return ()
 
 
+class SimulatorFailure(RuntimeError):
+    """A step broke: a slot value the master cannot use, or a non-finite bond power or
+    indicator.  ``run_cosimulation`` sets ``record`` to the rows before that step."""
+
+    def __init__(self, message: str, record=None):
+        super().__init__(message)
+        self.record = record
+
+
 class Wiring(namedtuple("Wiring", "zero_inputs routes")):
     """Validated routing table produced by :func:`validate_graph`: each
     simulator's input vector with every input 0.0, the template

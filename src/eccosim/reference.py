@@ -18,7 +18,7 @@ from math import isfinite
 from operator import add
 from typing import Iterator, Sequence
 
-from .master import RunRecord
+from .master import MAX_MACRO_STEPS, RunRecord
 from .quartercar import RETICULATIONS, ROAD_HEIGHT, QuarterCarParams, spring_damper_force
 
 
@@ -144,7 +144,8 @@ def _solve(params: QuarterCarParams, t_end: float, tol: float = _DP_TOL) -> tupl
     Each accepted step stores its start time, its length and the five dense
     output coefficients of each state in ``steps``; ``starts`` repeats the
     start times.  Raises ``ValueError`` for a horizon that is not finite and
-    positive, a non-finite error estimate or a step size that underflows.
+    positive, a non-finite error estimate, a step size that underflows, or more
+    than ``MAX_MACRO_STEPS`` accepted steps short of ``t_end``.
 
     The step is written out over the four states ``(z, v, w, u)`` =
     ``(z_c, v_c, z_w, v_w)``.  The derivatives of ``z`` and ``w`` are ``v``
@@ -165,6 +166,7 @@ def _solve(params: QuarterCarParams, t_end: float, tol: float = _DP_TOL) -> tupl
     a1 = -f / m_c
     b1 = (f - k_w * (w - road)) / m_w
     h = _DP_H0
+    accepted, cap = 0, MAX_MACRO_STEPS
     while t < t_end:
         h = min(h, t_end - t)
         if t + h == t:
@@ -238,6 +240,12 @@ def _solve(params: QuarterCarParams, t_end: float, tol: float = _DP_TOL) -> tupl
             ))
             t += h
             z, v, w, u, a1, b1 = z7, v7, w7, u7, a7, b7
+            accepted += 1
+            if accepted >= cap and t < t_end:
+                raise ValueError(
+                    f"reference solve to t_end={t_end} takes more than MAX_MACRO_STEPS = {cap} "
+                    f"steps (at t={t}) for {params}; use a shorter horizon"
+                )
         h *= min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
     return steps[::_STEP_WIDTH], steps
 

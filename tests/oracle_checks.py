@@ -166,13 +166,25 @@ def generic_cosimulation(slots, bonds, policy, t_end: float) -> RunRecord:
     lengths and value types with the run's as one list, and picks the
     coupling outputs and books the bonds by looping over the routes.  It
     checks none of the bounds the master checks before a run; like the
-    master, it records ``t_end`` itself as the time of a step cut onto it.
+    master, it records ``t_end`` itself as the time of a step cut onto it,
+    and attaches the rows before a failing step to its failure in one place.
     """
-    t_tol = 1e-12 * max(t_end, 1.0)
     wiring = validate_graph(bonds, slots)
-    routes = wiring.routes
     probe_names = _probe_layout(slots)
-    record = RunRecord(bond_count=len(routes), probe_names=tuple(chain(*probe_names)))
+    record = RunRecord(bond_count=len(wiring.routes), probe_names=tuple(chain(*probe_names)))
+    try:
+        _generic_steps(slots, wiring, probe_names, policy, t_end, record)
+    except SimulatorFailure as exc:
+        exc.record = record
+        record.complete = False
+        raise
+    return record
+
+
+def _generic_steps(slots, wiring, probe_names, policy, t_end, record) -> None:
+    """Append the rows of :func:`generic_cosimulation` to ``record``, from the check at t = 0."""
+    t_tol = 1e-12 * max(t_end, 1.0)
+    routes = wiring.routes
     pack_row = Struct(f"{record.width}d").pack
     output_widths = [slot.n_outputs for slot in slots]
     widths = output_widths + [len(names) for names in probe_names]
@@ -184,7 +196,7 @@ def generic_cosimulation(slots, bonds, policy, t_end: float) -> RunRecord:
     ledgers = [BondLedger(route[6]) for route in routes]
 
     signals = [slot.get_outputs() for slot in slots]
-    coupled = pick(_check(0.0, signals, output_widths, probe_names, record))
+    coupled = pick(_check(0.0, signals, output_widths, probe_names))
     dt_next = policy.start(coupled)
     clock = CompensatedSum().add
     t_now = 0.0
@@ -208,7 +220,7 @@ def generic_cosimulation(slots, bonds, policy, t_end: float) -> RunRecord:
             ):
                 raise TypeError
         except TypeError:
-            values = _check(t_next, signals, widths, probe_names, record)
+            values = _check(t_next, signals, widths, probe_names)
         coupled = pick(values)
         bond_steps = [
             ledger.record(dt, inputs[o_e][i_e], inputs[o_f][i_f], coupled[2 * j], coupled[2 * j + 1])
@@ -218,10 +230,8 @@ def generic_cosimulation(slots, bonds, policy, t_end: float) -> RunRecord:
             if not all(map(isfinite, bond_steps[j])):
                 raise SimulatorFailure(
                     f"non-finite bond power at t={t_next}: bond {j} "
-                    f"(slot {o_e} output {k_e}, slot {o_f} output {k_f})",
-                    record,
+                    f"(slot {o_e} output {k_e}, slot {o_f} output {k_f})"
                 )
         dt_next, eps = policy.next_step(t_next, dt, bond_steps, coupled)
         record.data.frombytes(pack_row(t_next, dt, eps, *chain(*bond_steps), *values[n_outputs:]))
         t_now = t_next
-    return record

@@ -33,7 +33,6 @@ from eccosim import bench, cli, master
 from eccosim.cli import EXPECTED_TABLES, METRICS, _log_spaced, check_row, main
 from eccosim.control import (
     ConstantStep,
-    NonFiniteIndicator,
     OutputExtrapolationIndicator,
     PIConfig,
     ResidualEnergyIndicator,
@@ -99,6 +98,8 @@ def test_config_validation_errors():
         ExperimentConfig(micro_ratio_s1=0)
     with pytest.raises(ConfigError, match="micro step ratios must be at least 1"):
         ExperimentConfig(micro_ratio_s2=0)
+    with pytest.raises(ConfigError, match="at least 1 and integers, got 10 and 2.5"):
+        ExperimentConfig(micro_ratio_s2=2.5)
     with pytest.raises(ConfigError):
         load_config(None, {"nonexistent": 1})
     for name in ("r", "e0", "tol", "rho", "alpha_s", "dt_min", "dt_max",
@@ -463,13 +464,60 @@ def test_cli_run_whose_step_does_not_advance_the_clock_exits_one(tmp_path, capsy
 
 
 def test_cli_non_finite_indicator_exits_two(tmp_path, capsys):
-    # TOL * (1 + rho * |y|) is a subnormal, so the first judged step's indicator is inf
-    code = main([
-        "run", "--controller", "predictor_corrector", "--tol", "1e-320", "--rho", "0",
-        "--t-end", "0.01", "--out", str(tmp_path / "p.csv"),
-    ])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("simulation failure:")
+    for flags, message in (
+        # TOL * (1 + rho * |y|) is a subnormal, so the first judged step's indicator is inf
+        (["predictor_corrector", "--tol", "1e-320", "--rho", "0"],
+         "predictor_corrector indicator is inf at t=0.0002"),
+        # its square of dE_res / (r * (E0 + |E_step|)) overflows at the first nonzero residual
+        (["ecco", "--r", "1e-300"], "ecco indicator is inf at t=0.00025"),
+    ):
+        out = tmp_path / f"{flags[0]}.csv"
+        assert main(["run", "--controller", *flags, "--t-end", "0.01", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"partial trajectory written to {out}", f"simulation failure: {message}"
+        ]
+        lines = out.read_text().splitlines()  # the header and step 1, the rows before
+        assert lines[0] == TRAJECTORY_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.0001"]
+
+
+def _wheel_output_at_step_3(value):
+    """``WheelOnly.get_outputs``, returning ``value`` after the wheel's third step."""
+    real = WheelOnly.get_outputs
+    return lambda self: (value,) if self.step_calls == 3 else real(self)
+
+
+def _indicator_inf_at_step_3(
+    self, t_next, bond_steps, outputs, real=ResidualEnergyIndicator.__call__
+):
+    """``ResidualEnergyIndicator.__call__``, reading inf at its third step."""
+    self.steps = getattr(self, "steps", 0) + 1
+    return math.inf if self.steps == 3 else real(self, t_next, bond_steps, outputs)
+
+
+@pytest.mark.parametrize("target, name, patch, message", [
+    (WheelOnly, "get_outputs", _wheel_output_at_step_3(math.nan),
+     "non-finite simulator output at t={t}: slot 1 output 0"),
+    (WheelOnly, "get_outputs", _wheel_output_at_step_3(1e308),  # finite, its power is not
+     "non-finite bond power at t={t}: bond 0 (slot 0 output 0, slot 1 output 0)"),
+    (ResidualEnergyIndicator, "__call__", _indicator_inf_at_step_3,
+     "ecco indicator is inf at t={t}"),
+], ids=["slot value", "bond power", "indicator"])
+def test_each_exit_two_writes_exactly_the_rows_before_the_failing_step(
+    target, name, patch, message, tmp_path, monkeypatch, capsys
+):
+    argv = ["run", "--reticulation", "B", "--controller", "ecco", "--r", "1e-5", "--t-end", "0.01"]
+    assert main([*argv, "--out", str(tmp_path / "full.csv")]) == 0
+    full = (tmp_path / "full.csv").read_text().splitlines()
+    capsys.readouterr()
+    monkeypatch.setattr(target, name, patch)
+    out = tmp_path / "partial.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    t_3 = full[3].split(",")[0]  # the time of step 3, the failing step
+    assert capsys.readouterr().err.splitlines() == [
+        f"partial trajectory written to {out}", "simulation failure: " + message.format(t=t_3)
+    ]
+    assert out.read_text().splitlines() == full[:3]  # the header, steps 1 and 2
 
 
 def test_empty_output_paths_rejected_before_any_step(tmp_path, monkeypatch, capsys):
@@ -589,8 +637,7 @@ def test_cli_unwritable_output_exits_one(tmp_path, monkeypatch, capsys):
     (ValueError("bad value"), 1, "error:"),
     (OSError("disk full"), 1, "error:"),
     (SimulatorFailure("slot 0 output 0"), 2, "simulation failure:"),
-    (NonFiniteIndicator("indicator is nan"), 2, "simulation failure:"),
-], ids=["ConfigError", "ValueError", "OSError", "SimulatorFailure", "NonFiniteIndicator"])
+], ids=["ConfigError", "ValueError", "OSError", "SimulatorFailure"])
 def test_cli_main_maps_each_error_to_its_exit_code(
     argv, worker, error, code, prefix, tmp_path, monkeypatch, capsys
 ):

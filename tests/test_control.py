@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from eccosim.control import (
     EPS_FLOOR,
     ConstantStep,
-    NonFiniteIndicator,
     OutputExtrapolationIndicator,
     PIConfig,
     PIController,
@@ -20,6 +19,7 @@ from eccosim.control import (
     predict_outputs,
 )
 from eccosim.energy import BOND_FIELDS
+from eccosim.model import SimulatorFailure
 
 
 def entry(dE_res, E_step, dt=1e-3):
@@ -267,7 +267,7 @@ def test_ecco_tolerance_product_underflow_rejected_at_start():
 def test_ecco_controller_nonfinite_indicator():
     pol = PIController(ResidualEnergyIndicator(), PIConfig())
     pol.start([0.0, 0.0])
-    with pytest.raises(NonFiniteIndicator):
+    with pytest.raises(SimulatorFailure, match="ecco indicator is nan at t=0.0001"):
         pol.next_step(1e-4, 1e-4, (entry(float("nan"), 0.0),), [0.0, 0.0])
 
 

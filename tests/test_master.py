@@ -216,6 +216,33 @@ def test_simulator_failure_names_slot_and_signal(state, signal):
     assert exc_info.value.record.step_count == 2
 
 
+class _InfFrom:
+    """An indicator that reads 0.5 for its first ``k - 1`` steps and inf from step ``k``."""
+
+    name, k_i, k_p = "inf-from", 0.15, 0.2
+
+    def __init__(self, k):
+        self.k = k
+
+    def start(self, outputs):
+        self.steps = 0
+
+    def __call__(self, t_next, bond_steps, outputs):
+        self.steps += 1
+        return math.inf if self.steps >= self.k else 0.5
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_non_finite_indicator_fails_with_the_rows_before_its_step(k):
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS)
+    with pytest.raises(SimulatorFailure) as info:
+        run_cosimulation(slots, bonds, PIController(_InfFrom(k)), 1.0)
+    record = info.value.record
+    assert record.step_count == k - 1 and record.complete is False
+    assert [slot.step_calls for slot in slots] == [k, k]  # step k ran, its row was not kept
+    assert str(info.value).startswith("inf-from indicator is inf at t=")
+
+
 class _Proposes(StepPolicy):
     """Starts with ``first``, then proposes ``then`` after every step; states ``min_step``."""
 

@@ -279,7 +279,7 @@ def test_monolithic_ignores_inputs():
 def test_invalid_micro_steps_rejected():
     # a count has no upper cap: the master bounds the micro steps a run plans
     for cls in (WheelAssembly, ChassisSpringDamper, WheelOnly, MonolithicQuarterCar):
-        for bad in (0, -1):
+        for bad in (0, -1, 2.5):
             with pytest.raises(ValueError, match=f"at least 1, got {bad}"):
                 cls(LINEAR_PARAMS, micro_steps=bad)
         assert cls(LINEAR_PARAMS, micro_steps=10**9).micro_step_ratio == 10**9

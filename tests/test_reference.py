@@ -17,6 +17,7 @@ from oracle_checks import (
     scipy_states,
 )
 
+from eccosim import reference
 from eccosim.bench import ExperimentConfig, NoOnsetInRange, stability_scan, step_size_sweep
 from eccosim.control import ConstantStep
 from eccosim.master import RunRecord, run_cosimulation
@@ -152,6 +153,21 @@ def test_reference_raises_on_non_finite_model(n_d):
     # linear (n_d = 0.5) and nonlinear (n_d = 1.5) damping both fail instead of spinning
     with pytest.raises(ValueError, match="non-finite"):
         reference_solve(QuarterCarParams(d_c=1e308, n_d=n_d), 0.1)
+
+
+def test_reference_refuses_a_horizon_past_the_step_cap(monkeypatch):
+    # a (params, t_end) no other test solves, so the cached solves do not answer
+    params, t_end = NONLINEAR_PARAMS.replace(d_c=901.0), 0.0731
+    steps = len(_solve.__wrapped__(params, t_end)[0])  # uncached
+    monkeypatch.setattr(reference, "MAX_MACRO_STEPS", steps - 1)
+    with pytest.raises(ValueError) as info:
+        reference_solve(params, t_end)
+    assert str(info.value).startswith(
+        f"reference solve to t_end={t_end} takes more than MAX_MACRO_STEPS = {steps - 1} steps"
+    )
+    assert str(params) in str(info.value)
+    monkeypatch.setattr(reference, "MAX_MACRO_STEPS", steps)
+    assert len(reference_solve(params, t_end).t) == steps
 
 
 @pytest.mark.parametrize("reticulation", ["A", "B"])

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from oracle_checks import generic_cosimulation
 
 from eccosim import master
-from eccosim.control import ConstantStep, PIController, ResidualEnergyIndicator
+from eccosim.control import ConstantStep, PIController, ResidualEnergyIndicator, StepPolicy
 from eccosim.energy import BOND_FIELDS
 from eccosim.master import STEP_FIELDS, SimulatorFailure, run_cosimulation
 from eccosim.model import PowerBond, PowerPort, SimulatorSlot
@@ -54,12 +54,31 @@ class _Toy(SimulatorSlot):
         return self._vector("probe", [base + k for k in range(len(self.probe_names))])
 
 
+class _FailsAt(StepPolicy):
+    """``policy``, except that its ``at``-th ``next_step`` raises :class:`SimulatorFailure`."""
+
+    def __init__(self, policy, at):
+        self.policy, self.at = policy, at
+        self.name, self.min_step = policy.name, policy.min_step
+
+    def start(self, outputs):
+        self.calls = 0
+        return self.policy.start(outputs)
+
+    def next_step(self, t_next, dt_used, bond_steps, outputs):
+        self.calls += 1
+        if self.calls == self.at:
+            raise SimulatorFailure(f"{self.name} policy fails at t={t_next}")
+        return self.policy.next_step(t_next, dt_used, bond_steps, outputs)
+
+
 _RESERVED = frozenset(STEP_FIELDS + BOND_FIELDS)
 
 
 @st.composite
 def _run_shapes(draw):
-    """Slot shapes, probe names, bonds, the policy and one bad value: what `_outcome` takes."""
+    """Slot shapes, probe names, bonds, the policy, one bad value and the step the policy
+    fails at: what `_outcome` takes."""
     n = draw(st.integers(1, 4))
     owners = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
     ports = [0] * n  # bonded inputs, and outputs, of each slot
@@ -100,25 +119,25 @@ def _run_shapes(draw):
             st.sampled_from((math.nan, math.inf, "1.5", None, 2**2000, -0.0, 3)),
         )
     )
-    return shapes, names, tuple(bonds), ecco, bad
+    return shapes, names, tuple(bonds), ecco, bad, draw(st.none() | st.integers(1, 8))
 
 
-def _build(shapes, names, ecco, bad):
+def _build(shapes, names, ecco, bad, fail_at):
     slots = []
     for i, (n_in, n_out, n_probes, kind) in enumerate(shapes):
         slot_names, names = tuple(names[:n_probes]), names[n_probes:]
         slot_bad = bad[1:] if bad is not None and bad[0] == i else None
         slots.append(_Toy(n_in, n_out, slot_names, kind, slot_bad))
     policy = PIController(ResidualEnergyIndicator(rel_tol=1e-3)) if ecco else ConstantStep(3e-3)
-    return slots, policy
+    return slots, policy if fail_at is None else _FailsAt(policy, fail_at)
 
 
-def _outcome(run, shapes, names, bonds, ecco, bad):
-    slots, policy = _build(shapes, names, ecco, bad)
+def _outcome(run, shapes, names, bonds, ecco, bad, fail_at):
+    slots, policy = _build(shapes, names, ecco, bad, fail_at)
     try:
         record = run(slots, bonds, policy, 0.02)
     except SimulatorFailure as failure:
-        outcome = ("failed", str(failure), failure.record.data.tobytes())
+        outcome = ("failed", str(failure), failure.record.complete, failure.record.data.tobytes())
     else:
         outcome = ("ran", record.probe_names, record.data.tobytes())
     return outcome, [slot.received for slot in slots]
@@ -127,7 +146,8 @@ def _outcome(run, shapes, names, bonds, ecco, bad):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_run_shapes())
 def test_compiled_loop_matches_the_generic_loop_for_any_shape(shape):
-    # record bytes, every input each slot received, and the message of a bad value
+    # record bytes, every input each slot received, and the message of a bad value or a
+    # policy failure
     compiled = _outcome(run_cosimulation, *shape)
     assert compiled == _outcome(generic_cosimulation, *shape)
 
