@@ -21,7 +21,8 @@ from typing import Callable, Sequence
 
 from .control import StepPolicy
 from .energy import BOND_FIELDS, BondLedger, CompensatedSum
-from .model import PowerBond, SimulatorFailure, SimulatorSlot, apply_connections, validate_graph
+from .model import PowerBond, SimulatorFailure, SimulatorSlot, validate_graph
+from .model import apply_connections  # noqa: F401  inlined by the loop; the trace wraps it here
 
 
 #: Most macro steps, so most rows, one run may record: 14 doubles per
@@ -222,20 +223,24 @@ def _bond_failure(t, routes, bond_steps) -> None:
             )
 
 
-# The macro-step loop, filled in per run shape by _step_loop.  Each step calls every
+# The macro-step loop, filled in per run shape by _step_loop.  Each step routes the
+# coupling outputs to the inputs as apply_connections does, one local per bonded input
+# (sigma or -sigma times the other port's output; an unbonded input is 0.0), calls every
 # slot's set_inputs and do_step in slot order, reads all outputs and then all probes,
-# and screens them: what SimulatorSlot declares, tuples of finite floats of their
-# widths, unpacks into locals unchanged, and anything else goes through _check.  Then
-# the ledgers book the step, the policy sees it and the row is packed.  After the
-# bounds run_cosimulation checks first, each step but the last (> t_tol) is at least
+# and screens them: tuples or lists of finite floats of their widths unpack into locals
+# unchanged, and anything else goes through _check.  Then the ledgers book the step
+# against the held inputs, the policy sees it and the row is packed.  After the bounds
+# run_cosimulation checks first, each step but the last (> t_tol) is at least
 # t_end / MAX_MACRO_STEPS: all advance a clock that never passes t_end.
 _LOOP = """\
 def step_loop(
-    t_end, t_tol, min_step, dt_next, coupled, wiring, slot_calls, books, clock, next_step,
-    pack_row, append_row, stop, record, policy, apply_connections, widths, probe_names,
+    t_end, t_tol, min_step, dt_next, coupled, signs, slot_calls, books, clock, next_step,
+    pack_row, append_row, stop, record, policy, routes, widths, probe_names,
 ):
     {calls} = slot_calls
     {books} = books
+    {signs} = signs
+    {coupled} = coupled
     t_now = 0.0
     while True:
         remaining = t_end - t_now
@@ -249,22 +254,21 @@ def step_loop(
         else:
             dt = dt_next
             t_next = clock(dt)
-        {inputs} = apply_connections(wiring, coupled)
+        {route}
         {step}
         {read}
         try:
-            if not ({tuples}):
+            if not ({sequences}):
                 raise ValueError
             {unpack}
             if not ({floats} and isfinite({value_sum})):
                 raise ValueError
         except ValueError:
             {values} = _check(t_next, [{vectors}], widths, probe_names)
-        coupled = {coupled}
         {book}
         if not isfinite({field_sum}):
-            _bond_failure(t_next, wiring.routes, {bond_steps})
-        dt_next, eps = next_step(t_next, dt, {bond_steps}, coupled)
+            _bond_failure(t_next, routes, {bond_steps})
+        dt_next, eps = next_step(t_next, dt, {bond_steps}, {coupled})
         append_row(pack_row(t_next, dt, eps, {row}))
         if stop is not None and stop(record):
             record.complete = False
@@ -279,14 +283,14 @@ def _tuple(names: Sequence[str]) -> str:
 
 
 @lru_cache(maxsize=32)
-def _step_loop(output_widths: tuple[int, ...], probe_counts: tuple[int, ...], ports: tuple):
+def _step_loop(input_counts: tuple, output_widths: tuple, probe_counts: tuple, ports: tuple):
     """The loop of :data:`_LOOP` for runs of one shape, compiled once per shape.
 
-    The shape is each slot's output width and probe count and, per bond, the
-    owner, input index and output index of its effort port and then of its
-    flow port.  These ints are all the source holds: no text a slot supplies
+    The shape is each slot's input count, output width and probe count and, per
+    bond, the owner, input index and output index of its effort port and then of
+    its flow port.  These ints are all the source holds: no text a slot supplies
     is compiled, and each callable the loop uses, bar the failure helpers it names,
-    is an argument of each run.
+    and each bond's sign are arguments of each run.
     """
     slots = range(len(output_widths))
     outs = [[f"y{i}_{k}" for k in range(n)] for i, n in enumerate(output_widths)]
@@ -296,25 +300,34 @@ def _step_loop(output_widths: tuple[int, ...], probe_counts: tuple[int, ...], po
     steps = [f"b{j}" for j in range(len(ports))]
     fields = [[f"b{j}_{f}" for f in range(len(BOND_FIELDS))] for j in range(len(ports))]
     coupled = [outs[o][k] for p in ports for o, k in ((p[0], p[2]), (p[3], p[5]))]
+    # Bond j's effort input is ue{j} = s{j} * (flow output), its flow input uf{j} = n{j} *
+    # (effort output), with s{j} its sigma and n{j} = -sigma, as apply_connections has it.
+    inputs = [["0.0"] * n for n in input_counts]
+    routing = []
+    for j, (o_e, i_e, _, o_f, i_f, _) in enumerate(ports):
+        inputs[o_e][i_e], inputs[o_f][i_f] = f"ue{j}", f"uf{j}"
+        routing += [f"ue{j} = s{j} * {coupled[2 * j + 1]}", f"uf{j} = n{j} * {coupled[2 * j]}"]
     unpacks = [f"{_tuple(names)} = {vector}" for names, vector in zip(outs + probes, vectors)]
     books = [
-        f"b{j} = book{j}(dt, u{o_e}[{i_e}], u{o_f}[{i_f}], {coupled[2 * j]}, {coupled[2 * j + 1]})"
-        for j, (o_e, i_e, _, o_f, i_f, _) in enumerate(ports)
+        f"b{j} = book{j}(dt, ue{j}, uf{j}, {coupled[2 * j]}, {coupled[2 * j + 1]})"
+        for j in range(len(ports))
     ]
     line = "\n        "  # a new line in the loop's body
     source = _LOOP.format(
         calls=_tuple([f"{call}{i}" for i in slots for call in ("set", "do", "out", "probe")]),
         books=_tuple([f"book{j}" for j in range(len(ports))]),
-        inputs=_tuple([f"u{i}" for i in slots]),
+        signs=_tuple([f"{sign}{j}" for j in range(len(ports)) for sign in "sn"]),
+        coupled=_tuple(coupled),
+        route=line.join(routing + [f"u{i} = {_tuple(u)}" for i, u in enumerate(inputs)]),
         step=line.join(f"set{i}(u{i}){line}do{i}(t_now, dt)" for i in slots),
         read=line.join([f"Y{i} = out{i}()" for i in slots] + [f"P{i} = probe{i}()" for i in slots]),
-        tuples=" and ".join(f"type({v}) is tuple" for v in vectors) or "True",
+        sequences=" and ".join(f"(type({v}) is tuple or type({v}) is list)" for v in vectors)
+        or "True",
         unpack=(line + "    ").join(unpacks),
         floats=" and ".join(f"type({v}) is float" for v in values) or "True",
         value_sum=" + ".join(values) or "0.0",
         values=_tuple(values),
         vectors=", ".join(vectors),
-        coupled=_tuple(coupled),
         book=line.join(f"{book}{line}{_tuple(f)} = {b}" for book, f, b in zip(books, fields, steps)),
         field_sum=" + ".join(chain(*fields)) or "0.0",
         bond_steps=_tuple(steps),
@@ -339,9 +352,9 @@ def run_cosimulation(
     given, is called after each row is appended, and a true result ends the
     run with ``record.complete`` False.  The slots' ``probe_names``, read
     once, fix the row layout.  The steps run in the loop :func:`_step_loop`
-    compiles for the run's shape (its slots' output widths and probe counts
-    and its bonds' ports); the slots' methods, the ledgers, the policy and
-    ``apply_connections`` are looked up once per run and handed to it.
+    compiles for the run's shape (its slots' input counts, output widths and probe
+    counts and its bonds' ports); the slots' methods, the ledgers, the policy and
+    the bonds' signs are looked up once per run and handed to it.
 
     Raises :class:`ValueError` before any step when ``t_end`` is negative,
     not finite, too short for one macro step (within the end tolerance of 0)
@@ -389,15 +402,16 @@ def run_cosimulation(
         coupled = tuple(values[p] for p in picks)
         dt_next = policy.start(coupled)
         step_loop = _step_loop(
+            tuple(map(len, wiring.zero_inputs)),
             tuple(map(index, output_widths)),
             tuple(map(len, probe_names)),
             tuple(tuple(map(index, route[:6])) for route in routes),
         )
         step_loop(
-            t_end, t_tol, min_step, dt_next, coupled, wiring, slot_calls,
-            [BondLedger(route[6]).record for route in routes], CompensatedSum().add,
+            t_end, t_tol, min_step, dt_next, coupled, [s for r in routes for s in (r[6], -r[6])],
+            slot_calls, [BondLedger(route[6]).record for route in routes], CompensatedSum().add,
             policy.next_step, Struct(f"{record.width}d").pack, record.data.frombytes, stop,
-            record, policy, apply_connections, widths, probe_names,
+            record, policy, routes, widths, probe_names,
         )
     except SimulatorFailure as exc:  # every failure at a step carries the rows before it
         exc.record = record

@@ -136,8 +136,9 @@ class Wiring(namedtuple("Wiring", "zero_inputs routes")):
     simulator's input vector with every input 0.0, the template
     :func:`apply_connections` copies, and one flat route per bond, ``(o_e,
     i_e, k_e, o_f, i_f, k_f, sigma)``: owner, input index and output index of
-    the effort port, then of the flow port, then the sign as a float, so the
-    per-step exchange reads plain numbers instead of walking port objects."""
+    the effort port, then of the flow port, then the sign as a float.  The
+    master's compiled step loop routes by these ints and signs and reads
+    ``zero_inputs`` only for each simulator's input count."""
 
     __slots__ = ()
 

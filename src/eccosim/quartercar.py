@@ -76,8 +76,9 @@ def spring_damper_force(
     The damping term is defined as exactly 0 at dv = 0 so the fractional
     exponent never produces a NaN.  At exponent 1 (``n_d = 0.5``) the law is
     bit for bit ``k_c*(z_c - z_w) + (d_c*dv if dv > 0 or dv < 0 else 0.0)``,
-    NaN ``dv`` included; the micro-step loops of ``WheelAssembly`` and
-    ``ChassisSpringDamper`` rely on that to evaluate the linear law in-line.
+    NaN ``dv`` included; the micro-step loops and ``get_outputs`` of
+    ``WheelAssembly`` and ``ChassisSpringDamper`` rely on that to evaluate the
+    linear law in-line.
     """
     dv = v_c - v_w
     if dv > 0.0:
@@ -180,9 +181,12 @@ class WheelAssembly(QuarterCarSlot):
         self.z_c_int, self.z_w, self.v_w = z_c_int, z_w, v_w
 
     def get_outputs(self):
-        return (
-            spring_damper_force(self.z_c_int, self.z_w, self.u, self.v_w, self.params),
-        )
+        p = self.params
+        if p.damping_exponent == 1.0:
+            dv = self.u - self.v_w
+            damping = p.d_c * dv if dv > 0.0 or dv < 0.0 else 0.0
+            return (p.k_c * (self.z_c_int - self.z_w) + damping,)
+        return (spring_damper_force(self.z_c_int, self.z_w, self.u, self.v_w, p),)
 
     def probes(self):
         return (self.z_w, self.v_w)
@@ -225,9 +229,12 @@ class ChassisSpringDamper(QuarterCarSlot):
         self.z_c, self.v_c, self.z_w_int = z_c, v_c, z_w_int
 
     def get_outputs(self):
-        return (
-            spring_damper_force(self.z_c, self.z_w_int, self.v_c, self.u, self.params),
-        )
+        p = self.params
+        if p.damping_exponent == 1.0:
+            dv = self.v_c - self.u
+            damping = p.d_c * dv if dv > 0.0 or dv < 0.0 else 0.0
+            return (p.k_c * (self.z_c - self.z_w_int) + damping,)
+        return (spring_damper_force(self.z_c, self.z_w_int, self.v_c, self.u, p),)
 
     def probes(self):
         return (self.z_c, self.v_c)

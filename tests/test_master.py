@@ -695,7 +695,8 @@ def _three_slot_run():
 def test_each_step_makes_one_exchange_one_policy_call_and_one_ledger_call_per_bond(
     build, stop, steps, monkeypatch
 ):
-    # the per-layer trace divides by these counts
+    # the per-layer trace divides by these counts; the loop routes the bonds itself, so
+    # each slot's one set_inputs call per step is the exchange, with no apply_connections call
     booked, exchanges = [], []
     real_record, real_exchange = BondLedger.record, master.apply_connections
     monkeypatch.setattr(
@@ -705,11 +706,17 @@ def test_each_step_makes_one_exchange_one_policy_call_and_one_ledger_call_per_bo
         master, "apply_connections", lambda *a: exchanges.append(a) or real_exchange(*a)
     )
     slots, bonds = build()
+    received = [[] for _ in slots]
+    for slot, inputs in zip(slots, received):
+        monkeypatch.setattr(
+            slot, "set_inputs", lambda u, real=slot.set_inputs, got=inputs: got.append(u) or real(u)
+        )
     policy = _CountedStep(1e-3)
     record = run_cosimulation(slots, bonds, policy, 0.1, stop=stop)
     assert record.step_count == steps and record.complete is (stop is None)
     assert len(booked) == len(bonds) * steps and len(set(booked)) == len(bonds)
-    assert policy.calls == len(exchanges) == steps
+    assert policy.calls == steps and exchanges == []
+    assert [len(inputs) for inputs in received] == [steps] * len(slots)
 
 
 def test_finite_values_whose_sum_overflows_pass():
@@ -879,7 +886,8 @@ def test_negative_zero_keeps_its_sign_in_the_record_and_the_next_input():
 
 @pytest.mark.parametrize("reticulation", ["A", "B"])
 def test_slots_returning_lists_run_as_their_tuples_do(reticulation, monkeypatch):
-    # lists take the check's value-by-value path, over a whole adaptive run
+    # lists pass the loop's screen as tuples do, over a whole adaptive run; only the t = 0
+    # check converts value by value
     def run(slots, bonds):
         return run_cosimulation(slots, bonds, PIController(ResidualEnergyIndicator()), 1.0)
 
@@ -897,7 +905,7 @@ def test_slots_returning_lists_run_as_their_tuples_do(reticulation, monkeypatch)
     lists = run(slots, bonds)
     assert lists.data.tobytes() == tuples.data.tobytes()
     assert _csv_bytes(lists) == _csv_bytes(tuples)
-    assert len(converted) == lists.step_count * 6 + 2  # two outputs, four probes per step
+    assert len(converted) == 2  # the two outputs at t = 0
     assert len(received) == 2 * lists.step_count and {type(u) for u in received} == {float}
 
 

@@ -202,11 +202,37 @@ def test_one_micro_step_equals_the_law_bit_for_bit(params, a, b, v, u, dt):
     assert _bits(s1.z_c, s1.v_c, s1.z_w_int) == _bits(*expected)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    params=st.sampled_from([LINEAR_PARAMS, NONLINEAR_PARAMS]),
+    a=st.floats(),
+    b=st.floats(),
+    v=st.floats(),
+    u=st.floats(),
+)
+@example(params=LINEAR_PARAMS, a=0.01, b=0.0, v=0.3, u=float("nan"))
+@example(params=LINEAR_PARAMS, a=-0.0, b=0.0, v=0.0, u=-0.0)
+@example(params=LINEAR_PARAMS, a=-0.0, b=0.0, v=-0.0, u=0.0)
+@example(params=LINEAR_PARAMS, a=5e-324, b=-5e-324, v=5e-324, u=-5e-324)
+@example(params=NONLINEAR_PARAMS, a=-0.0, b=0.0, v=-5e-324, u=0.0)
+def test_force_outputs_equal_the_law_bit_for_bit(params, a, b, v, u):
+    # the force slots' outputs written with spring_damper_force; packing counts -0.0 and NaN
+    s2 = WheelAssembly(params)
+    s2.z_c_int, s2.z_w, s2.v_w = a, b, v
+    s2.set_inputs([u])
+    assert _bits(*s2.get_outputs()) == _bits(spring_damper_force(a, b, u, v, params))
+
+    s1 = ChassisSpringDamper(params)
+    s1.z_c, s1.v_c, s1.z_w_int = a, v, b
+    s1.set_inputs([u])
+    assert _bits(*s1.get_outputs()) == _bits(spring_damper_force(a, b, v, u, params))
+
+
 @pytest.mark.parametrize("reticulation", ["A", "B"])
 @pytest.mark.parametrize("params", [LINEAR_PARAMS, NONLINEAR_PARAMS])
 def test_linear_micro_steps_make_no_law_calls(monkeypatch, reticulation, params):
-    # the force-output slot's get_outputs calls the law once per step and once at t = 0;
-    # only the nonlinear micro steps call it too
+    # the linear law is in-line in the micro steps and in get_outputs; the nonlinear
+    # force-output slot calls it per micro step, per step and once at t = 0
     calls = []
     law = quartercar.spring_damper_force
 
@@ -218,8 +244,8 @@ def test_linear_micro_steps_make_no_law_calls(monkeypatch, reticulation, params)
     slots, bonds = build_reticulation(reticulation, params)
     record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.05)
     assert record.step_count == 50
-    per_step = 1 if params is LINEAR_PARAMS else 10 + 1
-    assert len(calls) == 50 * per_step + 1
+    expected = 0 if params is LINEAR_PARAMS else 50 * (10 + 1) + 1
+    assert len(calls) == expected
 
 
 def test_micro_step_halving_is_first_order():
