@@ -22,7 +22,7 @@ class CompensatedSum:
         self._c = 0.0
 
     def add(self, x: float) -> float:
-        """Add ``x``; return the new :attr:`value`."""
+        """Add ``x``; return the compensated sum of every value added so far."""
         t = self._s + x
         if abs(self._s) >= abs(x):
             self._c += (self._s - t) + x
@@ -30,10 +30,6 @@ class CompensatedSum:
             self._c += (x - t) + self._s
         self._s = t
         return t + self._c
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
 
 
 class BondLedger:

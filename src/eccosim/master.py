@@ -44,16 +44,17 @@ class RunRecord:
 
     Each accepted step is one row of doubles in ``data``: ``t, dt, eps``,
     then the seven :data:`BOND_FIELDS` of each bond in bond order, then the
-    probe values in ``probe_names`` order.  Read it through :meth:`column`,
-    :meth:`last_probes` and the summaries; only this module knows the layout.
+    probe values in ``probe_names`` order.  Read it through :meth:`column`
+    and the summaries; only this module knows the layout.  A record starts
+    complete; a run that ends early or fails marks it incomplete.
     """
 
     __slots__ = ("bond_count", "probe_names", "complete", "data", "_probe_start", "width")
 
-    def __init__(self, bond_count=0, probe_names=(), complete=True):
+    def __init__(self, bond_count=0, probe_names=()):
         self.bond_count = bond_count
         self.probe_names = probe_names
-        self.complete = complete
+        self.complete = True
         self.data = array("d")
         self._probe_start = len(STEP_FIELDS) + len(BOND_FIELDS) * bond_count
         self.width = self._probe_start + len(probe_names)
@@ -73,10 +74,6 @@ class RunRecord:
         """Steps ``start`` to ``stop`` of a step field, a bond's ledger field, or a probe."""
         end = None if stop is None else stop * self.width
         return self.data[start * self.width + self._offset(name, bond) : end : self.width]
-
-    def last_probes(self) -> array:
-        """Probe values of the last step, in ``probe_names`` order; empty before the first."""
-        return self.data[len(self.data) - self.width + self._probe_start :]
 
     @property
     def step_count(self) -> int:
@@ -402,7 +399,7 @@ def run_cosimulation(
         coupled = tuple(values[p] for p in picks)
         dt_next = policy.start(coupled)
         step_loop = _step_loop(
-            tuple(map(len, wiring.zero_inputs)),
+            wiring.input_counts,
             tuple(map(index, output_widths)),
             tuple(map(len, probe_names)),
             tuple(tuple(map(index, route[:6])) for route in routes),

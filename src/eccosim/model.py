@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import namedtuple
+from operator import index
 from typing import Sequence
 
 
@@ -124,21 +125,18 @@ class SimulatorSlot(ABC):
 
 class SimulatorFailure(RuntimeError):
     """A step broke: a slot value the master cannot use, or a non-finite bond power or
-    indicator.  ``run_cosimulation`` sets ``record`` to the rows before that step."""
+    indicator.  ``run_cosimulation`` sets ``record`` to the rows before that step; it
+    is None until then."""
 
-    def __init__(self, message: str, record=None):
-        super().__init__(message)
-        self.record = record
+    record = None
 
 
-class Wiring(namedtuple("Wiring", "zero_inputs routes")):
+class Wiring(namedtuple("Wiring", "input_counts routes")):
     """Validated routing table produced by :func:`validate_graph`: each
-    simulator's input vector with every input 0.0, the template
-    :func:`apply_connections` copies, and one flat route per bond, ``(o_e,
-    i_e, k_e, o_f, i_f, k_f, sigma)``: owner, input index and output index of
-    the effort port, then of the flow port, then the sign as a float.  The
-    master's compiled step loop routes by these ints and signs and reads
-    ``zero_inputs`` only for each simulator's input count."""
+    simulator's input count, and one flat route per bond, ``(o_e, i_e, k_e,
+    o_f, i_f, k_f, sigma)``: owner, input index and output index of the
+    effort port, then of the flow port, then the sign as a float.  An input
+    no route names is 0.0."""
 
     __slots__ = ()
 
@@ -146,8 +144,9 @@ class Wiring(namedtuple("Wiring", "zero_inputs routes")):
 def validate_graph(bonds: Sequence[PowerBond], slots: Sequence[SimulatorSlot]) -> Wiring:
     """Check ports, signs, and exclusivity of a connection graph against slots.
 
-    Returns a :class:`Wiring` usable with :func:`apply_connections`.  Raises
-    ``NonAntisymmetricBond``, ``DanglingPort``, or ``DuplicateConnection``.
+    Returns the graph's :class:`Wiring`.  Raises ``NonAntisymmetricBond``,
+    ``DanglingPort`` (also for a port field that is not an integer), or
+    ``DuplicateConnection``.
     """
     used_inputs: set[tuple[int, int]] = set()
     used_outputs: set[tuple[int, int]] = set()
@@ -155,6 +154,11 @@ def validate_graph(bonds: Sequence[PowerBond], slots: Sequence[SimulatorSlot]) -
         if bond.sigma not in (1, -1):
             raise NonAntisymmetricBond(f"bond {j} sign sigma={bond.sigma} must be +1 or -1")
         for port in (bond.effort, bond.flow):
+            for field, value in zip(PowerPort._fields, port):
+                try:
+                    index(value)
+                except TypeError:
+                    raise DanglingPort(f"{field} {value!r} of {port} is not an integer") from None
             if not 0 <= port.owner < len(slots):
                 raise DanglingPort(f"port owner {port.owner} out of range")
             slot = slots[port.owner]
@@ -176,15 +180,15 @@ def validate_graph(bonds: Sequence[PowerBond], slots: Sequence[SimulatorSlot]) -
             used_outputs.add(out_key)
     # float(sigma): the exchange and the ledgers then multiply floats only
     routes = tuple((*b.effort, *b.flow, float(b.sigma)) for b in bonds)
-    return Wiring(zero_inputs=tuple((0.0,) * s.n_inputs for s in slots), routes=routes)
+    return Wiring(input_counts=tuple(index(s.n_inputs) for s in slots), routes=routes)
 
 
 def apply_connections(wiring: Wiring, coupled: Sequence[float]) -> list[list[float]]:
     """Map coupling outputs to inputs: per bond, u_effort = sigma*y_flow and
     u_flow = -sigma*y_effort.  ``coupled`` holds each bond's effort and flow
     outputs as floats, bond by bond; unbonded inputs are 0."""
-    zero_inputs, routes = wiring
-    inputs = [*map(list, zero_inputs)]
+    input_counts, routes = wiring
+    inputs = [[0.0] * n for n in input_counts]
     j = 0  # each bond's effort output is coupled[j], its flow output coupled[j + 1]
     for o_e, i_e, _, o_f, i_f, _, sigma in routes:
         inputs[o_e][i_e] = sigma * coupled[j + 1]

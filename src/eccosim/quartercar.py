@@ -276,54 +276,6 @@ class WheelOnly(QuarterCarSlot):
         return (self.z_w, self.v_w)
 
 
-class MonolithicQuarterCar(QuarterCarSlot):
-    """The full 4-state model in a single slot: no bonds, no coupling error.
-
-    Uses the same forward Euler micro stepping as the split simulators and
-    carries a shadow chassis displacement updated from the chassis velocity
-    exactly the way a velocity-input reconstruction would, for drift checks.
-    """
-
-    n_inputs = 0
-    n_outputs = 0
-    probe_names = ("z_c", "v_c", "z_w", "v_w")
-
-    def __init__(self, params: QuarterCarParams = LINEAR_PARAMS, micro_steps: int = 10):
-        super().__init__(params, micro_steps)
-        self.z_c = 0.0
-        self.v_c = 0.0
-        self.z_w = 0.0
-        self.v_w = 0.0
-        self.z_c_int = 0.0
-
-    def set_inputs(self, u):
-        pass
-
-    def do_step(self, t, dt):
-        self.step_calls += 1
-        p = self.params
-        n = self.micro_step_ratio
-        h = dt / n
-        k_w, m_c, m_w = p.k_w, p.m_c, p.m_w
-        road = ROAD_HEIGHT
-        z_c, v_c, z_w, v_w, z_c_int = self.z_c, self.v_c, self.z_w, self.v_w, self.z_c_int
-        for _ in range(n):
-            f_c = spring_damper_force(z_c, z_w, v_c, v_w, p)
-            f_w = k_w * (z_w - road)
-            z_c += h * v_c
-            z_c_int += h * v_c
-            z_w += h * v_w
-            v_c += h * (-f_c) / m_c
-            v_w += h * (f_c - f_w) / m_w
-        self.z_c, self.v_c, self.z_w, self.v_w, self.z_c_int = z_c, v_c, z_w, v_w, z_c_int
-
-    def get_outputs(self):
-        return ()
-
-    def probes(self):
-        return (self.z_c, self.v_c, self.z_w, self.v_w)
-
-
 def build_reticulation(
     kind: str,
     params: QuarterCarParams,

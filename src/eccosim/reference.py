@@ -48,10 +48,6 @@ class ReferenceTrajectory(namedtuple("ReferenceTrajectory", "params reticulation
             raise TimeRangeMismatch(f"time {time} outside reference range [0, {self.t_end}]")
         return bisect_right(self.t, time) - 1
 
-    def states_at(self, time: float) -> tuple[float, float, float, float]:
-        """States ``(z_c, v_c, z_w, v_w)`` at ``time`` from the dense output."""
-        return next(self.states_along((time,)))
-
     def states_along(self, times: Sequence[float]) -> Iterator[tuple[float, float, float, float]]:
         """States ``(z_c, v_c, z_w, v_w)`` at each of the ascending ``times``.
 

@@ -23,6 +23,7 @@ from eccosim.bench import (
     summarize_experiment,
     write_trajectory_csv,
 )
+from eccosim.cli import EXPECTED_TABLES
 from eccosim.control import (
     PIController,
     ResidualEnergyIndicator,
@@ -436,8 +437,8 @@ def test_c16_oracle_self_checks():
     times = [0.1, 1.0, 5.0]
     exact = linear_exact_states(LINEAR_PARAMS, times)
     worst_state = 0.0
-    for row, t in zip(exact, times):
-        solved = np.array(ref5.states_at(t))
+    for row, states in zip(exact, ref5.states_along(times)):
+        solved = np.array(states)
         scale = np.maximum(np.abs(row), 1e-3)
         worst_state = max(worst_state, float(np.max(np.abs(solved - row) / scale)))
     ok_expm = worst_state <= 1e-7
@@ -457,4 +458,64 @@ def test_c16_oracle_self_checks():
         f"dissipation {dissipated:.2f} J vs 750 +/-0.1%; matrix-exponential "
         f"state error {worst_state:.2e} <= 1e-7; tolerance self-convergence "
         f"{tol_err:.2e} <= 1e-8",
+    )
+
+
+#: All a slot offers the master: the ``SimulatorSlot`` contract.
+_SLOT_CONTRACT = frozenset((
+    "set_inputs", "do_step", "get_outputs", "probes",
+    "probe_names", "n_inputs", "n_outputs", "micro_step_ratio",
+))
+
+
+class _BlackBox:
+    """A slot seen through its contract alone.  Reading any other attribute, or
+    writing any, raises ``AssertionError``, which no ``hasattr`` or ``getattr``
+    default swallows."""
+
+    __slots__ = ("_slot",)
+
+    def __init__(self, slot):
+        object.__setattr__(self, "_slot", slot)
+
+    def __getattribute__(self, name):
+        if name not in _SLOT_CONTRACT:
+            raise AssertionError(f"read {name!r}, outside the slot contract")
+        return getattr(object.__getattribute__(self, "_slot"), name)
+
+    def __setattr__(self, name, value):
+        raise AssertionError(f"wrote {name!r} on a slot")
+
+
+def _table_config_per_reticulation_and_controller():
+    configs = {}
+    for table in EXPECTED_TABLES.values():
+        for row in table.rows:
+            configs.setdefault((row.config.reticulation, row.config.controller), row.config)
+    return list(configs.values())
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    _table_config_per_reticulation_and_controller(),
+    ids=lambda cfg: f"{cfg.reticulation}-{cfg.controller}",
+)
+def test_c17_the_master_and_policies_read_only_the_slot_contract(cfg, monkeypatch):
+    # the paper's black-box claim: ECCO needs only the current coupling data
+    plain = run_experiment(cfg)
+    boxes = []
+
+    def black_boxes(*args, **kwargs):
+        slots, bonds = build_reticulation(*args, **kwargs)
+        boxes.extend(map(_BlackBox, slots))
+        return boxes, bonds
+
+    monkeypatch.setattr("eccosim.bench.build_reticulation", black_boxes)
+    boxed = run_experiment(cfg)
+    same = boxed.data.tobytes() == plain.data.tobytes()
+    check(
+        "criterion 17",
+        len(boxes) == 2 and boxed.complete and same,
+        f"{cfg.reticulation}/{cfg.controller}: {boxed.step_count} steps through black-box "
+        f"slots, record bytes identical to the plain run: {same}",
     )

@@ -659,7 +659,9 @@ def test_cli_failed_partial_write_still_exits_two(tmp_path, monkeypatch, capsys)
 
     def fail(cfg):
         out_dir.rmdir()
-        raise SimulatorFailure("slot 1 output 0", RunRecord(complete=False))
+        failure = SimulatorFailure("slot 1 output 0")
+        failure.record = RunRecord()  # the rows before a failure at t = 0
+        raise failure
 
     monkeypatch.setattr(cli, "run_experiment", fail)
     assert main(["run", "--out", str(out_dir / "p.csv")]) == 2

@@ -97,8 +97,7 @@ def test_ledger_accumulation_and_consistency():
         increment = step["E_res_accum"] - before
         assert increment == pytest.approx(step["dE_res"], rel=1e-12, abs=1e-15)
         before = step["E_res_accum"]
-        accum.add(step["dE_res"])
-    assert step["E_res_accum"] == accum.value
+        assert step["E_res_accum"] == accum.add(step["dE_res"])
 
 
 @given(
@@ -113,9 +112,7 @@ def test_ledger_entry_matches_power_helpers(u1, u2, y1, y2, dt, c1):
     # the first step of a ledger is these formulas, to the bit
     p1, p2, p12 = u1 * y1, u2 * y2, c1 * (y1 * y2)
     dp = -(u1 * y1 + u2 * y2)
-    accum = CompensatedSum()
-    accum.add(dp * dt)
-    expected = (p1, p2, p12, dp, dp * dt, p12 * dt, accum.value)
+    expected = (p1, p2, p12, dp, dp * dt, p12 * dt, CompensatedSum().add(dp * dt))
     values = BondLedger(c1).record(dt, u1, u2, y1, y2)
     assert struct.pack("7d", *values) == struct.pack("7d", *expected)
 
@@ -153,7 +150,7 @@ def test_compensated_sum_beats_naive_drift():
     acc = CompensatedSum()
     naive = 0.0
     for _ in range(10**5):
-        acc.add(0.1)
+        total = acc.add(0.1)
         naive += 0.1
-    assert acc.value == pytest.approx(1e4, abs=1e-9)
-    assert abs(acc.value - 1e4) <= abs(naive - 1e4)
+    assert total == pytest.approx(1e4, abs=1e-9)
+    assert abs(total - 1e4) <= abs(naive - 1e4)

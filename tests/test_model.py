@@ -1,8 +1,12 @@
 """Wiring validation and connection mapping."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from eccosim.control import ConstantStep
+from eccosim.master import run_cosimulation
 from eccosim.model import (
     DanglingPort,
     DuplicateConnection,
@@ -12,7 +16,7 @@ from eccosim.model import (
     apply_connections,
     validate_graph,
 )
-from eccosim.quartercar import LINEAR_PARAMS, MonolithicQuarterCar, WheelAssembly, build_reticulation
+from eccosim.quartercar import LINEAR_PARAMS, ChassisExact, WheelAssembly, build_reticulation
 
 
 def port(owner, i=0, o=0):
@@ -24,7 +28,7 @@ def two_port_bond(sigma):
 
 
 def dummy_slots(n=2):
-    return [MonolithicQuarterCar() for _ in range(n)]
+    return [ChassisExact() for _ in range(n)]
 
 
 class OnePortSlot(WheelAssembly):
@@ -70,6 +74,22 @@ def test_dangling_owner_rejected():
         validate_graph((bond,), [OnePortSlot()])
 
 
+@pytest.mark.parametrize("value", [0.5, 0.0, "0"])
+@pytest.mark.parametrize("field", PowerPort._fields)
+def test_port_field_that_is_not_an_integer_rejected(field, value):
+    # a float or str index would reach the step loop, or fail a range check, as a bare TypeError
+    slots, (bond,) = build_reticulation("A", LINEAR_PARAMS)
+    effort = bond.effort._replace(**{field: value})
+    bad = bond._replace(effort=effort)
+    message = f"{field} {value!r} of {effort} is not an integer"
+    with pytest.raises(DanglingPort) as info:
+        validate_graph((bad,), slots)
+    assert str(info.value) == message
+    with pytest.raises(DanglingPort, match=re.escape(message)):
+        run_cosimulation(slots, (bad,), ConstantStep(1e-3), 0.01)
+    assert [slot.step_calls for slot in slots] == [0, 0]
+
+
 def test_dangling_signal_index_rejected():
     bond = PowerBond(effort=port(0, i=3), flow=port(1), sigma=-1)
     with pytest.raises(DanglingPort):
@@ -85,8 +105,8 @@ def test_duplicate_connection_rejected():
 
 def test_empty_graph_two_slots_is_valid():
     wiring = validate_graph((), dummy_slots(2))
-    assert wiring.routes == ()
-    assert apply_connections(wiring, []) == [[], []]
+    assert wiring == ((1, 1), ())
+    assert apply_connections(wiring, []) == [[0.0], [0.0]]
 
 
 def test_apply_connections_example():

@@ -14,7 +14,6 @@ from eccosim.quartercar import (
     ROAD_HEIGHT,
     ChassisExact,
     ChassisSpringDamper,
-    MonolithicQuarterCar,
     QuarterCarParams,
     WheelAssembly,
     WheelOnly,
@@ -264,16 +263,6 @@ def test_micro_step_halving_is_first_order():
     assert 1.5 <= ratio <= 2.5
 
 
-def test_monolithic_shadow_tracks_chassis_exactly():
-    car = MonolithicQuarterCar(LINEAR_PARAMS, micro_steps=10)
-    t = 0.0
-    for _ in range(500):
-        car.do_step(t, 1e-3)
-        t += 1e-3
-    assert car.z_c_int == car.z_c  # bitwise: identical update sequence
-    assert car.z_c != 0.0
-
-
 @pytest.mark.parametrize("params", [LINEAR_PARAMS, NONLINEAR_PARAMS])
 def test_cosimulation_reconstruction_drift_vanishes(params):
     # the wheel side's reconstructed chassis displacement drifts by O(dt)
@@ -295,16 +284,9 @@ def test_step_counters_count_macro_steps():
     assert slots[1].step_calls == 50
 
 
-def test_monolithic_ignores_inputs():
-    car = MonolithicQuarterCar()
-    car.set_inputs([])
-    assert car.get_outputs() == ()
-    assert dict(zip(car.probe_names, car.probes())) == {"z_c": 0.0, "v_c": 0.0, "z_w": 0.0, "v_w": 0.0}
-
-
 def test_invalid_micro_steps_rejected():
     # a count has no upper cap: the master bounds the micro steps a run plans
-    for cls in (WheelAssembly, ChassisSpringDamper, WheelOnly, MonolithicQuarterCar):
+    for cls in (WheelAssembly, ChassisSpringDamper, WheelOnly):
         for bad in (0, -1, 2.5):
             with pytest.raises(ValueError, match=f"at least 1, got {bad}"):
                 cls(LINEAR_PARAMS, micro_steps=bad)

@@ -15,7 +15,9 @@ def _diverges_row_by_row(cfg, dt, threshold=THRESHOLD):
     """The verdict of a check after every row, which stops at the first row beyond."""
 
     def beyond(record):
-        return max(map(abs, record.last_probes()), default=0.0) > threshold
+        last = record.step_count - 1
+        values = (record.column(name, start=last)[0] for name in record.probe_names)
+        return any(abs(v) > threshold for v in values)
 
     try:
         record = bench.run_experiment(cfg.replace(controller="constant", dt0=dt), stop=beyond)
