@@ -20,7 +20,7 @@ from collections import namedtuple
 from functools import reduce
 from itertools import repeat
 from math import ceil, isfinite, log2, ulp
-from operator import add, index
+from operator import add
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
 from .control import (
@@ -34,7 +34,7 @@ from .control import (
 from .energy import BOND_FIELDS
 from .master import STEP_FIELDS, RunRecord, SimulatorFailure, run_cosimulation
 from .master import check_plan, micro_step_plan
-from .model import Frozen
+from .model import Frozen, is_count
 from .quartercar import PRESETS, RETICULATIONS, build_reticulation, preset_params
 from .reference import ErrorSummary, reference_solve, summarize
 
@@ -123,11 +123,7 @@ class ExperimentConfig(Frozen):
             if value == "":
                 raise ConfigError(f"{s.name} must not be empty")
         s1, s2 = self.micro_ratio_s1, self.micro_ratio_s2
-        try:
-            valid = index(s1) >= 1 and index(s2) >= 1
-        except TypeError:  # not an integer
-            valid = False
-        if not valid:
+        if not (is_count(s1, 1) and is_count(s2, 1)):
             raise ConfigError(
                 f"micro step ratios must be at least 1 and integers, got {s1!r} and {s2!r}"
             )
@@ -334,17 +330,21 @@ def stability_scan(
     threshold: float = 1e6,
     resolution: float = 1e-4,
 ) -> float:
-    """Smallest constant macro step of ``cfg`` that diverges, bisected to ``resolution``.
+    """A constant macro step of ``cfg`` that diverges, within ``resolution`` of a step
+    the scan ran stable.
 
     A run diverges when it fails or any probed state exceeds ``threshold``
     before the config's horizon.  Each run checks its rows in blocks as they
     complete and stops at the first block beyond the threshold (see
     :func:`_diverges`), so the scan pays one check per block instead of one
     per step, for the same verdicts.  The initial range must bracket the
-    onset: ``dt_lo`` stable, ``dt_hi`` divergent and finite.  The bisection
-    also ends when the two ends are adjacent floats, so any positive
-    ``resolution`` terminates.  Before the first run, its runs must fit the
-    budget: the bracket runs and the bisection's, each planned at ``dt_lo``.
+    onset: ``dt_hi`` divergent and finite, run first, and ``dt_lo`` stable.
+    The bisection also ends when the two ends are adjacent floats, so any
+    positive ``resolution`` terminates.  ``dt_lo`` is run last, and only when
+    no bisection step was stable: a stable step is the stable end of the
+    final bracket, so the verdict at ``dt_lo`` could not change the result.
+    Before the first run, its runs must fit the budget: the bracket runs and
+    the bisection's, each planned at ``dt_lo``.
     """
     if not 0.0 < dt_lo < dt_hi:
         raise ValueError("require 0 < dt_lo < dt_hi")
@@ -358,8 +358,6 @@ def stability_scan(
     runs = 3 + ceil(max(0.0, log2(dt_hi - dt_lo) - log2(max(resolution, ulp(dt_lo)))))
     check_plan(constant_step_plan(cfg, [dt_lo] * runs), f"a scan of up to {runs} runs")
 
-    if _diverges(cfg, dt_lo, threshold):
-        raise NoOnsetInRange(f"lower bound {dt_lo} already diverges")
     if not _diverges(cfg, dt_hi, threshold):
         raise NoOnsetInRange(f"upper bound {dt_hi} does not diverge")
     lo, hi = dt_lo, dt_hi
@@ -371,6 +369,8 @@ def stability_scan(
             hi = mid
         else:
             lo = mid
+    if lo == dt_lo and _diverges(cfg, dt_lo, threshold):  # no step was run stable
+        raise NoOnsetInRange(f"lower bound {dt_lo} already diverges")
     return hi
 
 

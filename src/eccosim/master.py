@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from .control import StepPolicy
 from .energy import BOND_FIELDS, BondLedger, CompensatedSum
-from .model import PowerBond, SimulatorFailure, SimulatorSlot, validate_graph
+from .model import PowerBond, SimulatorFailure, SimulatorSlot, is_count, validate_graph
 from .model import apply_connections  # noqa: F401  inlined by the loop; the trace wraps it here
 
 
@@ -186,7 +186,15 @@ def _probe_layout(slots: Sequence[SimulatorSlot]) -> list[tuple[str, ...]]:
 
 def micro_step_plan(slots: Sequence[SimulatorSlot], min_step: float, t_end: float) -> float:
     """Most micro steps a run can take: ``ceil(t_end / min_step)`` macro steps, as none is
-    repeated and one past ``t_end`` is cut onto it, each of the slots' ``micro_step_ratio``."""
+    repeated and one past ``t_end`` is cut onto it, each of the slots' ``micro_step_ratio``.
+
+    Raises ``ValueError`` for a ratio that is not an integer of at least 1."""
+    for i, slot in enumerate(slots):
+        ratio = slot.micro_step_ratio
+        if not is_count(ratio, 1):
+            raise ValueError(
+                f"slot {i} micro_step_ratio {ratio!r} is not an integer of at least 1"
+            )
     steps = t_end / min_step
     return (ceil(steps) if steps < inf else steps) * sum(slot.micro_step_ratio for slot in slots)
 

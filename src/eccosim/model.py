@@ -57,6 +57,14 @@ class Frozen:
         raise AttributeError(f"cannot assign to field {name!r}")
 
 
+def is_count(value, least: int) -> bool:
+    """Whether ``value`` is an integer (``operator.index`` takes it) of at least ``least``."""
+    try:
+        return index(value) >= least
+    except TypeError:
+        return False
+
+
 class NonAntisymmetricBond(ValueError):
     """A bond's ``sigma`` is not a unit sign, +1 or -1."""
 
@@ -144,10 +152,16 @@ class Wiring(namedtuple("Wiring", "input_counts routes")):
 def validate_graph(bonds: Sequence[PowerBond], slots: Sequence[SimulatorSlot]) -> Wiring:
     """Check ports, signs, and exclusivity of a connection graph against slots.
 
-    Returns the graph's :class:`Wiring`.  Raises ``NonAntisymmetricBond``,
-    ``DanglingPort`` (also for a port field that is not an integer), or
-    ``DuplicateConnection``.
+    Returns the graph's :class:`Wiring`.  Raises ``ValueError`` for a slot whose
+    ``n_inputs`` or ``n_outputs`` is not a non-negative integer, then
+    ``NonAntisymmetricBond``, ``DanglingPort`` (also for a port field that is not an
+    integer), or ``DuplicateConnection``.
     """
+    for i, slot in enumerate(slots):
+        for name in ("n_inputs", "n_outputs"):
+            value = getattr(slot, name)
+            if not is_count(value, 0):
+                raise ValueError(f"slot {i} {name} {value!r} is not a non-negative integer")
     used_inputs: set[tuple[int, int]] = set()
     used_outputs: set[tuple[int, int]] = set()
     for j, bond in enumerate(bonds):

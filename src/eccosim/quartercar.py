@@ -16,9 +16,8 @@ integrating that held input alongside its own states.
 from __future__ import annotations
 
 from math import isfinite
-from operator import index
 
-from .model import Frozen, PowerBond, PowerPort, SimulatorSlot
+from .model import Frozen, PowerBond, PowerPort, SimulatorSlot, is_count
 
 
 class QuarterCarParams(Frozen):
@@ -98,11 +97,7 @@ class QuarterCarSlot(SimulatorSlot):
     n_outputs = 1
 
     def __init__(self, params: QuarterCarParams = LINEAR_PARAMS, micro_steps: int = 10):
-        try:
-            valid = index(micro_steps) >= 1
-        except TypeError:  # a count of 2.5 would fail only at the first do_step
-            valid = False
-        if not valid:
+        if not is_count(micro_steps, 1):  # a count of 2.5 would fail only at the first do_step
             raise ValueError(f"micro_steps must be an integer at least 1, got {micro_steps!r}")
         self.params = params
         self.micro_step_ratio = micro_steps

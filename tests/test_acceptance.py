@@ -33,7 +33,7 @@ from eccosim.control import (
     predict_outputs,
 )
 from eccosim.energy import BOND_FIELDS
-from eccosim.master import run_cosimulation
+from eccosim.master import STEP_FIELDS, run_cosimulation
 from eccosim.model import SimulatorSlot
 from eccosim.quartercar import LINEAR_PARAMS, build_reticulation
 from eccosim.reference import _DP_TOL, reference_solve, summarize
@@ -487,6 +487,19 @@ class _BlackBox:
         raise AssertionError(f"wrote {name!r} on a slot")
 
 
+class _ProbeFreeBox(_BlackBox):
+    """A black box that declares no probes and returns none."""
+
+    __slots__ = ()
+
+    def __getattribute__(self, name):
+        if name == "probe_names":
+            return ()
+        if name == "probes":
+            return tuple  # tuple() is ()
+        return super().__getattribute__(name)
+
+
 def _table_config_per_reticulation_and_controller():
     configs = {}
     for table in EXPECTED_TABLES.values():
@@ -501,21 +514,30 @@ def _table_config_per_reticulation_and_controller():
     ids=lambda cfg: f"{cfg.reticulation}-{cfg.controller}",
 )
 def test_c17_the_master_and_policies_read_only_the_slot_contract(cfg, monkeypatch):
-    # the paper's black-box claim: ECCO needs only the current coupling data
+    # the paper's black-box claim: ECCO needs only the current coupling data, so
+    # stripping the probes leaves the time, step, indicator and ledger columns unchanged
     plain = run_experiment(cfg)
     boxes = []
+    box = _BlackBox
 
     def black_boxes(*args, **kwargs):
         slots, bonds = build_reticulation(*args, **kwargs)
-        boxes.extend(map(_BlackBox, slots))
+        boxes[:] = map(box, slots)
         return boxes, bonds
 
     monkeypatch.setattr("eccosim.bench.build_reticulation", black_boxes)
     boxed = run_experiment(cfg)
     same = boxed.data.tobytes() == plain.data.tobytes()
+    box = _ProbeFreeBox
+    probe_free = run_experiment(cfg)
+    same_columns = probe_free.probe_names == () and all(
+        probe_free.column(name).tobytes() == plain.column(name).tobytes()
+        for name in STEP_FIELDS + BOND_FIELDS
+    )
     check(
         "criterion 17",
-        len(boxes) == 2 and boxed.complete and same,
+        len(boxes) == 2 and boxed.complete and same and probe_free.complete and same_columns,
         f"{cfg.reticulation}/{cfg.controller}: {boxed.step_count} steps through black-box "
-        f"slots, record bytes identical to the plain run: {same}",
+        f"slots, record bytes identical to the plain run: {same}; without probes, "
+        f"t, dt, eps and ledger columns identical: {same_columns}",
     )

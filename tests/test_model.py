@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eccosim.control import ConstantStep
-from eccosim.master import run_cosimulation
+from eccosim.master import micro_step_plan, run_cosimulation
 from eccosim.model import (
     DanglingPort,
     DuplicateConnection,
@@ -88,6 +88,29 @@ def test_port_field_that_is_not_an_integer_rejected(field, value):
     with pytest.raises(DanglingPort, match=re.escape(message)):
         run_cosimulation(slots, (bad,), ConstantStep(1e-3), 0.01)
     assert [slot.step_calls for slot in slots] == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        (name, value)
+        for name in ("n_inputs", "n_outputs", "micro_step_ratio")
+        for value in (1.0, 2.5, "1")
+    ]
+    + [("n_inputs", -1), ("n_outputs", -1), ("micro_step_ratio", 0), ("micro_step_ratio", -1000)],
+)
+def test_slot_count_that_is_not_a_valid_integer_rejected(name, value):
+    # a float or str count would fail as a bare TypeError, and a negative ratio cancels the plan
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS, 1000, 1000)
+    setattr(slots[1], name, value)
+    least = "an integer of at least 1" if name == "micro_step_ratio" else "a non-negative integer"
+    message = f"^slot 1 {name} {re.escape(repr(value))} is not {least}$"
+    with pytest.raises(ValueError, match=message):
+        run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.01)
+    assert [slot.step_calls for slot in slots] == [0, 0]
+    if name == "micro_step_ratio":  # the one reader of the ratio for runs, sweeps and scans
+        with pytest.raises(ValueError, match=message):
+            micro_step_plan(slots, 1e-5, 100.0)
 
 
 def test_dangling_signal_index_rejected():

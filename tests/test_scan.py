@@ -1,9 +1,11 @@
-"""Stability scan: the block divergence check gives the verdict of a check after every row."""
+"""Stability scan: the block divergence check gives the verdict of a check after every row,
+and the scan runs its lower bracket end only when no bisection step was stable."""
 
 import pytest
 
 from eccosim import bench
-from eccosim.bench import ExperimentConfig, _diverges, stability_scan
+from eccosim.bench import ExperimentConfig, NoOnsetInRange, _diverges, stability_scan
+from eccosim.cli import _SCAN_RANGES
 from eccosim.control import ConstantStep
 from eccosim.master import SimulatorFailure, run_cosimulation
 from eccosim.model import SimulatorSlot
@@ -118,3 +120,49 @@ def test_rows_past_the_first_beyond_can_only_add_a_failure(kind, monkeypatch):
     cfg = ExperimentConfig(reticulation=kind, t_end=100.0)
     assert _diverges_row_by_row(cfg, 1.0) and _diverges(cfg, 1.0, THRESHOLD)
     assert outcomes == [(1, "stopped"), (19, "failed")]
+
+
+def _spy(monkeypatch, verdict):
+    """Replace the scan's ``_diverges`` with ``verdict(cfg, dt, threshold)``; returns the
+    list of the steps run, in order."""
+    ran = []
+
+    def diverges(cfg, dt, threshold):
+        ran.append(dt)
+        return verdict(cfg, dt, threshold)
+
+    monkeypatch.setattr(bench, "_diverges", diverges)
+    return ran
+
+
+@pytest.mark.parametrize("kind, runs, onset", [("A", 10, 0.05921875), ("B", 9, 0.011328125)])
+def test_default_scan_does_not_run_its_lower_end(kind, runs, onset, monkeypatch):
+    ran = _spy(monkeypatch, _diverges)
+    lo, hi = _SCAN_RANGES[kind]
+    assert stability_scan(ExperimentConfig(reticulation=kind, t_end=100.0), lo, hi) == onset
+    assert len(ran) == runs and ran[0] == hi and lo not in ran
+
+
+def test_divergent_lower_end_with_monotone_verdicts_is_refused(monkeypatch):
+    # every step diverges: no bisection step is stable, so the lower end is run last
+    ran = _spy(monkeypatch, lambda cfg, dt, threshold: True)
+    with pytest.raises(NoOnsetInRange, match="^lower bound 0.04 already diverges$"):
+        stability_scan(ExperimentConfig(), 0.04, 0.08)
+    assert ran[0] == 0.08 and ran[-1] == 0.04 and ran.count(0.04) == 1 and len(ran) > 3
+
+
+def test_stable_bisection_step_bounds_the_onset_whatever_the_lower_end(monkeypatch):
+    # not monotone: the lower end diverges, and so does every step but the first midpoint;
+    # the scan returns the divergent end of the bracket it ran, (stable, stable + resolution]
+    stable = 0.5 * (0.04 + 0.08)
+    ran = _spy(monkeypatch, lambda cfg, dt, threshold: dt != stable)
+    onset = stability_scan(ExperimentConfig(), 0.04, 0.08, resolution=1e-4)
+    assert ran[:2] == [0.08, stable] and 0.04 not in ran
+    assert onset == ran[-1] and stable < onset <= stable + 1e-4
+
+
+def test_upper_bound_is_refused_first_when_both_ends_are_wrong(monkeypatch):
+    ran = _spy(monkeypatch, lambda cfg, dt, threshold: dt < 0.06)
+    with pytest.raises(NoOnsetInRange, match="^upper bound 0.08 does not diverge$"):
+        stability_scan(ExperimentConfig(), 0.04, 0.08)
+    assert ran == [0.08]
