@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from math import ceil, inf, isfinite
 from operator import index
 from struct import Struct
@@ -94,70 +94,65 @@ class RunRecord:
         return self.data[len(self.data) - self.width + self._offset("E_res_accum", bond)]
 
 
-def _number(v) -> float:
-    """The rule for a value a slot returns: a number adds to a float and ``float()`` converts
-    it (keeping the sign of -0.0); the run uses that float, which must be finite."""
-    0.0 + v
-    return float(v)
+def _check(t, signals, widths, probe_names) -> list[float]:
+    """Every value ``signals`` hold, each slot's outputs and then, after a step, its
+    probes, in that order, as a float.
 
-
-def _sequence(v) -> bool:
-    """The rule for a vector: sized and indexable (a set is not), and not a mapping."""
-    return hasattr(v, "__len__") and hasattr(v, "__getitem__") and not hasattr(v, "keys")
-
-
-def _diagnosis(t, outputs, probes, widths, probe_names) -> str:
-    """Name what fails :func:`_check` first: probe values of the wrong count,
-    outputs that are not a sequence, a value that is not a finite number,
-    an output vector of the wrong length, then probes that are not a sequence."""
-    for i, (vector, names) in enumerate(zip(probes, probe_names)):
+    A vector is sized and indexable (a set is not) and not a mapping, and is read as
+    ``vector[k]`` for ``k`` in ``range(len(vector))``.  A value must add to a float, and
+    ``float()`` converts it (keeping the sign of -0.0) to the finite float the run uses.
+    Raises :class:`SimulatorFailure` at ``t`` naming the first failure, in this order:
+    a probe count, outputs that are not a vector, a value (outputs first), an output
+    length, probes that are not a vector.  Probes of the right count that are not a
+    vector, such as a set, are iterated, so a value in them that breaks the value rule
+    is named before they break the vector rule.
+    """
+    n = len(probe_names)
+    for i, (vector, names) in enumerate(zip(signals[n:], probe_names)):
         sized = hasattr(vector, "__len__")
         if not sized or len(vector) != len(names):
             got = f"{len(vector)} probe values" if sized else repr(vector)
-            return f"slot {i} returned {got} at t={t} for its {len(names)} probe names {names}"
+            raise SimulatorFailure(
+                f"slot {i} returned {got} at t={t} for its {len(names)} probe names {names}"
+            )
+    vectors = [
+        hasattr(v, "__len__") and hasattr(v, "__getitem__") and not hasattr(v, "keys")
+        for v in signals
+    ]
     bad = f"non-finite simulator output at t={t}: "
-    for i, out in enumerate(outputs):
-        if not _sequence(out):
-            return f"{bad}slot {i} outputs are {out!r}, not a sequence of numbers"
-    outs = ((f"slot {i} output {k}", v) for i, out in enumerate(outputs) for k, v in enumerate(out))
-    names = (f"slot {i} probe {name!r}" for i, keys in enumerate(probe_names) for name in keys)
-    for signal, v in chain(outs, zip(names, chain(*probes))):
-        try:
-            if not isfinite(_number(v)):
-                return bad + signal
-        except TypeError:
-            return f"{bad}{signal} is {v!r}, not a number"
-        except OverflowError:  # an int beyond the float range
-            return f"{bad}{signal} is too large for a float"
-    for i, (out, width) in enumerate(zip(outputs, widths)):
-        if len(out) != width:
-            return f"slot {i} returned {len(out)} outputs at t={t} for its {width} outputs"
-    for i, vector in enumerate(probes):
-        if not _sequence(vector):
-            return f"{bad}slot {i} probes are {vector!r}, not a sequence of numbers"
-
-
-def _check(t, signals, widths, probe_names) -> list[float]:
-    """The rule for ``signals``, each slot's outputs and then, after a step, its
-    probes: every value they hold, in that order, as a float.
-
-    Raises :class:`SimulatorFailure` at ``t``, naming what :func:`_diagnosis`
-    finds, unless each vector is a :func:`_sequence` of its length in
-    ``widths`` and :func:`_number` converts each value to a finite float.
-    """
-    try:
-        if widths == list(map(len, signals)) and all(map(_sequence, signals)):
-            values = list(map(_number, chain(*signals)))
-            if all(map(isfinite, values)):
-                return values
-    except (TypeError, OverflowError):  # not a sequence, or not a number
-        pass
-    n = len(probe_names)
-    raise SimulatorFailure(_diagnosis(t, signals[:n], signals[n:], widths, probe_names))
+    for i, out in enumerate(signals[:n]):
+        if not vectors[i]:
+            raise SimulatorFailure(f"{bad}slot {i} outputs are {out!r}, not a sequence of numbers")
+    values = []
+    for s, (vector, indexed) in enumerate(zip(signals, vectors)):
+        size = len(vector)
+        read = (vector[k] for k in range(size)) if indexed else islice(vector, size)
+        for k, v in enumerate(read):
+            try:
+                0.0 + v
+                if isfinite(value := float(v)):
+                    values.append(value)
+                    continue
+                problem = ""
+            except TypeError:
+                problem = f" is {v!r}, not a number"
+            except OverflowError:  # an int beyond the float range
+                problem = " is too large for a float"
+            probe, i = divmod(s, n)
+            signal = f"probe {probe_names[i][k]!r}" if probe else f"output {k}"
+            raise SimulatorFailure(f"{bad}slot {i} {signal}{problem}")
+    for s, (vector, width) in enumerate(zip(signals, widths)):
+        if len(vector) != width:  # an output, as each probe count passed above
+            got = f"{len(vector)} outputs"
+            raise SimulatorFailure(f"slot {s} returned {got} at t={t} for its {width} outputs")
+        if not vectors[s]:  # a probe vector, as each output vector passed above
+            got = f"probes are {vector!r}"
+            raise SimulatorFailure(f"{bad}slot {s - n} {got}, not a sequence of numbers")
+    return values
 
 
 def _probe_layout(slots: Sequence[SimulatorSlot]) -> list[tuple[str, ...]]:
-    """Each slot's ``probe_names``.
+    """Each slot's ``probe_names``, read as ``names[k]`` for ``k`` in ``range(len(names))``.
 
     Raises ``ValueError`` for ``probe_names`` that is a ``str`` (one name per
     character), a name that is not a ``str``, and a name that a slot repeats,
@@ -167,11 +162,10 @@ def _probe_layout(slots: Sequence[SimulatorSlot]) -> list[tuple[str, ...]]:
     names = []
     owner = dict.fromkeys(STEP_FIELDS + BOND_FIELDS, "the record")
     for i, slot in enumerate(slots):
-        if isinstance(slot.probe_names, str):
-            raise ValueError(
-                f"slot {i} probe_names is the str {slot.probe_names!r}, not a tuple of names"
-            )
-        keys = tuple(slot.probe_names)
+        declared = slot.probe_names
+        if isinstance(declared, str):
+            raise ValueError(f"slot {i} probe_names is the str {declared!r}, not a tuple of names")
+        keys = tuple(declared[k] for k in range(len(declared)))
         for name in keys:
             if not isinstance(name, str):
                 raise ValueError(f"slot {i} probe name {name!r} is not a str")

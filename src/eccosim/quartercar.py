@@ -75,9 +75,10 @@ def spring_damper_force(
     The damping term is defined as exactly 0 at dv = 0 so the fractional
     exponent never produces a NaN.  At exponent 1 (``n_d = 0.5``) the law is
     bit for bit ``k_c*(z_c - z_w) + (d_c*dv if dv > 0 or dv < 0 else 0.0)``,
-    NaN ``dv`` included; the micro-step loops and ``get_outputs`` of
-    ``WheelAssembly`` and ``ChassisSpringDamper`` rely on that to evaluate the
-    linear law in-line.
+    NaN ``dv`` included; the linear micro steps of ``WheelAssembly`` and
+    ``ChassisSpringDamper`` rely on that to evaluate the law in-line, since a
+    call per micro step makes the two default scans about 16 % slower.  All
+    other code, their ``get_outputs`` included, calls this function.
     """
     dv = v_c - v_w
     if dv > 0.0:
@@ -97,7 +98,7 @@ class QuarterCarSlot(SimulatorSlot):
     n_outputs = 1
 
     def __init__(self, params: QuarterCarParams = LINEAR_PARAMS, micro_steps: int = 10):
-        if not is_count(micro_steps, 1):  # a count of 2.5 would fail only at the first do_step
+        if not is_count(micro_steps, 1):  # for direct callers; runs refuse it in micro_step_plan
             raise ValueError(f"micro_steps must be an integer at least 1, got {micro_steps!r}")
         self.params = params
         self.micro_step_ratio = micro_steps
@@ -176,12 +177,7 @@ class WheelAssembly(QuarterCarSlot):
         self.z_c_int, self.z_w, self.v_w = z_c_int, z_w, v_w
 
     def get_outputs(self):
-        p = self.params
-        if p.damping_exponent == 1.0:
-            dv = self.u - self.v_w
-            damping = p.d_c * dv if dv > 0.0 or dv < 0.0 else 0.0
-            return (p.k_c * (self.z_c_int - self.z_w) + damping,)
-        return (spring_damper_force(self.z_c_int, self.z_w, self.u, self.v_w, p),)
+        return (spring_damper_force(self.z_c_int, self.z_w, self.u, self.v_w, self.params),)
 
     def probes(self):
         return (self.z_w, self.v_w)
@@ -224,12 +220,7 @@ class ChassisSpringDamper(QuarterCarSlot):
         self.z_c, self.v_c, self.z_w_int = z_c, v_c, z_w_int
 
     def get_outputs(self):
-        p = self.params
-        if p.damping_exponent == 1.0:
-            dv = self.v_c - self.u
-            damping = p.d_c * dv if dv > 0.0 or dv < 0.0 else 0.0
-            return (p.k_c * (self.z_c - self.z_w_int) + damping,)
-        return (spring_damper_force(self.z_c, self.z_w_int, self.v_c, self.u, p),)
+        return (spring_damper_force(self.z_c, self.z_w_int, self.v_c, self.u, self.params),)
 
     def probes(self):
         return (self.z_c, self.v_c)

@@ -9,7 +9,9 @@ recorded with; property checks are tolerance-independent.
 from __future__ import annotations
 
 import io
+from array import array
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from sweeps import default_sweep
 
 from eccosim.bench import (
     ExperimentConfig,
+    build_policy,
     run_experiment,
     stability_scan,
     summarize_experiment,
@@ -27,6 +30,7 @@ from eccosim.cli import EXPECTED_TABLES
 from eccosim.control import (
     PIController,
     ResidualEnergyIndicator,
+    StepPolicy,
     ecco_indicator,
     pc_indicator,
     pi_step_size,
@@ -540,4 +544,60 @@ def test_c17_the_master_and_policies_read_only_the_slot_contract(cfg, monkeypatc
         f"{cfg.reticulation}/{cfg.controller}: {boxed.step_count} steps through black-box "
         f"slots, record bytes identical to the plain run: {same}; without probes, "
         f"t, dt, eps and ledger columns identical: {same_columns}",
+    )
+
+
+class _RecordedPolicy(StepPolicy):
+    """A policy that keeps what the master hands it and what it answers."""
+
+    def __init__(self, policy):
+        self.policy, self.name, self.min_step = policy, policy.name, policy.min_step
+        self.calls = []
+
+    def start(self, outputs):
+        self.started = (outputs, self.policy.start(outputs))
+        return self.started[1]
+
+    def next_step(self, *args):
+        self.calls.append((args, self.policy.next_step(*args)))
+        return self.calls[-1][1]
+
+
+_ADAPTIVE_TABLE_CONFIGS = list(dict.fromkeys(
+    row.config
+    for table in EXPECTED_TABLES.values()
+    for row in table.rows
+    if row.config.controller != "constant"
+))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    _ADAPTIVE_TABLE_CONFIGS,
+    ids=lambda cfg: f"{cfg.preset}-{cfg.reticulation}-{cfg.controller}-{cfg.tolerance_label}"
+    f"-s2x{cfg.micro_ratio_s2}",
+)
+def test_c17_a_policy_replayed_the_coupling_data_steps_the_same(cfg, monkeypatch):
+    # the policy sees only the step's time and size, the bond steps and the coupled
+    # outputs: a fresh policy fed a run's calls answers them bit for bit
+    recorded = []
+    monkeypatch.setattr(
+        "eccosim.bench.build_policy",
+        lambda cfg: recorded.append(_RecordedPolicy(build_policy(cfg))) or recorded[-1],
+    )
+    record = run_experiment(cfg)
+    (policy,) = recorded
+    outputs, dt0 = policy.started
+    fresh = build_policy(cfg)
+    started = fresh.start(outputs) == dt0
+    replayed = array("d", chain(*(fresh.next_step(*args) for args, _ in policy.calls)))
+    answered = array("d", chain(*(answer for _, answer in policy.calls)))
+    same = replayed.tobytes() == answered.tobytes()
+    same_eps = answered[1::2].tobytes() == record.column("eps").tobytes()
+    check(
+        "criterion 17",
+        record.complete and started and same and same_eps,
+        f"{cfg.preset}/{cfg.reticulation}/{cfg.controller} {cfg.tolerance_label}: "
+        f"{len(policy.calls)} next_step calls replayed into a fresh policy, (dt_next, eps) "
+        f"bit-identical: {same}; eps equal to the record's column: {same_eps}",
     )

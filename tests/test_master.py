@@ -526,19 +526,22 @@ def test_outputs_that_are_not_numbers_fail_naming_the_slot():
         assert message == f"non-finite simulator output at t={t}: slot 1 output 0 {what(v_w)}"
 
 
-def _fail_with_wheel_outputs(broken, broken_after):
+def _fail_with_wheel_outputs(broken, broken_after, probes=None):
     """Run reticulation B until its wheel, once it has taken ``broken_after``
-    steps, returns ``broken(v_w)`` from ``get_outputs``; check that the run
-    fails there with the steps before it recorded, and return the failure's
-    message and the wheel's ``v_w`` that ``broken`` was given."""
+    steps, returns ``broken(v_w)`` from ``get_outputs`` (and ``probes``, when
+    given, from ``probes``); check that the run fails there with the steps
+    before it recorded, and return the failure's message and the wheel's
+    ``v_w`` that ``broken`` was given."""
     slots, bonds = build_reticulation("B", LINEAR_PARAMS)
     wheel = slots[1]
-    real = wheel.get_outputs
+    real, real_probes = wheel.get_outputs, wheel.probes
 
     def get_outputs():
         return broken(*real()) if wheel.step_calls == broken_after else real()
 
     wheel.get_outputs = get_outputs
+    if probes is not None:
+        wheel.probes = lambda: probes if wheel.step_calls == broken_after else real_probes()
     with pytest.raises(SimulatorFailure) as info:
         run_cosimulation(slots, bonds, ConstantStep(1e-3), 1.0)
     assert info.value.record.step_count == max(broken_after - 1, 0)
@@ -580,6 +583,27 @@ def test_output_vectors_of_the_wrong_length_fail_naming_the_slot(returned):
     for broken_after, t in ((0, "0.0"), (2, "0.002")):
         message, _ = _fail_with_wheel_outputs(lambda v_w: returned, broken_after)
         assert message == f"slot 1 returned {len(returned)} outputs at t={t} for its 1 outputs"
+
+
+@pytest.mark.parametrize("outputs, probes, failure", [
+    (None, (1.0,), "slot 1 returned 1 probe values at t={t} for its 2 probe names ('z_w', 'v_w')"),
+    ({math.nan}, None, "{bad}slot 1 outputs are {{nan}}, not a sequence of numbers"),
+    ((math.nan, 0.0), None, "{bad}slot 1 output 0"),
+    ((0.0, 0.0), {1.0, 2.0}, "slot 1 returned 2 outputs at t={t} for its 1 outputs"),
+], ids=[
+    "probe-count-before-outputs-vector",
+    "outputs-vector-before-value",
+    "value-before-output-length",
+    "output-length-before-probes-vector",
+])
+def test_of_two_rules_broken_at_once_the_earlier_is_named(outputs, probes, failure):
+    # the check's order: probe counts, outputs are vectors, each value, output lengths,
+    # probes are vectors; probes are first read after a step
+    at = ((2, "0.002"),) if probes is not None else ((0, "0.0"), (2, "0.002"))
+    for broken_after, t in at:
+        message, _ = _fail_with_wheel_outputs(lambda v_w: outputs, broken_after, probes)
+        bad = f"non-finite simulator output at t={t}: "
+        assert message == failure.format(t=t, bad=bad)
 
 
 def test_int_outputs_whose_bond_power_overflows_fail_naming_the_bond():
@@ -900,13 +924,62 @@ def test_slots_returning_lists_run_as_their_tuples_do(reticulation, monkeypatch)
         slot.probes = lambda probes=probes: list(probes())
         slot.set_inputs = lambda u, set_inputs=set_inputs: received.extend(u) or set_inputs(u)
     converted = []
-    number = master._number
-    monkeypatch.setattr(master, "_number", lambda v: converted.append(v) or number(v))
+    check = master._check
+
+    def counted(*args):
+        values = check(*args)
+        converted.extend(values)
+        return values
+
+    monkeypatch.setattr(master, "_check", counted)
     lists = run(slots, bonds)
     assert lists.data.tobytes() == tuples.data.tobytes()
     assert _csv_bytes(lists) == _csv_bytes(tuples)
     assert len(converted) == 2  # the two outputs at t = 0
     assert len(received) == 2 * lists.step_count and {type(u) for u in received} == {float}
+
+
+class _EndlessItems:
+    """A vector whose ``__getitem__`` answers 7.0 past its ``len()``, up to index 999: a
+    bounded stand-in for one that never raises ``IndexError``, which iteration never ends."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, k):
+        if k >= 1000:
+            raise IndexError(k)
+        return self.values[k] if k < len(self.values) else 7.0
+
+
+class _StrayIter(_EndlessItems):
+    """An :class:`_EndlessItems` whose ``__iter__`` yields a stray 7.0 after its values."""
+
+    def __iter__(self):
+        yield from self.values
+        yield 7.0
+
+
+@pytest.mark.parametrize("vector", [_EndlessItems, _StrayIter], ids=["endless-items", "stray-iter"])
+@pytest.mark.parametrize("signal, after", [
+    ("get_outputs", 0), ("get_outputs", 2), ("probes", 2), ("probe_names", None),
+], ids=["outputs-at-0", "outputs-after-a-step", "probes-after-a-step", "probe-names"])
+def test_a_vector_is_read_by_its_len_and_index(vector, signal, after):
+    # a vector's values are vector[k] for k below its len(), whatever its iteration
+    # yields: the run is the tuple run, and reading it ends
+    slots, bonds = build_reticulation("B", LINEAR_PARAMS)
+    chassis = slots[0]
+    if signal == "probe_names":
+        chassis.probe_names = vector(chassis.probe_names)
+    else:
+        real = getattr(chassis, signal)
+        setattr(chassis, signal, lambda: vector(real()) if chassis.step_calls == after else real())
+    record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.006)
+    assert record.complete and record.probe_names == _undisturbed("B").probe_names
+    assert record.data.tobytes() == _undisturbed("B").data.tobytes()
 
 
 # What a slot returns in place of a vector of width n, or of one value v (n = 1).

@@ -230,8 +230,8 @@ def test_force_outputs_equal_the_law_bit_for_bit(params, a, b, v, u):
 @pytest.mark.parametrize("reticulation", ["A", "B"])
 @pytest.mark.parametrize("params", [LINEAR_PARAMS, NONLINEAR_PARAMS])
 def test_linear_micro_steps_make_no_law_calls(monkeypatch, reticulation, params):
-    # the linear law is in-line in the micro steps and in get_outputs; the nonlinear
-    # force-output slot calls it per micro step, per step and once at t = 0
+    # the linear law is in-line in the micro steps; the force-output slot's get_outputs
+    # calls it per step and once at t = 0, and its nonlinear micro steps per micro step
     calls = []
     law = quartercar.spring_damper_force
 
@@ -243,7 +243,7 @@ def test_linear_micro_steps_make_no_law_calls(monkeypatch, reticulation, params)
     slots, bonds = build_reticulation(reticulation, params)
     record = run_cosimulation(slots, bonds, ConstantStep(1e-3), 0.05)
     assert record.step_count == 50
-    expected = 0 if params is LINEAR_PARAMS else 50 * (10 + 1) + 1
+    expected = 50 * (1 if params is LINEAR_PARAMS else 10 + 1) + 1
     assert len(calls) == expected
 
 
